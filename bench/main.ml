@@ -53,7 +53,7 @@ let f2 () =
   let device = Driver.Device.create_exn ~config:compiled.config model in
   (* Control channel (implicit): queue context programmed via MMIO. *)
   Printf.printf "control channel : programmed context %s\n"
-    (Format.asprintf "%a" Opendesc.Context.pp compiled.config);
+    (Format.asprintf "%a" Opendesc_analysis.Context.pp compiled.config);
   (* TX: host posts descriptors (1), device reads packets (2). *)
   let fmt = Option.get (Driver.Device.tx_format device) in
   let pkts =

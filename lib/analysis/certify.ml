@@ -137,106 +137,32 @@ type certificate = {
   c_obligations : int;
 }
 
-let describe_config (c : (string * int64) list) =
-  match c with
-  | [] -> "{}"
-  | c ->
-      "{"
-      ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%s=%Ld" k v) c)
-      ^ "}"
-
 let range_string (lo, hi) = Printf.sprintf "[%Lu, %Lu]" lo hi
 
-(* One distinct feasible completion layout, in encounter order over the
-   enumerated configurations — the same order Path.enumerate assigns
-   p_index, so "path #k" in messages matches the CLI's path listing. *)
-type group = {
-  g_key : int list;
-  g_index : int;
-  g_fields : Engine.afield list;
-  g_bits : int;
-}
-
 let check (cf : contract) (plan : plan) : (certificate, D.t list) result =
-  match Dep_ir.of_control cf.cf_tenv cf.cf_deparser with
+  match Engine.catalogue cf.cf_tenv cf.cf_deparser with
   | Error msg ->
       Error
         [
           D.make ~code:"OD021" ~severity:D.Error
             "cannot certify %s: deparser IR unavailable (%s)" plan.pl_nic msg;
         ]
-  | Ok ir ->
+  | Ok cat ->
       let diags = ref [] in
       let add d = diags := d :: !diags in
       let obligations = ref 0 in
       let discharge () = incr obligations in
-      let ctx = Ctxdom.find_in cf.cf_deparser.P4.Typecheck.ct_params in
-      let ctx_name =
-        match ctx with Some (p, _) -> p.P4.Typecheck.c_name | None -> "ctx"
-      in
-      let consts = P4.Typecheck.const_env cf.cf_tenv in
-      let assignments =
-        match ctx with
-        | None -> [ [] ]
-        | Some (_, h) -> (
-            match Ctxdom.enumerate h with Ok a -> a | Error _ -> [ [] ])
-      in
-      (* Feasibility comes from the symbolic walk, exactly as in the
-         engine's OD020 pass: a forked run whose emit sequence is proved
-         unreachable is not a completion the device can emit. *)
-      let sym =
-        Symexec.exec
-          ~base:
-            (Symexec.base_env ~consts ~ctx
-               ~params:cf.cf_deparser.P4.Typecheck.ct_params ())
-          ir
-      in
-      let key (r : Dep_ir.run) =
-        List.map
-          (fun (x : Dep_ir.exec_emit) -> x.Dep_ir.x_emit.Dep_ir.e_id)
-          r.Dep_ir.r_emits
-      in
-      let feasible r =
-        let ids = key r in
-        List.exists
-          (fun (l : Symexec.leaf) ->
-            l.Symexec.lf_feasible && l.Symexec.lf_emit_ids = ids)
-          sym.Symexec.sx_leaves
-      in
-      let runs_of a =
-        Dep_ir.run ~consts ~ctx_env:(Ctxdom.env_of ~param_name:ctx_name a) ir
-      in
-      let catalogue = ref [] in
-      List.iter
-        (fun a ->
-          List.iter
-            (fun r ->
-              if feasible r && not (List.exists (fun g -> g.g_key = key r) !catalogue)
-              then
-                catalogue :=
-                  !catalogue
-                  @ [
-                      {
-                        g_key = key r;
-                        g_index = List.length !catalogue;
-                        g_fields = Engine.fields_of_run r;
-                        g_bits = r.Dep_ir.r_total_bits;
-                      };
-                    ])
-            (runs_of a))
-        assignments;
-      let config = describe_config plan.pl_config in
-      (* Every feasible run the plan's configuration selects — several
+      (* Feasible layouts only, numbered like the compiler's paths so
+         "path #k" in messages matches the CLI's path listing. *)
+      let catalogue = Engine.feasible_groups cat in
+      let config = Format.asprintf "%a" Context.pp plan.pl_config in
+      (* Every feasible layout the plan's configuration selects — several
          when runtime-data branches fork (each must agree with the plan,
          or a fixed-offset read can observe unwritten bytes). *)
       let chosen =
-        List.fold_left
-          (fun acc r ->
-            if feasible r && not (List.exists (fun r' -> key r' = key r) acc)
-            then acc @ [ r ]
-            else acc)
-          []
-          (runs_of plan.pl_config)
+        List.filter
+          (fun (g : Engine.group) -> List.mem plan.pl_config g.Engine.g_assigns)
+          catalogue
       in
       (* Intent coverage: Eq. 1 must leave no required semantic behind —
          hardware-bound or scheduled as a shim, never silently dropped. *)
@@ -261,7 +187,7 @@ let check (cf : contract) (plan : plan) : (certificate, D.t list) result =
              "plan for path #%d: configuration %s selects no feasible \
               completion run"
              plan.pl_path_index config);
-      let check_accessor ~what ~(run : Dep_ir.run) ~group_index
+      let check_accessor ~what ~run ~group_index
           (ap : accessor_plan) (af : Engine.afield) =
         if ap.ap_bits <> af.af_bits then
           add
@@ -288,16 +214,16 @@ let check (cf : contract) (plan : plan) : (certificate, D.t list) result =
            | Some (alo, ahi) -> (
                let other =
                  List.find_opt
-                   (fun g ->
-                     g.g_index <> group_index
+                   (fun (g : Engine.group) ->
+                     g.Engine.g_index <> group_index
                      && List.exists
                           (fun (gaf : Engine.afield) ->
                             gaf.Engine.af_bit_off = alo
                             && gaf.Engine.af_bit_off + gaf.Engine.af_bits = ahi
                             && (gaf.Engine.af_semantic = ap.ap_semantic
                                || gaf.Engine.af_name = ap.ap_name))
-                          g.g_fields)
-                   !catalogue
+                          (Engine.fields_of_run g.Engine.g_run))
+                   catalogue
                in
                match other with
                | Some g ->
@@ -305,7 +231,7 @@ let check (cf : contract) (plan : plan) : (certificate, D.t list) result =
                      (D.make ~span:af.af_span ~code:"OD023" ~severity:D.Error
                         "accessor for %s reads bits [%d, %d) — path #%d's \
                          placement, not path #%d's [%d, %d) selected by %s"
-                        what alo ahi g.g_index group_index af.af_bit_off
+                        what alo ahi g.Engine.g_index group_index af.af_bit_off
                         (af.af_bit_off + af.af_bits)
                         config)
                | None ->
@@ -371,13 +297,9 @@ let check (cf : contract) (plan : plan) : (certificate, D.t list) result =
                (range_string claimed_exp))
       in
       List.iter
-        (fun (run : Dep_ir.run) ->
+        (fun (g : Engine.group) ->
+          let run = g.Engine.g_run and group_index = g.Engine.g_index in
           let afs = Engine.fields_of_run run in
-          let group_index =
-            match List.find_opt (fun g -> g.g_key = key run) !catalogue with
-            | Some g -> g.g_index
-            | None -> plan.pl_path_index
-          in
           if run.Dep_ir.r_total_bits <> plan.pl_size_bytes * 8 then
             add
               (D.make ~span:cf.cf_deparser.P4.Typecheck.ct_span ~code:"OD023"

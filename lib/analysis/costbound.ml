@@ -1,10 +1,9 @@
 (* Static worst-case decode cost: lift every certified accessor plan and
-   Eq. 1 shim schedule into Certify's codegen IR and price it against a
-   serializable mirror of the driver cost model, per feasible completion
-   path (infeasible paths pruned by Symexec, exactly as in the engine's
-   OD020 pass and Certify's catalogue). The bound is provable, not
-   profiled: cache-line traffic comes from the record footprint, op
-   costs from the table, and the worst case is maximized over the runs
+   Eq. 1 shim schedule into Certify's codegen IR and price it against the
+   cost table, per feasible completion path of the shared catalogue
+   (Engine.catalogue). The bound is provable, not profiled: cache-line
+   traffic comes from the record footprint, op costs from the table,
+   and the worst case is maximized over the runs
    the plan's configuration can actually select — so a firmware bump
    that stays Transparent on values but regresses cycles is caught
    statically (OD026), and the dynamic ledger cross-validates the bound
@@ -14,10 +13,10 @@
 module D = Diagnostic
 
 (* ------------------------------------------------------------------ *)
-(* The cost table: a serializable mirror of [Driver.Cost.K] (plus the
-   host stack's parse cost), so the analysis layer prices plans in the
-   same units the runtime ledger charges without depending on the
-   driver. test/driver pins the mirror to the real constants. *)
+(* The cost table. [default_table] is the one copy of these constants:
+   the driver's [Cost.K] and [Stack.parse_cost] and the compiler's
+   [Placement] read them from here, so the bound is in the units the
+   runtime ledger charges. *)
 
 type table = {
   tb_cache_line_load : float;  (** one 64B completion line from DMA memory *)
@@ -242,60 +241,6 @@ let path_cost_of ~table ~(registry : Registry_view.t) ~intent index
         ~shims:(List.map snd priced) ();
   }
 
-(* The same feasibility-pruned catalogue Certify builds: every distinct
-   completion layout some context assignment can emit, minus the runs
-   the symbolic walk proves unreachable. *)
-let catalogue_of (cf : Certify.contract) =
-  match Dep_ir.of_control cf.Certify.cf_tenv cf.Certify.cf_deparser with
-  | Error msg -> Error msg
-  | Ok ir ->
-      let ctx = Ctxdom.find_in cf.Certify.cf_deparser.P4.Typecheck.ct_params in
-      let ctx_name =
-        match ctx with Some (p, _) -> p.P4.Typecheck.c_name | None -> "ctx"
-      in
-      let consts = P4.Typecheck.const_env cf.Certify.cf_tenv in
-      let assignments =
-        match ctx with
-        | None -> [ [] ]
-        | Some (_, h) -> (
-            match Ctxdom.enumerate h with Ok a -> a | Error _ -> [ [] ])
-      in
-      let sym =
-        Symexec.exec
-          ~base:
-            (Symexec.base_env ~consts ~ctx
-               ~params:cf.Certify.cf_deparser.P4.Typecheck.ct_params ())
-          ir
-      in
-      let key (r : Dep_ir.run) =
-        List.map
-          (fun (x : Dep_ir.exec_emit) -> x.Dep_ir.x_emit.Dep_ir.e_id)
-          r.Dep_ir.r_emits
-      in
-      let feasible r =
-        let ids = key r in
-        List.exists
-          (fun (l : Symexec.leaf) ->
-            l.Symexec.lf_feasible && l.Symexec.lf_emit_ids = ids)
-          sym.Symexec.sx_leaves
-      in
-      let groups = ref [] in
-      List.iter
-        (fun a ->
-          List.iter
-            (fun r ->
-              if
-                feasible r
-                && not (List.exists (fun (k, _, _) -> k = key r) !groups)
-              then
-                groups :=
-                  !groups
-                  @ [ (key r, Engine.fields_of_run r, r.Dep_ir.r_total_bits) ])
-            (Dep_ir.run ~consts ~ctx_env:(Ctxdom.env_of ~param_name:ctx_name a)
-               ir))
-        assignments;
-      Ok !groups
-
 let analyze ?(table = default_table) ?budget ?baseline
     (cf : Certify.contract) (plan : Certify.plan) : report =
   let diags = ref [] in
@@ -347,19 +292,21 @@ let analyze ?(table = default_table) ?budget ?baseline
            (bound /. (if old > 0.0 then old else 1.0)))
   | _ -> ());
   let paths =
-    match catalogue_of cf with
+    match Engine.catalogue cf.Certify.cf_tenv cf.Certify.cf_deparser with
     | Error msg ->
         add
           (D.make ~code:"OD028" ~severity:D.Error
              "cannot bound %s: deparser IR unavailable (%s)"
              plan.Certify.pl_nic msg);
         []
-    | Ok groups ->
-        List.mapi
-          (fun i (_, fields, bits) ->
+    | Ok cat ->
+        List.map
+          (fun (g : Engine.group) ->
             path_cost_of ~table ~registry:cf.Certify.cf_registry
-              ~intent:plan.Certify.pl_intent i fields bits)
-          groups
+              ~intent:plan.Certify.pl_intent g.Engine.g_index
+              (Engine.fields_of_run g.Engine.g_run)
+              g.Engine.g_run.Dep_ir.r_total_bits)
+          (Engine.feasible_groups cat)
   in
   List.iter
     (fun pc ->

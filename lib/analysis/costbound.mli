@@ -2,11 +2,11 @@
 
     {!Certify} proves a compiled plan computes the right {e values};
     this module proves what it {e costs}. Every accessor plan and Eq. 1
-    shim schedule is priced over the same feasibility-pruned completion
-    catalogue the validator walks (infeasible runs discarded by
-    {!Symexec}), against a serializable cost {!table} mirroring the
-    driver cost model [Driver.Cost.K] — so the bound is in the exact
-    units the runtime ledger charges, and the dynamic side
+    shim schedule is priced over the feasible groups of
+    {!Engine.catalogue}, the catalogue the validator walks, against a
+    serializable cost {!table} whose defaults the driver cost model
+    [Driver.Cost.K] is built from — so the bound is in the exact units
+    the runtime ledger charges, and the dynamic side
     (the [cost_bound] bench, the fuzz cost stage, the QCheck containment
     property) can assert measured cycles/pkt never exceed it.
 
@@ -21,10 +21,7 @@
     - {b OD028} (Error): unbounded cost — a bitwalk whose length
       escapes the slot width, so no per-packet cycle bound exists. *)
 
-(** Mirror of [Driver.Cost.K] (plus the host stack's software parse
-    cost), decoupled so the analysis layer prices plans without a
-    driver dependency; test/driver pins the defaults to the real
-    constants. *)
+(** Cycle costs of the host datapath's per-packet operations. *)
 type table = {
   tb_cache_line_load : float;
   tb_accessor_read : float;
@@ -36,6 +33,9 @@ type table = {
 }
 
 val default_table : table
+(** The one copy of the datapath cost constants: [Driver.Cost.K],
+    [Driver.Stack.parse_cost] and [Opendesc.Placement] are defined from
+    it. *)
 
 val table_to_json : table -> string
 (** Flat JSON object, schema ["opendesc-cost-table-1"]. *)

@@ -32,27 +32,6 @@ let is_intent_header (h : P4.Typecheck.header_def) =
   P4.Ast.find_annotation "intent" h.h_annots <> None
   || contains_sub h.h_name "intent"
 
-(* ------------------------------------------------------------------ *)
-(* Deparser preparation: IR, context assignments, distinct runs. *)
-
-type group = {
-  g_index : int;  (** encounter order — matches Path.enumerate's p_index *)
-  g_run : Dep_ir.run;
-  g_assigns : Ctxdom.assignment list;
-}
-
-type dep_prep = {
-  p_ctrl : P4.Typecheck.control_def;
-  p_ir : Dep_ir.t;
-  p_ctx : (P4.Typecheck.cparam * P4.Typecheck.header_def) option;
-  p_assignments : Ctxdom.assignment list;
-  p_runs : Dep_ir.run list;  (** every run, including forked ones *)
-  p_assign_runs : (Ctxdom.assignment * Dep_ir.run) list;
-      (** the same runs, with the configuration that produced each —
-          several runs per assignment when undecidable branches forked *)
-  p_groups : group list;  (** distinct emit sequences *)
-}
-
 let fields_of_run (r : Dep_ir.run) : afield list =
   List.concat_map
     (fun (x : Dep_ir.exec_emit) ->
@@ -85,101 +64,153 @@ let last_emit_span (r : Dep_ir.run) =
   | x :: _ -> Some x.Dep_ir.x_emit.Dep_ir.e_span
   | [] -> None
 
-let group_runs (runs : (Ctxdom.assignment * Dep_ir.run) list) : group list =
-  let key (r : Dep_ir.run) =
-    List.map (fun (x : Dep_ir.exec_emit) -> x.Dep_ir.x_emit.Dep_ir.e_id) r.Dep_ir.r_emits
-  in
-  let groups : (int list * Dep_ir.run * Ctxdom.assignment list ref) list ref =
-    ref []
-  in
-  List.iter
-    (fun (a, r) ->
-      let k = key r in
-      match List.find_opt (fun (k', _, _) -> k' = k) !groups with
-      | Some (_, _, assigns) -> assigns := a :: !assigns
-      | None -> groups := !groups @ [ (k, r, ref [ a ]) ])
-    runs;
-  List.mapi
-    (fun i (_, r, assigns) ->
-      { g_index = i; g_run = r; g_assigns = List.rev !assigns })
-    !groups
-
 let locate_deparser tenv =
-  let has_cmpt_out c = Dep_ir.out_param c <> None in
+  let candidates =
+    List.filter
+      (fun c -> Dep_ir.out_param c <> None)
+      (P4.Typecheck.controls tenv)
+  in
   let annotated (c : P4.Typecheck.control_def) =
     P4.Ast.find_annotation "cmpt_deparser" c.ct_annots <> None
   in
-  let candidates = List.filter has_cmpt_out (P4.Typecheck.controls tenv) in
   match List.filter annotated candidates with
-  | [ c ] -> Ok (Some c)
+  | [ c ] -> Ok c
   | _ :: _ :: _ -> Error "multiple @cmpt_deparser controls"
   | [] -> (
       match candidates with
-      | [ c ] -> Ok (Some c)
-      | [] -> Ok None
+      | [ c ] -> Ok c
+      | [] -> Error "no completion deparser found (no control takes a cmpt_out)"
       | _ -> Error "multiple deparser candidates; tag one with @cmpt_deparser")
 
-let prepare add (inp : input) : dep_prep option =
+(* ------------------------------------------------------------------ *)
+(* The completion-path catalogue: the deparser IR run under every
+   context assignment, grouped into distinct emit sequences. Every pass
+   below, Certify and Costbound read this one result. *)
+
+type group = {
+  g_index : int;
+  g_key : int list;
+  g_run : Dep_ir.run;
+  g_assigns : Context.assignment list;
+  g_feasible : bool;
+}
+
+type catalogue = {
+  cat_ctrl : P4.Typecheck.control_def;
+  cat_ir : Dep_ir.t;
+  cat_ctx : (P4.Typecheck.cparam * P4.Typecheck.header_def) option;
+  cat_ctx_error : string option;
+  cat_assignments : Context.assignment list;
+  cat_runs : (Context.assignment * group) list;
+  cat_sym : Symexec.result;
+  cat_groups : group list;
+}
+
+let run_key (r : Dep_ir.run) =
+  List.map (fun (x : Dep_ir.exec_emit) -> x.Dep_ir.x_emit.Dep_ir.e_id) r.Dep_ir.r_emits
+
+let catalogue tenv (ctrl : P4.Typecheck.control_def) =
+  match Dep_ir.of_control tenv ctrl with
+  | Error _ as e -> e
+  | Ok ir ->
+      let ctx = Context.find_param ctrl in
+      let assignments, ctx_error =
+        match ctx with
+        | None -> ([ [] ], None)
+        | Some (_, h) -> (
+            match Context.enumerate h with
+            | Ok a -> (a, None)
+            | Error msg -> ([ [] ], Some msg))
+      in
+      let ctx_name = match ctx with Some (p, _) -> p.c_name | None -> "ctx" in
+      let consts = P4.Typecheck.const_env tenv in
+      let runs =
+        List.concat_map
+          (fun a ->
+            let ctx_env = Context.env_of ~param_name:ctx_name a in
+            List.map (fun r -> (a, run_key r, r)) (Dep_ir.run ~consts ~ctx_env ir))
+          assignments
+      in
+      let sym =
+        Symexec.exec ~base:(Symexec.base_env ~consts ~ctx ~params:ctrl.ct_params ()) ir
+      in
+      (* (key, first run, its assignments newest first), newest first *)
+      let found = ref [] in
+      List.iter
+        (fun (a, k, r) ->
+          match List.find_opt (fun (k', _, _) -> k' = k) !found with
+          | Some (_, _, assigns) -> assigns := a :: !assigns
+          | None -> found := (k, r, ref [ a ]) :: !found)
+        runs;
+      let groups =
+        List.mapi
+          (fun i (k, r, assigns) ->
+            {
+              g_index = i;
+              g_key = k;
+              g_run = r;
+              g_assigns = List.rev !assigns;
+              g_feasible =
+                List.exists
+                  (fun (l : Symexec.leaf) -> l.lf_feasible && l.lf_emit_ids = k)
+                  sym.sx_leaves;
+            })
+          (List.rev !found)
+      in
+      Ok
+        {
+          cat_ctrl = ctrl;
+          cat_ir = ir;
+          cat_ctx = ctx;
+          cat_ctx_error = ctx_error;
+          cat_assignments = assignments;
+          cat_runs =
+            List.map
+              (fun (a, k, _) -> (a, List.find (fun g -> g.g_key = k) groups))
+              runs;
+          cat_sym = sym;
+          cat_groups = groups;
+        }
+
+let feasible_groups cat =
+  List.filter (fun g -> g.g_feasible) cat.cat_groups
+  |> List.mapi (fun i g -> { g with g_index = i })
+
+(* An intent description has no deparser by design; anything else
+   without one is a malformed interface. *)
+let intent_only tenv =
+  List.exists is_intent_header (P4.Typecheck.headers tenv)
+  && not
+       (List.exists
+          (fun c -> Dep_ir.out_param c <> None)
+          (P4.Typecheck.controls tenv))
+
+let prepare add (inp : input) : catalogue option =
   let tenv = inp.in_tenv in
   let ctrl =
     match inp.in_deparser with
     | Some c -> Some c
     | None -> (
         match locate_deparser tenv with
-        | Ok (Some c) -> Some c
-        | Ok None ->
-            (* An intent description has no deparser by design; anything
-               else is a malformed interface. *)
-            if not (List.exists is_intent_header (P4.Typecheck.headers tenv))
-            then
-              add
-                (D.make ~code:"OD002" ~severity:D.Error
-                   "no completion deparser found (no control takes a cmpt_out)");
-            None
+        | Ok c -> Some c
         | Error msg ->
-            add (D.make ~code:"OD002" ~severity:D.Error "%s" msg);
+            if not (intent_only tenv) then
+              add (D.make ~code:"OD002" ~severity:D.Error "%s" msg);
             None)
   in
   match ctrl with
   | None -> None
   | Some ctrl -> (
-      match Dep_ir.of_control tenv ctrl with
+      match catalogue tenv ctrl with
       | Error msg ->
           add (D.make ~span:ctrl.ct_span ~code:"OD002" ~severity:D.Error "%s" msg);
           None
-      | Ok ir ->
-          let ctx = Ctxdom.find_in ctrl.ct_params in
-          let assignments =
-            match ctx with
-            | None -> [ [] ]
-            | Some (_, h) -> (
-                match Ctxdom.enumerate h with
-                | Ok a -> a
-                | Error msg ->
-                    add
-                      (D.make ~span:h.h_span ~code:"OD002" ~severity:D.Error
-                         "%s" msg);
-                    [ [] ])
-          in
-          let ctx_name = match ctx with Some (p, _) -> p.c_name | None -> "ctx" in
-          let consts = P4.Typecheck.const_env tenv in
-          let runs =
-            List.concat_map
-              (fun a ->
-                let ctx_env = Ctxdom.env_of ~param_name:ctx_name a in
-                List.map (fun r -> (a, r)) (Dep_ir.run ~consts ~ctx_env ir))
-              assignments
-          in
-          Some
-            {
-              p_ctrl = ctrl;
-              p_ir = ir;
-              p_ctx = ctx;
-              p_assignments = assignments;
-              p_runs = List.map snd runs;
-              p_assign_runs = runs;
-              p_groups = group_runs runs;
-            })
+      | Ok cat ->
+          (match (cat.cat_ctx, cat.cat_ctx_error) with
+          | Some (_, h), Some msg ->
+              add (D.make ~span:h.h_span ~code:"OD002" ~severity:D.Error "%s" msg)
+          | _ -> ());
+          Some cat)
 
 (* ------------------------------------------------------------------ *)
 (* Pass 1: layout safety. *)
@@ -189,8 +220,8 @@ let slot_bytes (ctrl : P4.Typecheck.control_def) =
     (P4.Ast.find_annotation "cmpt_slot" ctrl.ct_annots)
     P4.Ast.annotation_int
 
-let layout_pass add (prep : dep_prep) =
-  let slot = slot_bytes prep.p_ctrl in
+let layout_pass add cat =
+  let slot = slot_bytes cat.cat_ctrl in
   List.iter
     (fun g ->
       let r = g.g_run in
@@ -256,7 +287,7 @@ let layout_pass add (prep : dep_prep) =
                        desc s)
               | None -> Hashtbl.add seen_sems s af.af_header))
         (fields_of_run r))
-    prep.p_groups
+    cat.cat_groups
 
 (* ------------------------------------------------------------------ *)
 (* Pass 2: path feasibility and dead code. *)
@@ -275,17 +306,13 @@ let rec expr_paths (e : P4.Ast.expr) acc =
       | P4.Ast.EMember (b, _) -> expr_paths b acc
       | _ -> acc)
 
-let feasibility_pass add tenv (prep : dep_prep) =
-  let ir = prep.p_ir in
+let feasibility_pass add tenv cat =
+  let ir = cat.cat_ir in
   (* OD007: emit sites reached by no run under any configuration. *)
   let reached = Hashtbl.create 8 in
   List.iter
-    (fun (r : Dep_ir.run) ->
-      List.iter
-        (fun (x : Dep_ir.exec_emit) ->
-          Hashtbl.replace reached x.Dep_ir.x_emit.Dep_ir.e_id ())
-        r.Dep_ir.r_emits)
-    prep.p_runs;
+    (fun g -> List.iter (fun id -> Hashtbl.replace reached id ()) g.g_key)
+    cat.cat_groups;
   List.iter
     (fun (em : Dep_ir.emit) ->
       if not (Hashtbl.mem reached em.Dep_ir.e_id) then
@@ -300,33 +327,22 @@ let feasibility_pass add tenv (prep : dep_prep) =
      locals are data-dependent and skipped. *)
   let consts = P4.Typecheck.const_env tenv in
   let ctx_name =
-    match prep.p_ctx with Some (p, _) -> p.c_name | None -> "ctx"
-  in
-  (* Symbolic pass over the same IR: one walk covers every context
-     configuration at once, refining context-field abstractions at
-     each branch, so it also decides predicates over runtime
-     descriptor bytes (which the concrete enumeration must skip). *)
-  let sym =
-    Symexec.exec
-      ~base:
-        (Symexec.base_env ~consts ~ctx:prep.p_ctx
-           ~params:prep.p_ctrl.ct_params ())
-      ir
+    match cat.cat_ctx with Some (p, _) -> p.c_name | None -> "ctx"
   in
   List.iter
     (fun ((site, cond) : int * P4.Ast.expr) ->
       let outcomes =
         List.filter_map
           (fun a ->
-            let ctx_env = Ctxdom.env_of ~param_name:ctx_name a in
+            let ctx_env = Context.env_of ~param_name:ctx_name a in
             let env path =
               match ctx_env path with Some v -> Some v | None -> consts path
             in
             P4.Eval.eval_bool env cond)
-          prep.p_assignments
+          cat.cat_assignments
       in
       if
-        List.length outcomes = List.length prep.p_assignments
+        List.length outcomes = List.length cat.cat_assignments
         && outcomes <> []
       then begin
         (* decidable from the configuration alone: the concrete
@@ -340,12 +356,14 @@ let feasibility_pass add tenv (prep : dep_prep) =
                   configuration (%d checked); one side is unreachable"
                  (P4.Pretty.expr_to_string cond)
                  b
-                 (List.length prep.p_assignments))
+                 (List.length cat.cat_assignments))
         | _ -> ()
       end
       else
-        (* data-dependent: only the symbolic evaluator can reason here *)
-        match List.assoc_opt site sym.Symexec.sx_verdicts with
+        (* data-dependent: only the symbolic walk, which covers every
+           configuration at once and refines context fields at each
+           branch, can reason here *)
+        match List.assoc_opt site cat.cat_sym.Symexec.sx_verdicts with
         | None | Some [] -> () (* never reached along a feasible prefix *)
         | Some verdicts ->
             let all v = List.for_all (fun x -> x = v) verdicts in
@@ -373,7 +391,7 @@ let feasibility_pass add tenv (prep : dep_prep) =
     ir.Dep_ir.ir_ifs;
   (* OD009: context fields with no influence on any branch, through a
      taint closure over local definitions. *)
-  match prep.p_ctx with
+  match cat.cat_ctx with
   | None -> ()
   | Some (param, ctx_header) ->
       let defs = ref [] and conds = ref [] in
@@ -433,42 +451,17 @@ let feasibility_pass add tenv (prep : dep_prep) =
    each semantic must agree across the forks — otherwise the accessor
    can observe unwritten completion-ring bytes. *)
 
-let describe_assignment (a : Ctxdom.assignment) =
-  match a with
-  | [] -> "{}"
-  | a ->
-      "{"
-      ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%s=%Ld" k v) a)
-      ^ "}"
-
-let certification_pass add tenv (prep : dep_prep) =
+let certification_pass add cat =
   (* Forked runs whose emit sequence is symbolically proved unreachable
-     (every matching leaf's path condition is bottom) are not feasible
-     completions: an always-true runtime guard must not fail
-     certification. *)
-  let sym =
-    Symexec.exec
-      ~base:
-        (Symexec.base_env
-           ~consts:(P4.Typecheck.const_env tenv)
-           ~ctx:prep.p_ctx ~params:prep.p_ctrl.ct_params ())
-      prep.p_ir
-  in
-  let feasible_run (r : Dep_ir.run) =
-    let ids =
-      List.map (fun (x : Dep_ir.exec_emit) -> x.Dep_ir.x_emit.Dep_ir.e_id) r.Dep_ir.r_emits
-    in
-    List.exists
-      (fun (l : Symexec.leaf) -> l.Symexec.lf_feasible && l.Symexec.lf_emit_ids = ids)
-      sym.Symexec.sx_leaves
-  in
+     are not feasible completions: an always-true runtime guard must not
+     fail certification. *)
   let reported : (string, unit) Hashtbl.t = Hashtbl.create 4 in
   List.iter
     (fun a ->
       let runs =
         List.filter_map
-          (fun (a', r) -> if a' = a && feasible_run r then Some r else None)
-          prep.p_assign_runs
+          (fun (a', g) -> if a' = a && g.g_feasible then Some g.g_run else None)
+          cat.cat_runs
       in
       if List.length runs > 1 then
         let sems =
@@ -512,11 +505,11 @@ let certification_pass add tenv (prep : dep_prep) =
                         the field is %s; a fixed-offset read can observe \
                         unwritten completion bytes"
                        s
-                       (describe_assignment a)
+                       (Format.asprintf "%a" Context.pp a)
                        (List.length runs)
                        (String.concat " in one but " variants)))
           sems)
-    prep.p_assignments
+    cat.cat_assignments
 
 (* ------------------------------------------------------------------ *)
 (* Pass 3: contract consistency. *)
@@ -524,7 +517,7 @@ let certification_pass add tenv (prep : dep_prep) =
 (* Headers whose contents actually cross the interface: emitted on some
    completion run, or named in any emit/extract call of any control or
    parser (packet streams included), or serving as the context. *)
-let used_headers tenv (prep : dep_prep option) =
+let used_headers tenv cat =
   let used = Hashtbl.create 16 in
   let note_header = function
     | P4.Typecheck.RHeader h -> Hashtbl.replace used h.P4.Typecheck.h_name ()
@@ -561,22 +554,22 @@ let used_headers tenv (prep : dep_prep option) =
           List.iter (scan_stmt tenv scope) st.st_stmts)
         p.pr_states)
     (P4.Typecheck.parsers tenv);
-  (match prep with
-  | Some prep -> (
+  (match cat with
+  | Some cat -> (
       List.iter
         (fun g ->
           List.iter
             (fun (x : Dep_ir.exec_emit) ->
               Hashtbl.replace used x.Dep_ir.x_emit.Dep_ir.e_header.h_name ())
             g.g_run.Dep_ir.r_emits)
-        prep.p_groups;
-      match prep.p_ctx with
+        cat.cat_groups;
+      match cat.cat_ctx with
       | Some (_, h) -> Hashtbl.replace used h.P4.Typecheck.h_name ()
       | None -> ())
   | None -> ());
   used
 
-let contract_pass add (inp : input) (prep : dep_prep option) (tx_formats : Tx_ir.fmt list) =
+let contract_pass add (inp : input) cat (tx_formats : Tx_ir.fmt list) =
   let tenv = inp.in_tenv in
   let registry = inp.in_registry in
   let reported_unknown = Hashtbl.create 8 in
@@ -617,7 +610,7 @@ let contract_pass add (inp : input) (prep : dep_prep option) (tx_formats : Tx_ir
         h.h_fields)
     (P4.Typecheck.headers tenv);
   (* OD012: declared contract surface nothing ever carries. *)
-  let used = used_headers tenv prep in
+  let used = used_headers tenv cat in
   List.iter
     (fun (h : P4.Typecheck.header_def) ->
       let sems =
@@ -635,9 +628,9 @@ let contract_pass add (inp : input) (prep : dep_prep option) (tx_formats : Tx_ir
   (* OD013: dominated paths — same Prov means the same Eq. 1 coverage for
      every intent, so the larger layout (or, on a size tie, the higher
      index) can never be selected. *)
-  (match prep with
+  (match cat with
   | None -> ()
-  | Some prep ->
+  | Some cat ->
       let paths =
         List.filter_map
           (fun g ->
@@ -647,14 +640,14 @@ let contract_pass add (inp : input) (prep : dep_prep option) (tx_formats : Tx_ir
                   run_semantics g.g_run,
                   g.g_run.Dep_ir.r_total_bits / 8 )
             else None)
-          prep.p_groups
+          cat.cat_groups
       in
       List.iter
         (fun (ia, prov_a, sz_a) ->
           List.iter
             (fun (ib, prov_b, sz_b) ->
               if ia < ib && prov_a = prov_b then
-                let span = prep.p_ctrl.ct_span in
+                let span = cat.cat_ctrl.ct_span in
                 let notes =
                   [ D.note (Printf.sprintf "shared semantics: {%s}" (String.concat ", " prov_a)) ]
                 in
@@ -700,10 +693,10 @@ let contract_pass add (inp : input) (prep : dep_prep option) (tx_formats : Tx_ir
   | None -> ()
   | Some fields ->
       let provided =
-        match prep with
+        match cat with
         | None -> []
-        | Some prep ->
-            List.concat_map (fun g -> run_semantics g.g_run) prep.p_groups
+        | Some cat ->
+            List.concat_map (fun g -> run_semantics g.g_run) cat.cat_groups
             |> List.sort_uniq String.compare
       in
       List.iter
@@ -711,7 +704,7 @@ let contract_pass add (inp : input) (prep : dep_prep option) (tx_formats : Tx_ir
           if not (registry.Registry_view.known s) then unknown s
           else if
             registry.Registry_view.hardware_only s
-            && prep <> None
+            && cat <> None
             && not (List.mem s provided)
           then
             add
@@ -764,7 +757,7 @@ let check_accessor_bounds ?(path_desc = "") ~size_bytes fields =
         else [])
     fields
 
-let codegen_pass add (prep : dep_prep) =
+let codegen_pass add cat =
   List.iter
     (fun g ->
       let r = g.g_run in
@@ -773,7 +766,7 @@ let codegen_pass add (prep : dep_prep) =
           ~size_bytes:(r.Dep_ir.r_total_bits / 8)
           (fields_of_run r)
         |> List.iter add)
-    prep.p_groups
+    cat.cat_groups
 
 (* ------------------------------------------------------------------ *)
 (* Engine entry points. *)
@@ -781,13 +774,13 @@ let codegen_pass add (prep : dep_prep) =
 let analyze (inp : input) : D.t list =
   let acc = ref [] in
   let add d = acc := d :: !acc in
-  let prep = prepare add inp in
-  (match prep with
-  | Some prep ->
-      layout_pass add prep;
-      feasibility_pass add inp.in_tenv prep;
-      certification_pass add inp.in_tenv prep;
-      codegen_pass add prep
+  let cat = prepare add inp in
+  (match cat with
+  | Some cat ->
+      layout_pass add cat;
+      feasibility_pass add inp.in_tenv cat;
+      certification_pass add cat;
+      codegen_pass add cat
   | None -> ());
   let tx_formats =
     match inp.in_desc_parser with
@@ -799,7 +792,7 @@ let analyze (inp : input) : D.t list =
             add (D.make ~span:pd.pr_span ~code:"OD002" ~severity:D.Error "%s" msg);
             [])
   in
-  contract_pass add inp prep tx_formats;
+  contract_pass add inp cat tx_formats;
   !acc
   |> List.map (D.relocate ~lines:inp.in_line_offset)
   |> List.sort_uniq D.compare

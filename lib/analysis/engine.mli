@@ -48,6 +48,54 @@ val fields_of_run : Dep_ir.run -> afield list
     layout view the codegen pass checks and {!Certify} re-proves
     compiled plans against. *)
 
+val locate_deparser :
+  P4.Typecheck.t -> (P4.Typecheck.control_def, string) result
+(** The completion deparser of a program: the one control taking a
+    [cmpt_out], or the one tagged [@cmpt_deparser] among several. *)
+
+(** {2 The completion-path catalogue}
+
+    The deparser's completion paths, built once: the {!Dep_ir} run under
+    every context assignment, grouped into distinct emit sequences, with
+    one {!Symexec} walk deciding which are feasible. The analysis passes,
+    {!Certify} and {!Costbound} all read this one result. *)
+
+(** One distinct emit sequence. *)
+type group = {
+  g_index : int;
+      (** encounter order over the assignments — among feasible groups
+          (see {!feasible_groups}) the compiler's [p_index] *)
+  g_key : int list;  (** emit site ids, in order *)
+  g_run : Dep_ir.run;  (** the first run with this emit sequence *)
+  g_assigns : Context.assignment list;
+      (** every configuration with a run in this group, enumeration order *)
+  g_feasible : bool;  (** not proved unreachable by the symbolic walk *)
+}
+
+type catalogue = {
+  cat_ctrl : P4.Typecheck.control_def;
+  cat_ir : Dep_ir.t;
+  cat_ctx : (P4.Typecheck.cparam * P4.Typecheck.header_def) option;
+  cat_ctx_error : string option;
+      (** why the context space could not be enumerated; the runs then
+          cover only the empty assignment *)
+  cat_assignments : Context.assignment list;
+  cat_runs : (Context.assignment * group) list;
+      (** every run, as its group, with the configuration that produced
+          it — several per configuration when undecidable branches fork *)
+  cat_sym : Symexec.result;
+  cat_groups : group list;  (** in encounter order *)
+}
+
+val catalogue :
+  P4.Typecheck.t -> P4.Typecheck.control_def -> (catalogue, string) result
+(** [Error] when the deparser IR cannot be built (no [cmpt_out]
+    parameter, an emit of a non-header). *)
+
+val feasible_groups : catalogue -> group list
+(** The feasible groups, renumbered from 0 in encounter order — the
+    numbering of the compiler's completion paths. *)
+
 val analyze : input -> Diagnostic.t list
 (** Run all passes. The result is deduplicated, relocated by
     [in_line_offset] and sorted by source position. *)

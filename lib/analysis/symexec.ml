@@ -53,12 +53,12 @@ let base_env ~(consts : P4.Eval.env)
         (fun (path, w) -> Hashtbl.replace tbl path (A.of_width w))
         (rtyp_paths [ p.c_name ] p.c_typ))
     params;
-  (* context fields override: the enumerated domain, widthless to
-     mirror Ctxdom.env_of (concrete context values carry no width) *)
+  (* context fields override: the enumerated domain, widthless because
+     Context.env_of gives concrete context values no width *)
   (match ctx with
   | None -> ()
   | Some (p, h) -> (
-      match Ctxdom.domains h with
+      match Context.domains h with
       | Ok doms ->
           List.iter
             (fun (fname, vs) ->

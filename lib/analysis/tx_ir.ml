@@ -1,11 +1,12 @@
 (* TX descriptor formats: walk the desc_in parser under every context
-   assignment and group equal extract sequences — a self-contained
-   mirror of the compiler's Descparser.enumerate, kept at the P4 layer
-   so the engine needs nothing from the opendesc library. *)
+   assignment and group equal extract sequences, with the assignments
+   that select each. The compiler's Descparser lays these groups out;
+   the engine lints them directly. *)
 
 type fmt = {
   t_index : int;
   t_extracts : (string * P4.Typecheck.header_def) list;
+  t_assignments : Context.assignment list;  (** in enumeration order *)
 }
 
 exception Walk_error of string
@@ -137,11 +138,11 @@ let enumerate tenv (pd : P4.Typecheck.parser_def) : (fmt list, string) result =
         Error (Printf.sprintf "parser %s has no desc_in parameter" pd.pr_name)
     | Some stream_name -> (
         let scope = P4.Typecheck.scope_of_params tenv pd.pr_params in
-        let ctx = Ctxdom.find_in pd.pr_params in
+        let ctx = Context.find_in pd.pr_params in
         let assignments =
           match ctx with
           | None -> Ok [ [] ]
-          | Some (_, ctx_header) -> Ctxdom.enumerate ctx_header
+          | Some (_, ctx_header) -> Context.enumerate ctx_header
         in
         let ctx_param_name =
           match ctx with Some (p, _) -> p.c_name | None -> "ctx"
@@ -149,21 +150,29 @@ let enumerate tenv (pd : P4.Typecheck.parser_def) : (fmt list, string) result =
         match assignments with
         | Error e -> Error e
         | Ok assignments ->
+            (* (extracts, its assignments), both newest first *)
             let groups = ref [] in
             List.iter
               (fun a ->
-                let ctx_env = Ctxdom.env_of ~param_name:ctx_param_name a in
+                let ctx_env = Context.env_of ~param_name:ctx_param_name a in
                 let extracts =
                   run_assignment tenv pd ~stream_name ~ctx_env scope
                 in
-                if
-                  not (List.exists (fun g -> extracts_equal g extracts) !groups)
-                then groups := !groups @ [ extracts ])
+                match
+                  List.find_opt (fun (g, _) -> extracts_equal g extracts) !groups
+                with
+                | Some (_, assigns) -> assigns := a :: !assigns
+                | None -> groups := (extracts, ref [ a ]) :: !groups)
               assignments;
             Ok
               (List.mapi
-                 (fun i extracts -> { t_index = i; t_extracts = extracts })
-                 !groups))
+                 (fun i (extracts, assigns) ->
+                   {
+                     t_index = i;
+                     t_extracts = extracts;
+                     t_assignments = List.rev !assigns;
+                   })
+                 (List.rev !groups)))
   with
   | result -> result
   | exception Walk_error msg -> Error msg

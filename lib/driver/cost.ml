@@ -29,21 +29,22 @@ let charge_sink sink name cycles =
   match sink with Null -> () | Ledger t -> charge t name cycles
 
 module K = struct
-  let cache_line_load = 18.0
+  let table = Opendesc_analysis.Costbound.default_table
+  let cache_line_load = table.tb_cache_line_load
   let field_move = 3.0
   let field_branch = 2.0
-  let accessor_read = 2.5
+  let accessor_read = table.tb_accessor_read
   let skbuff_alloc = 110.0
   let mbuf_alloc = 24.0
   let mbuf_dyn_lookup = 14.0
   let xdp_prologue = 12.0
-  let ring_advance = 6.0
-  let refill = 8.0
-  let doorbell = 40.0
+  let ring_advance = table.tb_ring_advance
+  let refill = table.tb_refill
+  let doorbell = table.tb_doorbell
   let payload_touch_per_byte = 0.55
   let stream_copy_per_byte = 0.22
   let pipeline_fixed = 140.0
-  let clock_ghz = 3.0
+  let clock_ghz = table.tb_clock_ghz
 end
 
 let pps_of_cycles cycles = K.clock_ghz *. 1e9 /. cycles

@@ -1,7 +1,7 @@
 type t = {
   mutable model : Nic_models.Model.t;
   env : Softnic.Feature.env;
-  mutable config : Opendesc.Context.assignment;
+  mutable config : Opendesc_analysis.Context.assignment;
   mutable active_path : Opendesc.Path.t;
   cmpt_ring : Ring.t;
   pkt_ring : Ring.t;
@@ -38,7 +38,7 @@ type burst = {
 let normalize a = List.sort (fun (k1, _) (k2, _) -> String.compare k1 k2) a
 
 let assignment_matches config a =
-  Opendesc.Context.equal (normalize config) (normalize a)
+  Opendesc_analysis.Context.equal (normalize config) (normalize a)
 
 let path_for_config (spec : Opendesc.Nic_spec.t) config =
   List.find_opt
@@ -66,7 +66,7 @@ let create ?(queue_depth = 512) ?(buf_size = 2048) ~config (model : Nic_models.M
   | None ->
       Error
         (Format.asprintf "%s: context %a selects no completion path"
-           model.spec.nic_name Opendesc.Context.pp config)
+           model.spec.nic_name Opendesc_analysis.Context.pp config)
   | Some path ->
       let tx_ring =
         Ring.create ~slots:queue_depth
@@ -119,7 +119,7 @@ let configure t config =
   | None ->
       Error
         (Format.asprintf "%s: context %a selects no completion path"
-           t.model.spec.nic_name Opendesc.Context.pp config)
+           t.model.spec.nic_name Opendesc_analysis.Context.pp config)
   | Some path ->
       t.config <- config;
       t.active_path <- path;
@@ -138,7 +138,7 @@ let upgrade t ~config (model : Nic_models.Model.t) =
   | None ->
       Error
         (Format.asprintf "%s: context %a selects no completion path"
-           model.spec.nic_name Opendesc.Context.pp config)
+           model.spec.nic_name Opendesc_analysis.Context.pp config)
   | Some path ->
       if Ring.available t.cmpt_ring > 0 then
         Error

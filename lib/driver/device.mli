@@ -33,7 +33,7 @@ type burst = {
 val create :
   ?queue_depth:int ->
   ?buf_size:int ->
-  config:Opendesc.Context.assignment ->
+  config:Opendesc_analysis.Context.assignment ->
   Nic_models.Model.t ->
   (t, string) result
 (** [config] must select one of the model's completion paths (compare
@@ -43,11 +43,11 @@ val create :
 val create_exn :
   ?queue_depth:int ->
   ?buf_size:int ->
-  config:Opendesc.Context.assignment ->
+  config:Opendesc_analysis.Context.assignment ->
   Nic_models.Model.t ->
   t
 
-val configure : t -> Opendesc.Context.assignment -> (unit, string) result
+val configure : t -> Opendesc_analysis.Context.assignment -> (unit, string) result
 (** Reprogram the queue context (the implicit control channel of the
     paper's Figure 2). Outstanding completions keep the old layout;
     callers normally drain first. *)
@@ -55,7 +55,10 @@ val configure : t -> Opendesc.Context.assignment -> (unit, string) result
 val active_path : t -> Opendesc.Path.t
 
 val upgrade :
-  t -> config:Opendesc.Context.assignment -> Nic_models.Model.t -> (unit, string) result
+  t ->
+  config:Opendesc_analysis.Context.assignment ->
+  Nic_models.Model.t ->
+  (unit, string) result
 (** Hot-swap the device's firmware contract in place: install a new
     behavioural model and program [config] (which must select one of its
     completion paths). Rings, DMA counters and the feature environment

@@ -12,7 +12,7 @@ type t
 
 val create :
   ?queue_depth:int ->
-  configs:Opendesc.Context.assignment array ->
+  configs:Opendesc_analysis.Context.assignment array ->
   (unit -> Nic_models.Model.t) ->
   (t, string) result
 (** One queue per config. [model] is a thunk because every queue gets its
@@ -20,7 +20,7 @@ val create :
 
 val create_exn :
   ?queue_depth:int ->
-  configs:Opendesc.Context.assignment array ->
+  configs:Opendesc_analysis.Context.assignment array ->
   (unit -> Nic_models.Model.t) ->
   t
 

@@ -227,7 +227,7 @@ type result = {
    accessors. *)
 type swap_cmd =
   | Swap_apply of {
-      sc_config : Opendesc.Context.assignment;
+      sc_config : Opendesc_analysis.Context.assignment;
       sc_model : unit -> Nic_models.Model.t;
           (** fresh model per queue (models are stateful) *)
       sc_stack : int -> Stack.burst_t;  (** epoch-1 consumer per queue *)

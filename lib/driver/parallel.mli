@@ -202,7 +202,7 @@ val run :
     the Recompile class, certification) has run. *)
 type swap_cmd =
   | Swap_apply of {
-      sc_config : Opendesc.Context.assignment;
+      sc_config : Opendesc_analysis.Context.assignment;
           (** context programming for the new contract *)
       sc_model : unit -> Nic_models.Model.t;
           (** a fresh model per queue (models are stateful) *)

@@ -5,7 +5,7 @@ type t = {
   st_consume : Cost.t -> Softnic.Feature.env -> rx -> int64;
 }
 
-let parse_cost = 22.0
+let parse_cost = Opendesc_analysis.Costbound.default_table.tb_sw_parse
 
 let charge_ring ?(amortize = 1) ledger =
   let f = float_of_int amortize in

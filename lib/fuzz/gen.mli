@@ -14,7 +14,8 @@ type bounds = {
   b_max_headers : int;
   b_max_fields : int;  (** per completion header *)
   b_max_emits : int;  (** per leaf *)
-  b_max_configs : int;  (** context product cap (< Context.max_assignments) *)
+  b_max_configs : int;
+      (** context product cap (< Opendesc_analysis.Context.max_assignments) *)
 }
 
 val default_bounds : bounds

@@ -143,7 +143,7 @@ let check_symexec rng (spec : Nic_spec.t) =
     match spec.ctx with
     | None -> [ [] ]
     | Some (_, h) -> (
-        match Context.enumerate h with Ok a -> a | Error _ -> [ [] ])
+        match Opendesc_analysis.Context.enumerate h with Ok a -> a | Error _ -> [ [] ])
   in
   let runtime =
     List.concat_map
@@ -165,7 +165,7 @@ let check_symexec rng (spec : Nic_spec.t) =
           (path, P4.Eval.vint ~width:w v))
         runtime
     in
-    let ctx_env = Context.env_of ~param_name:ctx_name a in
+    let ctx_env = Opendesc_analysis.Context.env_of ~param_name:ctx_name a in
     let env path =
       match List.assoc_opt path vals with
       | Some v -> Some v
@@ -183,7 +183,7 @@ let check_symexec rng (spec : Nic_spec.t) =
           else
             fail "symexec"
               "config %s: concrete %s escapes abstract %s for predicate %s"
-              (Format.asprintf "%a" Context.pp a)
+              (Format.asprintf "%a" Opendesc_analysis.Context.pp a)
               (value_str cv) (A.to_string av)
               (P4.Pretty.expr_to_string cond))
         (Ok ()) ir.Ir.ir_ifs
@@ -199,13 +199,13 @@ let check_symexec rng (spec : Nic_spec.t) =
         with
         | None ->
             fail "symexec" "config %s: no symbolic leaf matches the concrete path"
-              (Format.asprintf "%a" Context.pp a)
+              (Format.asprintf "%a" Opendesc_analysis.Context.pp a)
         | Some l ->
             if l.Sx.lf_feasible then Ok ()
             else
               fail "symexec"
                 "config %s: concretely-reachable path was proved infeasible"
-                (Format.asprintf "%a" Context.pp a))
+                (Format.asprintf "%a" Opendesc_analysis.Context.pp a))
   in
   List.fold_left
     (fun acc a ->

@@ -36,7 +36,7 @@ type ctx_field = {
   c_bits : int;
   c_values : int64 list option;
       (** explicit [@values] domain; required when [c_bits] exceeds
-          {!Opendesc.Context.max_enum_bits} *)
+          {!Opendesc_analysis.Context.max_enum_bits} *)
 }
 
 type t = {

@@ -24,25 +24,15 @@ exception Analysis_error of string
 let semantics_of_header (h : P4.Typecheck.header_def) =
   List.filter_map (fun (f : P4.Typecheck.field) -> f.f_semantic) h.h_fields
 
-(* Find the completion-stream parameter: the first cmpt_out-typed one. *)
 let out_param (c : P4.Typecheck.control_def) =
-  let is_out (p : P4.Typecheck.cparam) =
-    match p.c_typ with P4.Typecheck.RExtern "cmpt_out" -> true | _ -> false
-  in
-  match List.find_opt is_out c.ct_params with
-  | Some p -> p.c_name
+  match Opendesc_analysis.Dep_ir.out_param c with
+  | Some name -> name
   | None ->
       raise
         (Analysis_error
            (Printf.sprintf "control %s has no cmpt_out parameter" c.ct_name))
 
-let emit_target out_name (e : P4.Ast.expr) =
-  match e with
-  | P4.Ast.ECall (P4.Ast.EMember (base, meth), _, [ arg ]) when meth.name = "emit" -> (
-      match P4.Eval.path_of_expr base with
-      | Some [ b ] when b = out_name -> Some arg
-      | _ -> None)
-  | _ -> None
+let emit_target = Opendesc_analysis.Dep_ir.emit_target
 
 type builder = {
   mutable vertices : vertex list;

@@ -20,7 +20,7 @@ val generate :
   nic:string ->
   path:Path.t ->
   missing:(string * float) list ->
-  config:Context.assignment ->
+  config:Opendesc_analysis.Context.assignment ->
   string
 (** The full generated header. [missing] pairs each software semantic
     with its w(s) cost (documented in the output). *)
@@ -30,7 +30,7 @@ val datapath :
   path:Path.t ->
   requested:string list ->
   missing:(string * float) list ->
-  config:Context.assignment ->
+  config:Opendesc_analysis.Context.assignment ->
   tx_format:Descparser.t option ->
   string
 (** A complete minimalist driver datapath in C — the "generated

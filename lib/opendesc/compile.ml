@@ -6,7 +6,7 @@ type t = {
   outcome : Select.outcome;
   bindings : (string * binding) list;
   field_accessors : Accessor.t list;
-  config : Context.assignment;
+  config : Opendesc_analysis.Context.assignment;
   tx_format : Descparser.t option;
   tx_missing : string list;
   registry : Semantic.t;

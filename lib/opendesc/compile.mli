@@ -18,7 +18,7 @@ type t = {
   outcome : Select.outcome;
   bindings : (string * binding) list;  (** per requested semantic, intent order *)
   field_accessors : Accessor.t list;  (** every field of the chosen path *)
-  config : Context.assignment;
+  config : Opendesc_analysis.Context.assignment;
       (** context values selecting the chosen path (first of the group) *)
   tx_format : Descparser.t option;
       (** chosen TX descriptor format: the smallest format carrying every

@@ -2,7 +2,7 @@ type t = {
   d_index : int;
   d_extracts : (string * P4.Typecheck.header_def) list;
   d_layout : Path.layout;
-  d_assignments : Context.assignment list;
+  d_assignments : Opendesc_analysis.Context.assignment list;
 }
 
 let size t = t.d_layout.Path.size_bytes
@@ -10,176 +10,23 @@ let size t = t.d_layout.Path.size_bytes
 let field_for t s =
   List.find_opt (fun (f : Path.lfield) -> f.l_semantic = Some s) t.d_layout.Path.fields
 
-exception Exec_error of string
-
-let stream_param (p : P4.Typecheck.parser_def) =
-  let is_stream (prm : P4.Typecheck.cparam) =
-    match prm.c_typ with P4.Typecheck.RExtern "desc_in" -> true | _ -> false
-  in
-  match List.find_opt is_stream p.pr_params with
-  | Some prm -> prm.c_name
-  | None ->
-      raise
-        (Exec_error (Printf.sprintf "parser %s has no desc_in parameter" p.pr_name))
-
-let extract_target stream_name (e : P4.Ast.expr) =
-  match e with
-  | P4.Ast.ECall (P4.Ast.EMember (base, meth), _, [ arg ]) when meth.name = "extract"
-    -> (
-      match P4.Eval.path_of_expr base with
-      | Some [ b ] when b = stream_name -> Some arg
-      | _ -> None)
-  | _ -> None
-
-let max_steps = 64
-
-(* Match a select scrutinee value against a keyset. *)
-let keyset_matches env value (k : P4.Ast.keyset) =
-  match k with
-  | P4.Ast.KDefault -> Some true
-  | P4.Ast.KExpr e -> (
-      match P4.Eval.eval env e with
-      | P4.Eval.VInt { v; _ } -> Some (Int64.equal v value)
-      | _ -> None)
-  | P4.Ast.KMask (e, m) -> (
-      match (P4.Eval.eval env e, P4.Eval.eval env m) with
-      | P4.Eval.VInt { v; _ }, P4.Eval.VInt { v = mask; _ } ->
-          Some (Int64.equal (Int64.logand v mask) (Int64.logand value mask))
-      | _ -> None)
-
-let run_assignment tenv (pd : P4.Typecheck.parser_def) ~stream_name ~ctx_env scope =
-  let locals : (string list, P4.Eval.value) Hashtbl.t = Hashtbl.create 8 in
-  let consts = P4.Typecheck.const_env tenv in
-  let env path =
-    match Hashtbl.find_opt locals path with
-    | Some v -> Some v
-    | None -> ( match ctx_env path with Some v -> Some v | None -> consts path)
-  in
-  let extracts = ref [] in
-  let exec_stmt (s : P4.Ast.stmt) =
-    match s with
-    | P4.Ast.SCall e -> (
-        match extract_target stream_name e with
-        | Some arg -> (
-            match P4.Typecheck.type_of_expr tenv scope arg with
-            | P4.Typecheck.RHeader h ->
-                extracts := (P4.Pretty.expr_to_string arg, h) :: !extracts
-            | ty ->
-                raise
-                  (Exec_error
-                     (Printf.sprintf "extract into non-header %s : %s"
-                        (P4.Pretty.expr_to_string arg)
-                        (P4.Typecheck.rtyp_name ty))))
-        | None -> ())
-    | P4.Ast.SAssign (lhs, rhs) -> (
-        match P4.Eval.path_of_expr lhs with
-        | Some path -> Hashtbl.replace locals path (P4.Eval.eval env rhs)
-        | None -> ())
-    | P4.Ast.SVar (_, name, init) ->
-        let v =
-          match init with Some e -> P4.Eval.eval env e | None -> P4.Eval.VUnknown
-        in
-        Hashtbl.replace locals [ name.name ] v
-    | P4.Ast.SConst (_, name, value) ->
-        Hashtbl.replace locals [ name.name ] (P4.Eval.eval env value)
-    | P4.Ast.SIf _ | P4.Ast.SBlock _ | P4.Ast.SReturn _ | P4.Ast.SEmpty ->
-        () (* parser states in the corpus are straight-line *)
-  in
-  let find_state name =
-    List.find_opt (fun (s : P4.Ast.parser_state) -> s.st_name.name = name) pd.pr_states
-  in
-  let rec step name count =
-    if count > max_steps then
-      raise (Exec_error (Printf.sprintf "parser %s: state cycle detected" pd.pr_name));
-    if name = "accept" || name = "reject" then ()
-    else
-      match find_state name with
-      | None -> raise (Exec_error (Printf.sprintf "unknown parser state %s" name))
-      | Some st -> (
-          List.iter exec_stmt st.st_stmts;
-          match st.st_trans with
-          | P4.Ast.TDirect next -> step next.name (count + 1)
-          | P4.Ast.TSelect ([ scrutinee ], cases) -> (
-              match P4.Eval.eval env scrutinee with
-              | P4.Eval.VInt { v; _ } -> (
-                  let matching =
-                    List.find_opt
-                      (fun (c : P4.Ast.select_case) ->
-                        match c.keysets with
-                        | [ k ] -> keyset_matches env v k = Some true
-                        | _ -> false)
-                      cases
-                  in
-                  match matching with
-                  | Some c -> step c.next.name (count + 1)
-                  | None -> () (* implicit reject *))
-              | _ ->
-                  raise
-                    (Exec_error
-                       (Printf.sprintf
-                          "select(%s) is not decidable from the context"
-                          (P4.Pretty.expr_to_string scrutinee))))
-          | P4.Ast.TSelect (_, _) ->
-              raise (Exec_error "multi-scrutinee select is not supported"))
-  in
-  step "start" 0;
-  List.rev !extracts
-
-let extracts_equal a b =
-  List.length a = List.length b
-  && List.for_all2
-       (fun ((ea, ha) : string * P4.Typecheck.header_def)
-            ((eb, hb) : string * P4.Typecheck.header_def) ->
-         ea = eb && ha.h_name = hb.h_name)
-       a b
-
-let enumerate tenv (pd : P4.Typecheck.parser_def) =
-  match
-    let stream_name = stream_param pd in
-    let scope = P4.Typecheck.scope_of_params tenv pd.pr_params in
-    let ctx = Context.find_in pd.pr_params in
-    let assignments =
-      match ctx with
-      | None -> Ok [ [] ]
-      | Some (_, ctx_header) -> Context.enumerate ctx_header
-    in
-    let ctx_param_name = match ctx with Some (p, _) -> p.c_name | None -> "ctx" in
-    match assignments with
-    | Error e -> Error e
-    | Ok assignments ->
-        let runs =
-          List.map
-            (fun a ->
-              let ctx_env = Context.env_of ~param_name:ctx_param_name a in
-              (a, run_assignment tenv pd ~stream_name ~ctx_env scope))
-            assignments
-        in
-        let groups = ref [] in
-        let assigns = Hashtbl.create 8 in
-        List.iter
-          (fun (a, extracts) ->
-            match List.find_opt (fun (_, g) -> extracts_equal g extracts) !groups with
-            | Some (idx, _) -> Hashtbl.replace assigns idx (a :: Hashtbl.find assigns idx)
-            | None ->
-                let idx = List.length !groups in
-                groups := !groups @ [ (idx, extracts) ];
-                Hashtbl.replace assigns idx [ a ])
-          runs;
-        Ok
-          (List.map
-             (fun (idx, extracts) ->
-               {
-                 d_index = idx;
-                 d_extracts = extracts;
-                 d_layout = Path.layout_of_emits extracts;
-                 d_assignments = List.rev (Hashtbl.find assigns idx);
-               })
-             !groups)
-  with
-  | result -> result
-  | exception Exec_error msg -> Error msg
-  | exception Path.Exec_error msg -> Error msg
-  | exception P4.Typecheck.Type_error (msg, _) -> Error msg
+let enumerate tenv pd =
+  match Opendesc_analysis.Tx_ir.enumerate tenv pd with
+  | Error _ as e -> e
+  | Ok fmts -> (
+      match
+        List.map
+          (fun (f : Opendesc_analysis.Tx_ir.fmt) ->
+            {
+              d_index = f.t_index;
+              d_extracts = f.t_extracts;
+              d_layout = Path.layout_of_emits f.t_extracts;
+              d_assignments = f.t_assignments;
+            })
+          fmts
+      with
+      | formats -> Ok formats
+      | exception Path.Exec_error msg -> Error msg)
 
 let pp ppf t =
   Format.fprintf ppf "desc#%d [%s] %dB cfgs=%d" t.d_index

@@ -15,7 +15,8 @@ type t = {
   d_extracts : (string * P4.Typecheck.header_def) list;
       (** (destination lvalue, extracted header) in stream order *)
   d_layout : Path.layout;
-  d_assignments : Context.assignment list;
+  d_assignments : Opendesc_analysis.Context.assignment list;
+      (** the context configurations that select this format *)
 }
 
 val size : t -> int
@@ -25,8 +26,9 @@ val field_for : t -> string -> Path.lfield option
 
 val enumerate :
   P4.Typecheck.t -> P4.Typecheck.parser_def -> (t list, string) result
-(** Errors on: missing [desc_in] parameter or [start] state, select
-    scrutinees not decidable from the context, state cycles, or
-    non-byte-aligned extracted headers. *)
+(** The formats [Opendesc_analysis.Tx_ir.enumerate] finds, each laid
+    out with {!Path.layout_of_emits}. Errors on: missing [desc_in]
+    parameter or [start] state, select scrutinees not decidable from the
+    context, state cycles, or non-byte-aligned extracted headers. *)
 
 val pp : Format.formatter -> t -> unit

@@ -19,38 +19,14 @@ type t = {
   notes : string;
 }
 
-let has_cmpt_out (c : P4.Typecheck.control_def) =
-  List.exists
-    (fun (p : P4.Typecheck.cparam) ->
-      match p.c_typ with P4.Typecheck.RExtern "cmpt_out" -> true | _ -> false)
-    c.ct_params
-
-let has_desc_in (p : P4.Typecheck.parser_def) =
-  List.exists
-    (fun (prm : P4.Typecheck.cparam) ->
-      match prm.c_typ with P4.Typecheck.RExtern "desc_in" -> true | _ -> false)
-    p.pr_params
-
-let is_deparser_annotated (c : P4.Typecheck.control_def) =
-  List.exists (fun (a : P4.Ast.annotation) -> a.aname = "cmpt_deparser") c.ct_annots
-
 let find_deparser tenv ~requested =
   match requested with
   | Some name -> (
       match P4.Typecheck.find_control tenv name with
-      | Some c when has_cmpt_out c -> Ok c
+      | Some c when Opendesc_analysis.Dep_ir.out_param c <> None -> Ok c
       | Some _ -> Error (Printf.sprintf "control %s has no cmpt_out parameter" name)
       | None -> Error (Printf.sprintf "no control named %s" name))
-  | None -> (
-      let candidates = List.filter has_cmpt_out (P4.Typecheck.controls tenv) in
-      match List.filter is_deparser_annotated candidates with
-      | [ c ] -> Ok c
-      | _ :: _ :: _ -> Error "multiple @cmpt_deparser controls"
-      | [] -> (
-          match candidates with
-          | [ c ] -> Ok c
-          | [] -> Error "no completion deparser found (no control takes a cmpt_out)"
-          | _ -> Error "multiple deparser candidates; tag one with @cmpt_deparser"))
+  | None -> Opendesc_analysis.Engine.locate_deparser tenv
 
 let load ~name ~kind ?deparser ?(notes = "") p4_source =
   match Prelude.check_result p4_source with
@@ -62,7 +38,10 @@ let load ~name ~kind ?deparser ?(notes = "") p4_source =
           match Path.enumerate_pruned tenv dep with
           | Error e -> Error (Printf.sprintf "%s: %s" name e)
           | Ok (paths, pruning) -> (
-              let desc_parser = List.find_opt has_desc_in (P4.Typecheck.parsers tenv) in
+              let desc_parser =
+                List.find_opt Opendesc_analysis.Tx_ir.is_desc_parser
+                  (P4.Typecheck.parsers tenv)
+              in
               let tx_formats =
                 match desc_parser with
                 | None -> Ok []
@@ -78,7 +57,7 @@ let load ~name ~kind ?deparser ?(notes = "") p4_source =
                       p4_source;
                       tenv;
                       deparser = dep;
-                      ctx = Context.find_param dep;
+                      ctx = Opendesc_analysis.Context.find_param dep;
                       paths;
                       pruning;
                       desc_parser;

@@ -14,7 +14,7 @@ type t = {
   p_emits : (string * P4.Typecheck.header_def) list;
   p_layout : layout;
   p_prov : string list;
-  p_assignments : Context.assignment list;
+  p_assignments : Opendesc_analysis.Context.assignment list;
 }
 
 let size t = t.p_layout.size_bytes
@@ -194,7 +194,7 @@ let pruning_stats tenv (ctrl : P4.Typecheck.control_def) ~runs ~configs =
       let base =
         Opendesc_analysis.Symexec.base_env
           ~consts:(P4.Typecheck.const_env tenv)
-          ~ctx:(Context.find_param ctrl) ~params:ctrl.ct_params ()
+          ~ctx:(Opendesc_analysis.Context.find_param ctrl) ~params:ctrl.ct_params ()
       in
       let sx = Opendesc_analysis.Symexec.exec ~base ir in
       let total = List.length sx.Opendesc_analysis.Symexec.sx_leaves in
@@ -210,11 +210,11 @@ let enumerate_core ~memoize tenv (ctrl : P4.Typecheck.control_def) =
   match
     let out_name = Cfg.out_param ctrl in
     let scope = P4.Typecheck.scope_of_control tenv ctrl in
-    let ctx = Context.find_param ctrl in
+    let ctx = Opendesc_analysis.Context.find_param ctrl in
     let assignments =
       match ctx with
       | None -> Ok [ [] ]
-      | Some (_param, ctx_header) -> Context.enumerate ctx_header
+      | Some (_param, ctx_header) -> Opendesc_analysis.Context.enumerate ctx_header
     in
     let ctx_param_name =
       match ctx with Some (p, _) -> p.c_name | None -> "ctx"
@@ -233,13 +233,16 @@ let enumerate_core ~memoize tenv (ctrl : P4.Typecheck.control_def) =
           if memoize then influencing_fields ctrl ~ctx_param_name else []
         in
         let project a = List.filter (fun (k, _) -> List.mem k infl) a in
-        let memo : (Context.assignment, (string * P4.Typecheck.header_def) list) Hashtbl.t =
+        let memo :
+            ( Opendesc_analysis.Context.assignment,
+              (string * P4.Typecheck.header_def) list )
+            Hashtbl.t =
           Hashtbl.create 16
         in
         let n_runs = ref 0 in
         let run a =
           incr n_runs;
-          let ctx_env = Context.env_of ~param_name:ctx_param_name a in
+          let ctx_env = Opendesc_analysis.Context.env_of ~param_name:ctx_param_name a in
           run_assignment tenv ctrl ~out_name ~ctx_env scope
         in
         let runs =

@@ -3,8 +3,9 @@
     A completion path is characterised by the emit sequence the deparser
     performs under one context configuration. We enumerate paths by
     executing the deparser body under {e every} assignment of the context
-    fields ({!Context.enumerate}) — unlike a syntactic root-to-leaf walk
-    of the CFG this prunes infeasible predicate combinations for free, and
+    fields ({!Opendesc_analysis.Context.enumerate}) — unlike a syntactic
+    root-to-leaf walk of the CFG this prunes infeasible predicate
+    combinations for free, and
     it yields, per path, the exact set of configurations that select it
     (which is what the driver later programs over the control channel).
 
@@ -30,7 +31,7 @@ type t = {
       (** (pretty-printed argument, emitted header) in order *)
   p_layout : layout;
   p_prov : string list;  (** Prov(p), sorted, distinct *)
-  p_assignments : Context.assignment list;
+  p_assignments : Opendesc_analysis.Context.assignment list;
       (** every context configuration that selects this path *)
 }
 

@@ -12,22 +12,17 @@ type verdict = {
   v_bottleneck : [ `Cpu | `Pcie ];
 }
 
-(* Mirrors the driver simulator's constants (Driver.Cost.K); kept local
-   because the compiler layer must not depend on the simulator. *)
-let ring_refill = 14.0
-let cache_line_load = 18.0
-let accessor_read = 2.5
-
-let datapath_overhead_cycles = ring_refill
+let costs = Opendesc_analysis.Costbound.default_table
+let datapath_overhead_cycles = costs.tb_ring_advance +. costs.tb_refill
 
 let evaluate ?(point = default_point) registry intent (p : Path.t) =
   let requested = Intent.required intent in
   let missing = List.filter (fun s -> not (Path.provides p s)) requested in
   let provided = List.filter (Path.provides p) requested in
   let cpu =
-    ring_refill
-    +. (float_of_int ((Path.size p + 63) / 64) *. cache_line_load)
-    +. (float_of_int (List.length provided) *. accessor_read)
+    datapath_overhead_cycles
+    +. (float_of_int ((Path.size p + 63) / 64) *. costs.tb_cache_line_load)
+    +. (float_of_int (List.length provided) *. costs.tb_accessor_read)
     +. List.fold_left (fun acc s -> acc +. Semantic.cost registry s) 0.0 missing
   in
   let dma = float_of_int (point.pkt_bytes + Path.size p) in

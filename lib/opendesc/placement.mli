@@ -66,6 +66,7 @@ val crossover_pps :
     dominates both regimes. *)
 
 val datapath_overhead_cycles : float
-(** Fixed per-packet driver cost charged on every path (ring + refill +
-    descriptor load per 64 B line + accessor reads), mirroring the
-    driver simulator's constants. *)
+(** Fixed per-packet driver cost charged on every path: ring advance
+    plus refill from [Opendesc_analysis.Costbound.default_table], the
+    table the driver simulator's constants come from. {!evaluate} adds
+    the per-path descriptor loads and accessor reads. *)

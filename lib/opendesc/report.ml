@@ -33,7 +33,7 @@ let outcome ppf (c : Compile.t) =
     (Path.size chosen);
   (match c.config with
   | [] -> fpf ppf "  config  : (no context; single-format NIC)@,"
-  | cfg -> fpf ppf "  config  : %a@," Context.pp cfg);
+  | cfg -> fpf ppf "  config  : %a@," Opendesc_analysis.Context.pp cfg);
   fpf ppf "  bindings:@,";
   List.iter
     (fun (sem, b) ->

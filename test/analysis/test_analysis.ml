@@ -299,22 +299,69 @@ let test_intent_source_lints_without_deparser () =
   let bad = replace ~sub:{|@semantic("rss")|} ~by:{|@semantic("rsss")|} src in
   assert_code ~severity:Dg.Warning "OD010" (analyze bad)
 
-(* The engine's path grouping mirrors Path.enumerate: same count, sizes,
-   and Prov sets for every catalogue model (the OD013 indices in the
-   diagnostics above are only meaningful under this correspondence). *)
+(* The shared catalogue is the compiler's path list: for every catalogue
+   model its feasible groups are Path.enumerate's paths, in order, with
+   the same index, size, provided semantics and selecting configurations
+   (OD013's and Certify's "path #k" rest on this). The TX walk likewise
+   partitions the context space: every configuration selects exactly one
+   descriptor format. *)
 let test_engine_paths_match_compiler () =
-  let intent = Nic_models.Catalog.fig1_intent in
+  let module Ctx = Opendesc_analysis.Context in
+  let same_assignments = List.equal Ctx.equal in
   List.iter
     (fun (m : Nic_models.Model.t) ->
-      (* A mutation that the engine reports per-path must agree with the
-         compiler's enumeration; pristine specs expose the agreement
-         through the absence of OD003 (Path.enumerate would have refused
-         a non-aligned path at load time). *)
-      let ds = Opendesc.Nic_spec.analyze m.spec in
-      check ab
-        (Printf.sprintf "%s: no OD003 on load-accepted paths" m.spec.nic_name)
-        false (has "OD003" ds))
-    (Nic_models.Catalog.all ~intent ())
+      let spec = m.spec in
+      let name = spec.nic_name in
+      let paths =
+        match Opendesc.Path.enumerate spec.tenv spec.deparser with
+        | Ok ps -> ps
+        | Error e -> Alcotest.failf "%s: Path.enumerate: %s" name e
+      in
+      let groups =
+        match Engine.catalogue spec.tenv spec.deparser with
+        | Ok cat -> Engine.feasible_groups cat
+        | Error e -> Alcotest.failf "%s: Engine.catalogue: %s" name e
+      in
+      check ai (name ^ ": feasible groups = paths") (List.length paths)
+        (List.length groups);
+      List.iter2
+        (fun (p : Opendesc.Path.t) (g : Engine.group) ->
+          let what = Printf.sprintf "%s path #%d" name p.p_index in
+          let bits = g.g_run.Opendesc_analysis.Dep_ir.r_total_bits in
+          check ai (what ^ ": index") p.p_index g.g_index;
+          check ai (what ^ ": size_bytes") p.p_layout.size_bytes (bits / 8);
+          check ai (what ^ ": whole bytes") 0 (bits mod 8);
+          check asl (what ^ ": provided semantics") p.p_prov
+            (List.filter_map
+               (fun (af : Engine.afield) -> af.af_semantic)
+               (Engine.fields_of_run g.g_run)
+            |> List.sort_uniq String.compare);
+          check ab (what ^ ": assignments") true
+            (same_assignments p.p_assignments g.g_assigns))
+        paths groups;
+      match spec.desc_parser with
+      | None -> ()
+      | Some pd ->
+          let formats =
+            match Opendesc.Descparser.enumerate spec.tenv pd with
+            | Ok fs -> fs
+            | Error e -> Alcotest.failf "%s: Descparser.enumerate: %s" name e
+          in
+          let all =
+            match Ctx.find_in pd.pr_params with
+            | None -> [ [] ]
+            | Some (_, h) -> Result.get_ok (Ctx.enumerate h)
+          in
+          let claimed =
+            List.concat_map
+              (fun (f : Opendesc.Descparser.t) -> f.d_assignments)
+              formats
+          in
+          check ai (name ^ ": one TX format per configuration") (List.length all)
+            (List.length claimed);
+          check ab (name ^ ": TX formats cover every configuration") true
+            (List.for_all (fun a -> List.exists (Ctx.equal a) claimed) all))
+    (Nic_models.Catalog.all ~intent:Nic_models.Catalog.fig1_intent ())
 
 (* ------------------------------------------------------------------ *)
 (* Symbolic feasibility and certification (OD018–OD020). *)
@@ -409,7 +456,7 @@ type fixture = {
   fx_base : string list -> A.t;
   fx_consts : P4.Eval.env;
   fx_ctx_name : string;
-  fx_assignments : Opendesc.Context.assignment list;
+  fx_assignments : Opendesc_analysis.Context.assignment list;
   fx_runtime : (string list * int) list;
 }
 
@@ -435,7 +482,7 @@ let fixtures =
                match spec.ctx with
                | None -> [ [] ]
                | Some (_, h) -> (
-                   match Opendesc.Context.enumerate h with
+                   match Opendesc_analysis.Context.enumerate h with
                    | Ok a -> a
                    | Error _ -> [ [] ])
              in
@@ -473,7 +520,7 @@ let concrete_env fx a (vals : int64 array) : P4.Eval.env =
         (path, P4.Eval.vint ~width:w v))
       fx.fx_runtime
   in
-  let ctx_env = Opendesc.Context.env_of ~param_name:fx.fx_ctx_name a in
+  let ctx_env = Opendesc_analysis.Context.env_of ~param_name:fx.fx_ctx_name a in
   fun path ->
     match List.assoc_opt path runtime with
     | Some v -> Some v

@@ -112,7 +112,7 @@ let test_generator_bounds () =
       check ab "ctx field count" true (List.length sp.sp_ctx <= b.Gen.b_max_ctx);
       check ab "config product" true (Spec.ctx_configs sp <= b.Gen.b_max_configs);
       check ab "config product below engine cap" true
-        (Spec.ctx_configs sp < Opendesc.Context.max_assignments);
+        (Spec.ctx_configs sp < Opendesc_analysis.Context.max_assignments);
       check ab "header count" true
         (List.length sp.sp_headers <= b.Gen.b_max_headers);
       List.iter
@@ -128,7 +128,7 @@ let test_generator_bounds () =
       List.iter
         (fun (c : Spec.ctx_field) ->
           check ab "wide knobs carry @values" true
-            (c.c_bits <= Opendesc.Context.max_enum_bits || c.c_values <> None))
+            (c.c_bits <= Opendesc_analysis.Context.max_enum_bits || c.c_values <> None))
         sp.sp_ctx;
       List.iter
         (fun ms ->

@@ -89,12 +89,15 @@ let ctx_header fields =
   Option.get (P4.Typecheck.find_header tenv "ctx_t")
 
 let test_context_enumerate_bits () =
-  match Context.enumerate (ctx_header [ "bit<1> a;"; "bit<2> b;" ]) with
+  match Opendesc_analysis.Context.enumerate (ctx_header [ "bit<1> a;"; "bit<2> b;" ]) with
   | Ok assignments -> check ai "2 * 4" 8 (List.length assignments)
   | Error e -> Alcotest.fail e
 
 let test_context_values_annotation () =
-  match Context.enumerate (ctx_header [ "@values(0, 3, 7) bit<8> fmt;" ]) with
+  match
+    Opendesc_analysis.Context.enumerate
+      (ctx_header [ "@values(0, 3, 7) bit<8> fmt;" ])
+  with
   | Ok assignments ->
       check ai "three values" 3 (List.length assignments);
       check ab "values respected" true
@@ -104,18 +107,18 @@ let test_context_values_annotation () =
   | Error e -> Alcotest.fail e
 
 let test_context_wide_field_needs_values () =
-  match Context.enumerate (ctx_header [ "bit<8> fmt;" ]) with
+  match Opendesc_analysis.Context.enumerate (ctx_header [ "bit<8> fmt;" ]) with
   | Error e -> check ab "mentions @values" true (contains e "@values")
   | Ok _ -> Alcotest.fail "expected an error"
 
 let test_context_empty_header () =
-  match Context.enumerate (ctx_header []) with
+  match Opendesc_analysis.Context.enumerate (ctx_header []) with
   | Ok [ [] ] -> ()
   | Ok _ -> Alcotest.fail "expected single empty assignment"
   | Error e -> Alcotest.fail e
 
 let test_context_env_lookup () =
-  let env = Context.env_of ~param_name:"ctx" [ ("flag", 1L) ] in
+  let env = Opendesc_analysis.Context.env_of ~param_name:"ctx" [ ("flag", 1L) ] in
   check ab "hit" true (env [ "ctx"; "flag" ] = Some (P4.Eval.vint 1L));
   check ab "miss other param" true (env [ "other"; "flag" ] = None);
   check ab "miss other field" true (env [ "ctx"; "nope" ] = None)
@@ -132,7 +135,7 @@ control C(cmpt_out o, @context in cfg_t queue_cfg, in h_t m) {
   in
   let tenv = Prelude.check src in
   let c = Option.get (P4.Typecheck.find_control tenv "C") in
-  match Context.find_param c with
+  match Opendesc_analysis.Context.find_param c with
   | Some (p, h) ->
       check astr "param" "queue_cfg" p.c_name;
       check astr "header" "cfg_t" h.h_name
@@ -775,7 +778,8 @@ let test_compile_bindings_split () =
 
 let test_compile_config_matches_path () =
   let c = compiled_e1000 () in
-  check ab "legacy config" true (Context.equal c.config [ ("use_rss", 0L) ])
+  check ab "legacy config" true
+    (Opendesc_analysis.Context.equal c.config [ ("use_rss", 0L) ])
 
 let test_compile_software_pipeline_runs () =
   let c = compiled_e1000 () in

@@ -387,7 +387,7 @@ let prop_assignments_partition =
           match m.spec.ctx with
           | None -> true
           | Some (_, ctx_header) -> (
-              match Context.enumerate ctx_header with
+              match Opendesc_analysis.Context.enumerate ctx_header with
               | Error _ -> false
               | Ok all ->
                   let claimed =
@@ -397,7 +397,7 @@ let prop_assignments_partition =
                   in
                   List.length claimed = List.length all
                   && List.for_all
-                       (fun a -> List.exists (Context.equal a) claimed)
+                       (fun a -> List.exists (Opendesc_analysis.Context.equal a) claimed)
                        all))
         (Nic_models.Catalog.all ()))
 
@@ -503,11 +503,14 @@ let prop_random_deparser_invariants =
               let ctx_header =
                 Option.get (P4.Typecheck.find_header tenv "fuzz_ctx_t")
               in
-              let all = Result.get_ok (Context.enumerate ctx_header) in
+              let all = Result.get_ok (Opendesc_analysis.Context.enumerate ctx_header) in
               let claimed = List.concat_map (fun p -> p.Path.p_assignments) paths in
               let partition =
                 List.length claimed = List.length all
-                && List.for_all (fun a -> List.exists (Context.equal a) claimed) all
+                && List.for_all
+                     (fun a ->
+                       List.exists (Opendesc_analysis.Context.equal a) claimed)
+                     all
               in
               let layouts_ok =
                 List.for_all
