@@ -1,8 +1,14 @@
+(* One completion field of the synthesis plan: its writer and the
+   model's staged producer. *)
+type step = { write : bytes -> int64 -> unit; produce : Nic_models.Model.producer }
+
 type t = {
   mutable model : Nic_models.Model.t;
   env : Softnic.Feature.env;
   mutable config : Opendesc_analysis.Context.assignment;
   mutable active_path : Opendesc.Path.t;
+  mutable plan : step array;
+      (** the active path's fields in layout order, staged by {!plan_of} *)
   cmpt_ring : Ring.t;
   pkt_ring : Ring.t;
   tx_ring : Ring.t;
@@ -11,13 +17,6 @@ type t = {
   inj_cmpt : bytes;  (** reusable RX completion-record buffer *)
   rx_scratch_cmpt : bytes;  (** reusable [rx_consume] harvest buffers *)
   rx_scratch_pkt : bytes;
-  (* The resolve closure handed to [Accessor.write_record] is allocated
-     once at [create] and reads the packet being injected out of these
-     two mutable fields — the per-packet closure was one of the larger
-     allocation sources on the RX path. *)
-  mutable resolve_pkt : Packet.Pkt.t;
-  mutable resolve_view : Packet.Pkt.view;
-  mutable resolve_f : Opendesc.Path.lfield -> int64;
   buf_size : int;
   mutable tx_format : Opendesc.Descparser.t option;
   mutable rx_count : int;
@@ -60,6 +59,21 @@ let smallest_tx (spec : Opendesc.Nic_spec.t) =
              else best)
            f rest)
 
+(* Staged once per selected path, at [create], [configure] and
+   [upgrade]: the registry and constant lookups and the writer shapes are
+   resolved here, so injection runs a straight loop over the plan. Layout
+   order is kept, so stateful producers ([flow_pkts], [timestamp]) tick
+   in the same order as the fields are written. *)
+let plan_of (model : Nic_models.Model.t) (path : Opendesc.Path.t) =
+  Array.of_list
+    (List.map
+       (fun (f : Opendesc.Path.lfield) ->
+         {
+           write = Opendesc.Accessor.writer ~bit_off:f.l_bit_off ~bits:f.l_bits;
+           produce = model.stage f;
+         })
+       path.p_layout.fields)
+
 let create ?(queue_depth = 512) ?(buf_size = 2048) ~config (model : Nic_models.Model.t)
     =
   match path_for_config model.spec config with
@@ -79,12 +93,13 @@ let create ?(queue_depth = 512) ?(buf_size = 2048) ~config (model : Nic_models.M
         Ring.create ~slots:queue_depth ~slot_size:(max_cmpt_size model.spec)
       in
       let pkt_ring = Ring.create ~slots:queue_depth ~slot_size:(buf_size + 2) in
-      let t =
+      Ok
         {
           model;
           env = Softnic.Feature.make_env ();
           config;
           active_path = path;
+          plan = plan_of model path;
           cmpt_ring;
           pkt_ring;
           tx_ring;
@@ -93,9 +108,6 @@ let create ?(queue_depth = 512) ?(buf_size = 2048) ~config (model : Nic_models.M
           inj_cmpt = Bytes.create (Ring.slot_size cmpt_ring);
           rx_scratch_cmpt = Bytes.create (Ring.slot_size cmpt_ring);
           rx_scratch_pkt = Bytes.create (Ring.slot_size pkt_ring);
-          resolve_pkt = Packet.Pkt.create Bytes.empty;
-          resolve_view = Packet.Pkt.parse (Packet.Pkt.create Bytes.empty);
-          resolve_f = (fun _ -> 0L);
           buf_size;
           tx_format = smallest_tx model.spec;
           rx_count = 0;
@@ -104,10 +116,6 @@ let create ?(queue_depth = 512) ?(buf_size = 2048) ~config (model : Nic_models.M
           tx_pkt_bytes_read = 0;
           doorbells = 0;
         }
-      in
-      t.resolve_f <-
-        (fun f -> t.model.resolve t.env t.resolve_pkt t.resolve_view f);
-      Ok t
 
 let create_exn ?queue_depth ?buf_size ~config model =
   match create ?queue_depth ?buf_size ~config model with
@@ -123,6 +131,7 @@ let configure t config =
   | Some path ->
       t.config <- config;
       t.active_path <- path;
+      t.plan <- plan_of t.model path;
       Ok ()
 
 let active_path t = t.active_path
@@ -166,9 +175,8 @@ let upgrade t ~config (model : Nic_models.Model.t) =
         t.model <- model;
         t.config <- config;
         t.active_path <- path;
+        t.plan <- plan_of model path;
         t.tx_format <- smallest_tx model.spec;
-        (* [resolve_f] reads [t.model] at call time, so the closure
-           installed at [create] now resolves against the new firmware. *)
         Ok ()
       end
 
@@ -183,9 +191,9 @@ let buf_size t = t.buf_size
 (* The pooled injection primitive: the payload lives in the first [len]
    bytes of [buf] (which may be a reusable scratch buffer longer than the
    packet). Everything is staged through the preallocated [inj_slot] /
-   [inj_cmpt] buffers and the once-allocated [resolve_f] closure, so
-   injecting a packet allocates nothing beyond the [Pkt.t] wrapper the
-   parser needs. *)
+   [inj_cmpt] buffers and the path's plan, so injecting a packet
+   allocates only the [Pkt.t] wrapper, its parsed view and what the
+   producers return. *)
 let rx_inject_raw t buf ~len =
   if len > t.buf_size || Ring.is_full t.pkt_ring || Ring.is_full t.cmpt_ring then begin
     t.drops <- t.drops + 1;
@@ -199,9 +207,13 @@ let rx_inject_raw t buf ~len =
     (* Completion record per the active path's layout. *)
     let layout = t.active_path.p_layout in
     Bytes.fill t.inj_cmpt 0 layout.size_bytes '\x00';
-    t.resolve_pkt <- Packet.Pkt.sub buf ~len;
-    t.resolve_view <- Packet.Pkt.parse t.resolve_pkt;
-    Opendesc.Accessor.write_record layout t.inj_cmpt t.resolve_f;
+    let pkt = Packet.Pkt.sub buf ~len in
+    let view = Packet.Pkt.parse pkt in
+    let plan = t.plan in
+    for i = 0 to Array.length plan - 1 do
+      let s = Array.unsafe_get plan i in
+      s.write t.inj_cmpt (s.produce t.env pkt view)
+    done;
     let ok2 = Ring.produce_dev ~len:layout.size_bytes t.cmpt_ring t.inj_cmpt in
     assert (ok1 && ok2);
     t.rx_count <- t.rx_count + 1;

@@ -1,5 +1,8 @@
+type producer = Softnic.Feature.env -> Packet.Pkt.t -> Packet.Pkt.view -> int64
+
 type t = {
   spec : Opendesc.Nic_spec.t;
+  stage : Opendesc.Path.lfield -> producer;
   resolve :
     Softnic.Feature.env ->
     Packet.Pkt.t ->
@@ -25,22 +28,24 @@ let inline_crypto_tag =
       let lo = Int64.logand (Int64.of_int32 crc) 0xFFFFFFFFL in
       Int64.logor (Int64.shift_left lo 32) (Int64.logxor lo 0x5A5A5A5AL))
 
+(* Whether [needle] occurs in [buf] between [i] and [stop], compared in
+   place: top-level recursion so a search allocates nothing. *)
+let rec matches_at buf i needle j =
+  j = String.length needle
+  || (Bytes.get buf (i + j) = String.get needle j && matches_at buf i needle (j + 1))
+
+let rec occurs buf i ~stop needle =
+  i + String.length needle <= stop
+  && (matches_at buf i needle 0 || occurs buf (i + 1) ~stop needle)
+
 let regex_match_id =
   (* Stand-in for a RegEx accelerator: rule 1 fires on payloads containing
      "GET", rule 2 on "POST", else 0. *)
-  feature "regex_match_id" 32 (fun _ pkt (v : Packet.Pkt.view) ->
-      let hay =
-        if v.payload_off >= 0 && v.payload_off < pkt.len then
-          Bytes.sub_string pkt.buf v.payload_off (pkt.len - v.payload_off)
-        else ""
-      in
-      let contains needle =
-        let nl = String.length needle and hl = String.length hay in
-        let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-        go 0
-      in
-      if contains "get " || contains "GET " then 1L
-      else if contains "POST " then 2L
+  feature "regex_match_id" 32 (fun _ (pkt : Packet.Pkt.t) (v : Packet.Pkt.view) ->
+      let off = v.payload_off and stop = pkt.len in
+      if off < 0 || off >= stop then 0L
+      else if occurs pkt.buf off ~stop "get " || occurs pkt.buf off ~stop "GET " then 1L
+      else if occurs pkt.buf off ~stop "POST " then 2L
       else 0L)
 
 let hardware_registry () =
@@ -53,15 +58,23 @@ let hardware_registry () =
 let default_constants =
   [ ("status", 1L); ("op_own", 1L); ("owner", 1L); ("dd", 1L); ("generation", 1L) ]
 
-let resolve_with registry constants env pkt view (f : Opendesc.Path.lfield) =
+let zero _ _ _ = 0L
+
+(* The lookups happen here, once per field; the producer returned is the
+   registry's own [compute] or a constant, so running it per packet does
+   no lookup and allocates no closure. *)
+let stage_with registry constants (f : Opendesc.Path.lfield) =
   match f.l_semantic with
   | Some s -> (
       match Softnic.Registry.find registry s with
-      | Some feature -> feature.compute env pkt view
-      | None -> 0L)
+      | Some feature -> feature.compute
+      | None -> zero)
   | None -> (
-      match List.assoc_opt f.l_name constants with Some v -> v | None -> 0L)
+      match List.assoc_opt f.l_name constants with
+      | Some v -> fun _ _ _ -> v
+      | None -> zero)
 
 let make ?(constants = default_constants) ?registry spec =
   let registry = match registry with Some r -> r | None -> hardware_registry () in
-  { spec; resolve = resolve_with registry constants }
+  let stage = stage_with registry constants in
+  { spec; stage; resolve = (fun env pkt view f -> stage f env pkt view) }

@@ -12,14 +12,25 @@
     Models also resolve hardware-only semantics (wire timestamps,
     accelerator results) that no software shim can provide. *)
 
+type producer = Softnic.Feature.env -> Packet.Pkt.t -> Packet.Pkt.view -> int64
+(** The per-packet value of one completion field. *)
+
 type t = {
   spec : Opendesc.Nic_spec.t;
+  stage : Opendesc.Path.lfield -> producer;
+      (** [stage f] does the per-field work once — registry or constant
+          lookup — and returns the producer the device runs for [f] on
+          every packet. {!Driver.Device} stages each field of its active
+          path when the path is selected. *)
   resolve :
     Softnic.Feature.env ->
     Packet.Pkt.t ->
     Packet.Pkt.view ->
     Opendesc.Path.lfield ->
     int64;
+      (** Unstaged resolution, [resolve env pkt view f = stage f env pkt
+          view] for models built by {!make}: the lookup runs on every
+          call. *)
 }
 
 val hardware_registry : unit -> Softnic.Registry.t
@@ -27,20 +38,16 @@ val hardware_registry : unit -> Softnic.Registry.t
     hardware-only semantics ([wire_timestamp], [inline_crypto_tag],
     [regex_match_id]). *)
 
-val resolve_with : Softnic.Registry.t -> (string * int64) list ->
-  Softnic.Feature.env -> Packet.Pkt.t -> Packet.Pkt.view ->
-  Opendesc.Path.lfield -> int64
-(** Standard resolution: a field with a semantic is computed by the
-    registry implementation; otherwise the field name is looked up in the
-    constant table (status/ownership bits); otherwise 0. *)
-
 val make :
   ?constants:(string * int64) list ->
   ?registry:Softnic.Registry.t ->
   Opendesc.Nic_spec.t ->
   t
-(** Model with {!resolve_with}. The default constant table sets
-    [status]/[op_own]-style fields to 1; the default registry is
-    {!hardware_registry}. Pass a registry extended with the reference
-    implementations of any custom semantics a programmable pipeline is
-    supposed to compute. *)
+(** Model with standard resolution: a field with a semantic is computed
+    by the registry implementation; otherwise the field name is looked up
+    in the constant table (status/ownership bits); otherwise 0. The
+    default constant table sets [status]/[op_own]-style fields to 1; the
+    default registry is {!hardware_registry}. Pass a registry extended
+    with the reference implementations of any custom semantics a
+    programmable pipeline is supposed to compute; it is read when a
+    field is staged, so extend it before creating devices. *)

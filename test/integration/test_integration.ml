@@ -340,10 +340,12 @@ let test_validation_catches_lying_device () =
   let lying =
     {
       honest with
-      Nic_models.Model.resolve =
-        (fun env pkt view f ->
-          let v = honest.resolve env pkt view f in
-          if f.l_semantic = Some "rss" then Int64.logxor v 0xDEADL else v);
+      Nic_models.Model.stage =
+        (fun f ->
+          let produce = honest.stage f in
+          if f.l_semantic = Some "rss" then fun env pkt view ->
+            Int64.logxor (produce env pkt view) 0xDEADL
+          else produce);
     }
   in
   let intent = Intent.make [ ("rss", 32); ("pkt_len", 32) ] in

@@ -234,6 +234,21 @@ let test_hardware_only_semantics_resolve () =
       ~flow Packet.Builder.Udp in
   check ai64 "regex rule 1" 1L (resolve_semantic m "regex_match_id" http)
 
+let test_regex_match_id_cases () =
+  let m = Bluefield.model () in
+  let udp payload =
+    Packet.Builder.ipv4 ~payload:(Bytes.of_string payload) ~flow Packet.Builder.Udp
+  in
+  let regex pkt = resolve_semantic m "regex_match_id" pkt in
+  check ai64 "GET" 1L (regex (udp "xx GET /index"));
+  check ai64 "get" 1L (regex (udp "get key\r\n"));
+  check ai64 "POST" 2L (regex (udp "POST /form"));
+  check ai64 "needle ends the payload" 2L (regex (udp "....POST "));
+  check ai64 "needle cut by the payload end" 0L (regex (udp "....POST"));
+  check ai64 "payload shorter than the needle" 0L (regex (udp "GE"));
+  check ai64 "empty payload" 0L (regex (udp ""));
+  check ai64 "no L4 payload" 0L (regex (Packet.Builder.raw ~len:64 ~fill:'G'))
+
 (* ------------------------------------------------------------------ *)
 (* virtio *)
 
@@ -358,6 +373,7 @@ let () =
             test_resolver_constants_for_status_fields;
           Alcotest.test_case "hardware-only semantics" `Quick
             test_hardware_only_semantics_resolve;
+          Alcotest.test_case "regex_match_id cases" `Quick test_regex_match_id_cases;
         ] );
       ( "virtio",
         [

@@ -312,6 +312,100 @@ let test_chaos_differential (m : Nic_models.Model.t) () =
     m.spec.paths
 
 (* ------------------------------------------------------------------ *)
+(* Synthesis leg: the device's staged per-path plan writes exactly the
+   completion the model's unstaged [resolve] gives through
+   [Accessor.write_record], for the same packets in the same order from
+   a fresh feature environment (so the clock and per-flow counters tick
+   alike) — on the path chosen at [create], after [configure] to every
+   other path, and after a firmware [upgrade]. *)
+
+let synthesis_traffic () =
+  let draw profile =
+    let w = Packet.Workload.make ~seed:11L profile in
+    List.init 24 (fun _ -> Packet.Workload.next w)
+  in
+  let inner =
+    Packet.Builder.ipv4
+      ~flow:
+        (Packet.Fivetuple.make ~src_ip:1l ~dst_ip:2l ~src_port:10 ~dst_port:20
+           ~proto:Packet.Hdr.Proto.tcp)
+      (Packet.Builder.Tcp { seq = 0l; flags = 0 })
+  in
+  let vxlan =
+    List.init 8 (fun i ->
+        Packet.Builder.vxlan ~vni:(0x100 + i)
+          ~outer_flow:
+            (Packet.Fivetuple.make ~src_ip:3l ~dst_ip:4l ~src_port:(40000 + i)
+               ~dst_port:4789 ~proto:Packet.Hdr.Proto.udp)
+          ~inner)
+  in
+  List.concat_map draw
+    Packet.Workload.[ Min_size; Imix; Ipv6_mix; Vlan_tagged; Raw_stream { size = 96 } ]
+  @ vxlan
+
+(* [env] must have seen the same packets as the device's own. *)
+let check_synthesis ~label device (m : Nic_models.Model.t) env pkts =
+  let layout = (Driver.Device.active_path device).p_layout in
+  List.iteri
+    (fun i pkt ->
+      check Alcotest.bool (label ^ " injected") true (Driver.Device.rx_inject device pkt);
+      match Driver.Device.rx_consume device with
+      | None -> Alcotest.fail (label ^ ": no completion")
+      | Some (_, _, cmpt) ->
+          let expected = Bytes.make layout.size_bytes '\000' in
+          Accessor.write_record layout expected
+            (m.resolve env pkt (Packet.Pkt.parse pkt));
+          check abytes (Printf.sprintf "%s pkt %d" label i) expected cmpt)
+    pkts
+
+let ok_or_fail = function Ok () -> () | Error e -> Alcotest.fail e
+
+let test_device_synthesis (m : Nic_models.Model.t) () =
+  let traffic = synthesis_traffic () in
+  match List.filter (fun (p : Path.t) -> p.p_assignments <> []) m.spec.paths with
+  | [] -> ()
+  | first :: _ as paths ->
+      let device = Driver.Device.create_exn ~config:(List.hd first.p_assignments) m in
+      let env = Softnic.Feature.make_env () in
+      List.iteri
+        (fun i (p : Path.t) ->
+          if i > 0 then ok_or_fail (Driver.Device.configure device (List.hd p.p_assignments));
+          check ai (m.spec.nic_name ^ " active path") p.p_index
+            (Driver.Device.active_path device).p_index;
+          check_synthesis
+            ~label:(Printf.sprintf "%s/p%d" m.spec.nic_name p.p_index)
+            device m env traffic)
+        paths
+
+let firmware name =
+  let ic = open_in_bin (Filename.concat "../../examples/firmware" name) in
+  let src =
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  Nic_models.Model.make
+    (Nic_spec.load_exn ~name:(Filename.remove_extension name)
+       ~kind:Nic_spec.Fixed_function src)
+
+let test_upgrade_synthesis () =
+  let rev_a = firmware "e1000_rev_a.p4" and rev_b = firmware "e1000_rev_b.p4" in
+  let config_of (p : Path.t) = List.hd p.p_assignments in
+  let traffic = synthesis_traffic () in
+  let device =
+    Driver.Device.create_exn ~config:(config_of (List.hd rev_a.spec.paths)) rev_a
+  in
+  let env = Softnic.Feature.make_env () in
+  check_synthesis ~label:"rev A" device rev_a env traffic;
+  List.iter
+    (fun (p : Path.t) ->
+      ok_or_fail (Driver.Device.upgrade device ~config:(config_of p) rev_b);
+      check_synthesis
+        ~label:(Printf.sprintf "rev B/p%d" p.p_index)
+        device rev_b env traffic)
+    rev_b.spec.paths
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let per_nic name f =
@@ -331,4 +425,7 @@ let () =
           test_batched_equals_unbatched m);
       per_nic "chaos: accepted stream decodes identically" (fun m ->
           test_chaos_differential m);
+      per_nic "synthesis: staged plan vs resolve" (fun m -> test_device_synthesis m);
+      ( "synthesis: across a firmware upgrade",
+        [ Alcotest.test_case "e1000 rev A -> rev B" `Quick test_upgrade_synthesis ] );
     ]

@@ -70,6 +70,78 @@ let test_toeplitz_nonip_is_zero () =
   let pkt = Packet.Builder.raw ~len:64 ~fill:'a' in
   check ai32 "non-ip" 0l (Toeplitz.hash_pkt pkt (Packet.Pkt.parse pkt))
 
+(* The reference the per-key tables are checked against: the Microsoft
+   spec's loop, which XORs in the 32-bit key window at bit [i] for every
+   set input bit [i] (MSB-first). *)
+let bitwise_toeplitz key input =
+  let result = ref 0l in
+  for i = 0 to (8 * Bytes.length input) - 1 do
+    let byte = Char.code (Bytes.get input (i / 8)) in
+    if byte land (1 lsl (7 - (i mod 8))) <> 0 then begin
+      let window = Packet.Bitops.get_bits key ~bit_off:i ~width:32 in
+      result := Int32.logxor !result (Int64.to_int32 window)
+    end
+  done;
+  !result
+
+let prop_toeplitz_table_equals_bitwise =
+  let n_bytes n = QCheck.Gen.(map Bytes.of_string (string_size ~gen:char (return n))) in
+  QCheck.Test.make ~name:"table hash = bitwise loop (random keys, 0-36 B inputs)"
+    ~count:500
+    QCheck.(
+      make
+        Gen.(pair (n_bytes 40) (int_bound 36 >>= n_bytes))
+        ~print:(fun (k, i) ->
+          Printf.sprintf "key=%S input=%S" (Bytes.to_string k) (Bytes.to_string i)))
+    (fun (key, input) ->
+      Int32.equal (bitwise_toeplitz key input)
+        (Toeplitz.hash ~key:(Toeplitz.key_of_bytes key) input))
+
+(* [hash_pkt] reads the RSS input out of the packet; it must agree with
+   the tuple-level entry points on every packet kind it distinguishes. *)
+let test_toeplitz_pkt_kinds () =
+  let tcp4 = flow4 ~src:0x0a000001l ~dst:0xc0a80001l ~sp:5555 ~dp:80 Packet.Hdr.Proto.tcp in
+  let udp4 = flow4 ~src:0x0b000001l ~dst:0x0b000002l ~sp:53 ~dp:4000 Packet.Hdr.Proto.udp in
+  let hash_of pkt = Toeplitz.hash_pkt pkt (Packet.Pkt.parse pkt) in
+  let tcp l4 = Packet.Builder.Tcp { seq = 1l; flags = l4 } in
+  check ai32 "ipv4 tcp" (Toeplitz.hash_flow tcp4) (hash_of (Packet.Builder.ipv4 ~flow:tcp4 (tcp 0)));
+  check ai32 "ipv4 udp" (Toeplitz.hash_flow udp4)
+    (hash_of (Packet.Builder.ipv4 ~flow:udp4 Packet.Builder.Udp));
+  check ai32 "vlan-tagged" (Toeplitz.hash_flow tcp4)
+    (hash_of (Packet.Builder.ipv4 ~vlan:42 ~flow:tcp4 (tcp 0x10)));
+  (* Other IPv4 (here ICMP): the address-only input. *)
+  let icmp = Packet.Builder.ipv4 ~flow:tcp4 (tcp 0) in
+  let v = Packet.Pkt.parse icmp in
+  Bytes.set icmp.buf (v.l3_off + 9) '\x01';
+  check ai32 "other ipv4" (Toeplitz.hash_ipv4_2tuple tcp4.src_ip tcp4.dst_ip) (hash_of icmp);
+  let src = Bytes.init 16 (fun i -> Char.chr (0x20 + i)) in
+  let dst = Bytes.init 16 (fun i -> Char.chr (0xf0 - i)) in
+  List.iter
+    (fun (name, l4) ->
+      check ai32 name
+        (Toeplitz.hash_ipv6_flow ~src ~dst ~src_port:1234 ~dst_port:443 ())
+        (hash_of (Packet.Builder.ipv6 ~src ~dst ~src_port:1234 ~dst_port:443 l4)))
+    [ ("ipv6 tcp", tcp 0); ("ipv6 udp", Packet.Builder.Udp) ];
+  check ai32 "non-ip" 0l (hash_of (Packet.Builder.raw ~len:80 ~fill:'z'))
+
+let test_toeplitz_rejects_short_keys () =
+  let raises name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+    | exception Invalid_argument _ -> ()
+  in
+  raises "37-byte input" (fun () -> Toeplitz.hash (Bytes.make 37 'x'));
+  let short = Toeplitz.key_of_bytes (Bytes.make 12 'k') in
+  raises "4-tuple under a 12-byte key" (fun () ->
+      Toeplitz.hash_flow ~key:short (flow4 ~src:1l ~dst:2l ~sp:3 ~dp:4 6));
+  raises "3-byte key" (fun () -> Toeplitz.hash ~key:(Toeplitz.key_of_bytes (Bytes.make 3 'k')) Bytes.empty);
+  raises "15-byte ipv6 address" (fun () ->
+      Toeplitz.hash_ipv6_flow ~src:(Bytes.make 15 'a') ~dst:(Bytes.make 16 'b') ~src_port:1
+        ~dst_port:2 ());
+  check ai32 "an 8-byte input fits a 12-byte key"
+    (bitwise_toeplitz (Bytes.make 12 'k') (Bytes.make 8 'i'))
+    (Toeplitz.hash ~key:short (Bytes.make 8 'i'))
+
 let prop_toeplitz_flow_stable =
   QCheck.Test.make ~name:"toeplitz is per-flow stable" ~count:200
     QCheck.(quad int32 int32 (int_bound 65535) (int_bound 65535))
@@ -321,8 +393,10 @@ let () =
           Alcotest.test_case "pkt == flow" `Quick test_toeplitz_pkt_consistency;
           Alcotest.test_case "ipv6 MS vector" `Quick test_toeplitz_ipv6;
           Alcotest.test_case "non-ip is 0" `Quick test_toeplitz_nonip_is_zero;
+          Alcotest.test_case "hash_pkt per packet kind" `Quick test_toeplitz_pkt_kinds;
+          Alcotest.test_case "short keys rejected" `Quick test_toeplitz_rejects_short_keys;
         ]
-        @ qsuite [ prop_toeplitz_flow_stable ] );
+        @ qsuite [ prop_toeplitz_flow_stable; prop_toeplitz_table_equals_bitwise ] );
       ( "crc32",
         [
           Alcotest.test_case "check vector" `Quick test_crc32_check_vector;
