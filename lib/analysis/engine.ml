@@ -812,19 +812,15 @@ let analyze_program ~registry ?intent ?(line_offset = 0) tenv =
     }
 
 let analyze_source ~registry ?intent ?(prelude = "") src =
-  let full = prelude ^ src in
   let off = List.length (String.split_on_char '\n' prelude) - 1 in
-  match P4.Typecheck.check_string full with
+  let od001 span what msg =
+    [ D.relocate ~lines:off (D.make ~span ~code:"OD001" ~severity:D.Error "%s: %s" what msg) ]
+  in
+  match P4.Typecheck.check_string (prelude ^ src) with
   | tenv -> analyze_program ~registry ?intent ~line_offset:off tenv
-  | exception P4.Typecheck.Type_error (msg, sp) ->
-      [
-        D.relocate ~lines:off
-          (D.make ~span:sp ~code:"OD001" ~severity:D.Error "type error: %s" msg);
-      ]
-  | exception exn -> (
-      match P4.Parser.error_to_string full exn with
-      | Some s -> [ D.make ~code:"OD001" ~severity:D.Error "%s" s ]
-      | None -> raise exn)
+  | exception P4.Typecheck.Type_error (msg, sp) -> od001 sp "type error" msg
+  | exception P4.Parser.Error (msg, sp) -> od001 sp "syntax error" msg
+  | exception P4.Lexer.Error (msg, p) -> od001 { P4.Loc.left = p; right = p } "syntax error" msg
 
 let failing ~werror ds =
   List.exists

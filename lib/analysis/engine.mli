@@ -115,9 +115,10 @@ val analyze_source :
   ?prelude:string ->
   string ->
   Diagnostic.t list
-(** Parse and typecheck [prelude ^ src], then analyze. Parse and type
-    errors become a single OD001 diagnostic (located when possible)
-    rather than an exception. *)
+(** Parse and typecheck [prelude ^ src], then analyze. A lexical, syntax
+    or type error becomes a single OD001 diagnostic rather than an
+    exception, located in [src]'s own lines when its position is known
+    and outside the prelude. *)
 
 val check_accessor_bounds :
   ?path_desc:string -> size_bytes:int -> afield list -> Diagnostic.t list

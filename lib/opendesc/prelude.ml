@@ -23,15 +23,27 @@ let check nic_source = P4.Typecheck.check_string (source ^ nic_source)
    the user's own source. *)
 let line_offset = List.length (String.split_on_char '\n' source) - 1
 
+(* Lexer and parser errors moved from the prelude-prefixed text into the
+   user's own lines. *)
+let in_user_lines =
+  let shift (p : P4.Loc.pos) = { p with P4.Loc.line = p.P4.Loc.line - line_offset } in
+  function
+  | P4.Parser.Error (msg, sp) ->
+      P4.Parser.Error (msg, { P4.Loc.left = shift sp.P4.Loc.left; right = shift sp.P4.Loc.right })
+  | P4.Lexer.Error (msg, p) -> P4.Lexer.Error (msg, shift p)
+  | exn -> exn
+
 let check_result nic_source =
-  let full = source ^ nic_source in
-  try Ok (P4.Typecheck.check_string full) with
+  try Ok (check nic_source) with
   | P4.Typecheck.Type_error (msg, sp) ->
-      Error
-        (Printf.sprintf "type error at line %d: %s"
-           (sp.P4.Loc.left.line - line_offset)
-           msg)
+      (* Unknown spans sit on line 0, so they fail the test too. *)
+      if sp.P4.Loc.left.P4.Loc.line > line_offset then
+        Error
+          (Printf.sprintf "type error at line %d: %s"
+             (sp.P4.Loc.left.P4.Loc.line - line_offset)
+             msg)
+      else Error (Printf.sprintf "type error: %s" msg)
   | exn -> (
-      match P4.Parser.error_to_string full exn with
+      match P4.Parser.error_to_string nic_source (in_user_lines exn) with
       | Some s -> Error s
       | None -> raise exn)

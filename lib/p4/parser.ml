@@ -1,25 +1,50 @@
 exception Error of string * Loc.span
 
-type state = { toks : Token.t array; mutable cur : int }
+(* The rest of the input: never empty, and always ends in [Eof]. A list
+   rather than an array, so the tokens stay young in the minor heap (see
+   "The P4 frontend" in docs/ARCHITECTURE.md). *)
+type state = { mutable toks : Token.t list }
 
-let make toks = { toks = Array.of_list toks; cur = 0 }
-let here st = st.toks.(st.cur)
+let make toks = { toks }
+
+let here st =
+  match st.toks with t :: _ -> t | [] -> invalid_arg "Parser: empty token list"
+
 let peek_kind st = (here st).Token.kind
+
+(* The [n]th token ahead, clamped to the final [Eof]. *)
 let peek_kind_at st n =
-  let i = min (st.cur + n) (Array.length st.toks - 1) in
-  st.toks.(i).Token.kind
+  let rec walk n (toks : Token.t list) =
+    match toks with
+    | _ :: (_ :: _ as rest) when n > 0 -> walk (n - 1) rest
+    | t :: _ -> t.kind
+    | [] -> invalid_arg "Parser: empty token list"
+  in
+  walk n st.toks
 
 let span st = (here st).Token.span
-let advance st = if st.cur < Array.length st.toks - 1 then st.cur <- st.cur + 1
+
+(* Drops the head, but never the final [Eof]. *)
+let advance st = match st.toks with _ :: (_ :: _ as rest) -> st.toks <- rest | _ -> ()
+
+(* True on a ['>'] immediately followed by another ['>']: a right shift,
+   not two closing angle brackets. *)
+let at_shr st =
+  match st.toks with
+  | { Token.kind = Token.RAngle; span = a } :: { Token.kind = Token.RAngle; span = b } :: _ ->
+      Loc.adjacent a b
+  | _ -> false
 
 let err st msg = raise (Error (msg, span st))
 
+let is st kind = Token.equal_kind (peek_kind st) kind
+
 let expect st kind what =
-  if peek_kind st = kind then advance st
+  if is st kind then advance st
   else err st (Printf.sprintf "expected %s, found %s" what (Token.describe (peek_kind st)))
 
 let accept st kind =
-  if peek_kind st = kind then begin
+  if is st kind then begin
     advance st;
     true
   end
@@ -48,10 +73,10 @@ let member_ident st =
 
 (* Backtracking helper: run [f]; on failure restore the cursor. *)
 let try_parse st f =
-  let saved = st.cur in
+  let saved = st.toks in
   try Some (f st)
   with Error _ ->
-    st.cur <- saved;
+    st.toks <- saved;
     None
 
 (* ------------------------------------------------------------------ *)
@@ -87,7 +112,7 @@ let annotations st : Ast.annotation list =
             let a = annotation_arg st in
             if accept st Token.Comma then args (a :: acc) else List.rev (a :: acc)
           in
-          let l = if peek_kind st = Token.RParen then [] else args [] in
+          let l = if is st Token.RParen then [] else args [] in
           expect st Token.RParen "')'";
           l
         end
@@ -101,6 +126,13 @@ let annotations st : Ast.annotation list =
 
 (* ------------------------------------------------------------------ *)
 (* Types and expressions (mutually recursive through casts/widths). *)
+
+(* The tokens [typ] accepts first. *)
+let starts_type : Token.kind -> bool = function
+  | Token.KwBit | Token.KwInt | Token.KwVarbit | Token.KwBool | Token.KwError | Token.KwVoid
+  | Token.Ident _ ->
+      true
+  | _ -> false
 
 let rec typ st : Ast.typ =
   match peek_kind st with
@@ -135,7 +167,7 @@ let rec typ st : Ast.typ =
       Ast.TVoid
   | Token.Ident _ ->
       let name = ident st in
-      if peek_kind st = Token.LAngle then begin
+      if is st Token.LAngle then begin
         match
           try_parse st (fun st ->
               expect st Token.LAngle "'<'";
@@ -190,7 +222,7 @@ and land_expr st =
 
 and bor_expr st =
   let rec go acc =
-    if peek_kind st = Token.Pipe then begin
+    if is st Token.Pipe then begin
       advance st;
       go (Ast.EBinop (Ast.BOr, acc, bxor_expr st))
     end
@@ -206,7 +238,7 @@ and bxor_expr st =
 
 and band_expr st =
   let rec go acc =
-    if peek_kind st = Token.Amp then begin
+    if is st Token.Amp then begin
       advance st;
       go (Ast.EBinop (Ast.BAnd, acc, eq_expr st))
     end
@@ -242,10 +274,7 @@ and rel_expr st =
     | Token.RAngle ->
         (* '>' is relational here only when not a '>>' shift (handled in
            shift_expr via adjacency) — single '>' is comparison. *)
-        if
-          peek_kind_at st 1 = Token.RAngle
-          && Loc.adjacent (span st) st.toks.(st.cur + 1).Token.span
-        then acc (* leave '>>' for shift level *)
+        if at_shr st then acc (* leave '>>' for shift level *)
         else begin
           advance st;
           go (Ast.EBinop (Ast.Gt, acc, shift_expr st))
@@ -260,9 +289,7 @@ and shift_expr st =
     | Token.Shl ->
         advance st;
         go (Ast.EBinop (Ast.Shl, acc, add_expr st))
-    | Token.RAngle
-      when peek_kind_at st 1 = Token.RAngle
-           && Loc.adjacent (span st) st.toks.(st.cur + 1).Token.span ->
+    | Token.RAngle when at_shr st ->
         advance st;
         advance st;
         go (Ast.EBinop (Ast.Shr, acc, add_expr st))
@@ -328,10 +355,10 @@ and postfix st =
         go (Ast.EIndex (acc, i))
     | Token.LParen ->
         advance st;
-        let args = if peek_kind st = Token.RParen then [] else expr_list st in
+        let args = if is st Token.RParen then [] else expr_list st in
         expect st Token.RParen "')'";
         go (Ast.ECall (acc, [], args))
-    | Token.LAngle -> (
+    | Token.LAngle when starts_type (peek_kind_at st 1) -> (
         (* Possibly explicit type arguments of a call: f<T, U>(args). *)
         match
           try_parse st (fun st ->
@@ -339,7 +366,7 @@ and postfix st =
               let targs = type_args st in
               close_angle st;
               expect st Token.LParen "'('";
-              let args = if peek_kind st = Token.RParen then [] else expr_list st in
+              let args = if is st Token.RParen then [] else expr_list st in
               expect st Token.RParen "')'";
               (targs, args))
         with
@@ -412,7 +439,7 @@ let rec stmt st : Ast.stmt =
       Ast.SIf (c, then_, else_)
   | Token.KwReturn ->
       advance st;
-      let e = if peek_kind st = Token.Semi then None else Some (expr st) in
+      let e = if is st Token.Semi then None else Some (expr st) in
       expect st Token.Semi "';'";
       Ast.SReturn e
   | Token.KwConst ->
@@ -428,20 +455,15 @@ let rec stmt st : Ast.stmt =
   | Token.Ident _ -> (
       (* Could be: a variable declaration "T name (= e)? ;", an
          assignment "lvalue = e;", or a call statement "e(...);". Try a
-         declaration first (requires type-then-ident shape). *)
-      match
-        try_parse st (fun st ->
-            let t = typ st in
-            let name = ident st in
-            let init =
-              if accept st Token.Assign then Some (expr st)
-              else None
-            in
-            expect st Token.Semi "';'";
-            Ast.SVar (t, name, init))
-      with
-      | Some s -> s
-      | None -> assign_or_call st)
+         declaration first (requires type-then-ident shape). A type is
+         [T] or [T<...>], so an identifier followed by '.', '=', '(' or
+         '[' cannot start one. *)
+      match peek_kind_at st 1 with
+      | Token.Dot | Token.Assign | Token.LParen | Token.LBracket -> assign_or_call st
+      | _ -> (
+          match try_parse st var_decl_stmt with
+          | Some s -> s
+          | None -> assign_or_call st))
   | k -> err st (Printf.sprintf "expected statement, found %s" (Token.describe k))
 
 and var_decl_stmt st =
@@ -466,12 +488,12 @@ and assign_or_call st =
   end
 
 and stmt_as_block st : Ast.block =
-  if peek_kind st = Token.LBrace then block st else [ stmt st ]
+  if is st Token.LBrace then block st else [ stmt st ]
 
 and block st : Ast.block =
   expect st Token.LBrace "'{'";
   let rec go acc =
-    if peek_kind st = Token.RBrace then begin
+    if is st Token.RBrace then begin
       advance st;
       List.rev acc
     end
@@ -537,7 +559,7 @@ let field st : Ast.field =
 let fields st : Ast.field list =
   expect st Token.LBrace "'{'";
   let rec go acc =
-    if peek_kind st = Token.RBrace then begin
+    if is st Token.RBrace then begin
       advance st;
       List.rev acc
     end
@@ -598,7 +620,7 @@ let transition st : Ast.transition =
     expect st Token.RParen "')'";
     expect st Token.LBrace "'{'";
     let rec go acc =
-      if peek_kind st = Token.RBrace then begin
+      if is st Token.RBrace then begin
         advance st;
         List.rev acc
       end
@@ -619,13 +641,13 @@ let parser_state st : Ast.parser_state =
   let st_name = ident st in
   expect st Token.LBrace "'{'";
   let rec go acc =
-    if peek_kind st = Token.KwTransition then List.rev acc
-    else if peek_kind st = Token.RBrace then List.rev acc
+    if is st Token.KwTransition then List.rev acc
+    else if is st Token.RBrace then List.rev acc
     else go (stmt st :: acc)
   in
   let st_stmts = go [] in
   let st_trans =
-    if peek_kind st = Token.KwTransition then transition st
+    if is st Token.KwTransition then transition st
     else
       (* implicit reject, modelled as a direct transition *)
       Ast.TDirect (Ast.ident "reject")
@@ -642,7 +664,7 @@ let table_prop st : Ast.table_prop =
       expect st Token.Assign "'='";
       expect st Token.LBrace "'{'";
       let rec go acc =
-        if peek_kind st = Token.RBrace then begin
+        if is st Token.RBrace then begin
           advance st;
           List.rev acc
         end
@@ -660,7 +682,7 @@ let table_prop st : Ast.table_prop =
       expect st Token.Assign "'='";
       expect st Token.LBrace "'{'";
       let rec go acc =
-        if peek_kind st = Token.RBrace then begin
+        if is st Token.RBrace then begin
           advance st;
           List.rev acc
         end
@@ -724,7 +746,7 @@ let rec decl st : Ast.decl =
           let name = ident st in
           expect st Token.LBrace "'{'";
           let rec go acc =
-            if peek_kind st = Token.RBrace then begin
+            if is st Token.RBrace then begin
               advance st;
               List.rev acc
             end
@@ -785,7 +807,7 @@ let rec decl st : Ast.decl =
       else begin
         expect st Token.LBrace "'{'";
         let rec go locals =
-          if peek_kind st = Token.KwApply then List.rev locals
+          if is st Token.KwApply then List.rev locals
           else go (decl st :: locals)
         in
         let locals = go [] in
@@ -805,7 +827,7 @@ let rec decl st : Ast.decl =
       let name = ident st in
       expect st Token.LBrace "'{'";
       let rec go acc =
-        if peek_kind st = Token.RBrace then begin
+        if is st Token.RBrace then begin
           advance st;
           List.rev acc
         end
@@ -818,7 +840,7 @@ let rec decl st : Ast.decl =
       let tps = type_params st in
       if accept st Token.LBrace then begin
         let rec go acc =
-          if peek_kind st = Token.RBrace then begin
+          if is st Token.RBrace then begin
             advance st;
             List.rev acc
           end
@@ -826,7 +848,7 @@ let rec decl st : Ast.decl =
             let m_annots = annotations st in
             let m_ret =
               (* constructor methods have no return type: Name(params); *)
-              if peek_kind_at st 1 = Token.LParen then Ast.TVoid else typ st
+              if Token.equal_kind (peek_kind_at st 1) Token.LParen then Ast.TVoid else typ st
             in
             let m_name = ident st in
             let m_type_params = type_params st in
@@ -860,7 +882,7 @@ let rec decl st : Ast.decl =
       match peek_kind st with
       | Token.LParen ->
           advance st;
-          let args = if peek_kind st = Token.RParen then [] else expr_list st in
+          let args = if is st Token.RParen then [] else expr_list st in
           expect st Token.RParen "')'";
           let name = ident st in
           expect st Token.Semi "';'";
@@ -874,20 +896,20 @@ let rec decl st : Ast.decl =
 
 (* Lookahead: annotations followed by 'state' (annotated parser state). *)
 and state_annotated st =
-  let saved = st.cur in
+  let saved = st.toks in
   let result =
     try
       let _ = annotations st in
-      peek_kind st = Token.KwState
+      is st Token.KwState
     with Error _ -> false
   in
-  st.cur <- saved;
+  st.toks <- saved;
   result
 
 let parse_program src =
   let st = make (Lexer.tokenize src) in
   let rec go acc =
-    if peek_kind st = Token.Eof then List.rev acc else go (decl st :: acc)
+    if is st Token.Eof then List.rev acc else go (decl st :: acc)
   in
   go []
 

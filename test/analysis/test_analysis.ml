@@ -54,9 +54,23 @@ let mlx5 = Nic_models.Mlx5.source
 (* ------------------------------------------------------------------ *)
 (* OD001/OD002: broken sources still produce located findings. *)
 
+(* Line and column of a diagnostic, in the user's own source. *)
+let line_col (d : Dg.t) =
+  Option.map (fun (sp : P4.Loc.span) -> (sp.left.line, sp.left.col)) d.d_loc
+
 let test_od001_parse_error () =
   let ds = analyze (replace ~sub:"transition accept;" ~by:"transition accept" legacy) in
-  assert_code ~severity:Dg.Error "OD001" ds
+  assert_code ~severity:Dg.Error "OD001" ds;
+  (* The missing ';' is reported at the '}' on line 3 of the file, not at
+     its line in the prelude-prefixed text. *)
+  let d = find_exn "OD001" (analyze "header h_t {\n  bit<8> a\n}\n") in
+  check Alcotest.(option (pair int int)) "at 3:0" (Some (3, 0)) (line_col d)
+
+let test_od001_lex_error () =
+  (* An unterminated comment opened on line 2 runs to the end of input. *)
+  let d = find_exn "OD001" (analyze "header h_t { bit<8> a; }\n/* oops") in
+  check Alcotest.(option (pair int int)) "at end of input" (Some (2, 7)) (line_col d);
+  check Alcotest.string "message" "syntax error: unterminated comment" d.d_msg
 
 let test_od001_type_error () =
   let ds = analyze (replace ~sub:"ctx.use_rss == 1" ~by:"ctx.no_such == 1" newer) in
@@ -1067,6 +1081,7 @@ let () =
       ( "broken sources",
         [
           Alcotest.test_case "OD001 parse error" `Quick test_od001_parse_error;
+          Alcotest.test_case "OD001 lexer error" `Quick test_od001_lex_error;
           Alcotest.test_case "OD001 type error" `Quick test_od001_type_error;
           Alcotest.test_case "OD002 no deparser" `Quick test_od002_no_deparser;
           Alcotest.test_case "OD002 unbounded context" `Quick

@@ -63,6 +63,18 @@ let test_prelude_reports_errors () =
   | Ok _ -> Alcotest.fail "expected an error"
   | Error e -> check ab "mentions unknown" true (contains e "unknown")
 
+let test_prelude_errors_in_user_lines () =
+  (match Prelude.check_result "header h_t {\n  bit<8> a\n}\n" with
+  | Ok _ -> Alcotest.fail "expected a syntax error"
+  | Error e ->
+      check astr "rendered against the user's source"
+        "line 3, column 0: expected ';', found RBrace\n  }\n  ^" e);
+  (* The width expression is a literal, so the error has no position; it
+     must not print one computed from the prelude offset. *)
+  match Prelude.check_result "header h_t {\n  bit<(0-8)> a;\n}\n" with
+  | Ok _ -> Alcotest.fail "expected a type error"
+  | Error e -> check astr "no line" "type error: invalid width -8" e
+
 let test_load_finds_annotated_deparser () =
   let nic = e1000 () in
   check astr "deparser" "CD" nic.deparser.ct_name
@@ -836,6 +848,7 @@ let () =
         [
           Alcotest.test_case "checks" `Quick test_prelude_checks;
           Alcotest.test_case "reports errors" `Quick test_prelude_reports_errors;
+          Alcotest.test_case "errors in user lines" `Quick test_prelude_errors_in_user_lines;
           Alcotest.test_case "finds deparser" `Quick test_load_finds_annotated_deparser;
           Alcotest.test_case "rejects no deparser" `Quick test_load_rejects_no_deparser;
           Alcotest.test_case "finds desc parser" `Quick test_load_finds_desc_parser;

@@ -1,0 +1,218 @@
+(* The P4 frontend over real inputs: the catalogue NICs, the shipped
+   fixtures and generated specs. Pins the lexer's and parser's output
+   byte for byte, checks the lexer's positions and token boundaries
+   against an oracle that reads the raw text, and checks that parsing a
+   NIC description leaves its tokens to die young. *)
+
+open P4
+
+let check = Alcotest.check
+let ai = Alcotest.int
+let ab = Alcotest.bool
+
+let read_file f = In_channel.with_open_bin f In_channel.input_all
+
+let catalog =
+  List.map
+    (fun (m : Nic_models.Model.t) -> (m.spec.Opendesc.Nic_spec.nic_name, m.spec.p4_source))
+    (Nic_models.Catalog.all ())
+
+(* Fixture files, named relative to the repository root. *)
+let fixtures dirs =
+  List.concat_map
+    (fun dir ->
+      Sys.readdir (Filename.concat "../.." dir)
+      |> Array.to_list |> List.sort compare
+      |> List.filter (fun f -> Filename.check_suffix f ".p4")
+      |> List.map (fun f ->
+             let name = dir ^ "/" ^ f in
+             (name, read_file (Filename.concat "../.." name))))
+    dirs
+
+let examples = fixtures [ "examples/firmware"; "examples/intents" ]
+
+(* ------------------------------------------------------------------ *)
+(* Pinned output: the MD5 of every token (kind and span) and of the
+   printed AST (spans included), as produced by the frontend before its
+   list-cursor rewrite. *)
+
+let token_digest src =
+  Lexer.tokenize src
+  |> List.map (fun (t : Token.t) -> Token.show_kind t.kind ^ " " ^ Loc.show_span t.span)
+  |> String.concat "\n" |> Digest.string |> Digest.to_hex
+
+let ast_digest src = Digest.to_hex (Digest.string (Ast.show_program (Parser.parse_program src)))
+
+let pinned =
+  [
+    ("e1000-legacy", "3704fd16ad6e7552e24470ab695e1b1a", "6e3147aeb01a81f5278cc0ce19c77e9f");
+    ("e1000-newer", "72811be067653f19f2e23684effb0a09", "0bc156693f10743fc0900aae2e6adaf6");
+    ("ixgbe-82599", "cd2af549a36c570f69dcefccca883e70", "a05760c69f806449fd909d9c0822af0b");
+    ("mlx5-connectx", "3ad1b91613b5410f942dd7ea17b43de7", "8e900f268532aa6bb435c6362c38b28b");
+    ("bluefield-kvs_key", "ff2bd5c9007f43e6267d167e4acb2d8a", "3042584a456a58ded3590f7f55fa3061");
+    ("qdma-programmable", "75bd29de003117cb1b7d15d103d8cb60", "703200d422065d1331199c9e5a44264c");
+    ("virtio-net", "9e0fde0f90b05ad706bff2c7195b31c0", "9e729d6fb3d9cdfd6488761ede390f7a");
+    ("ice-e810", "441ccb09c17204fe2e6e6488a99f6b12", "966628bb637a009fc6f64155d50d50fe");
+    ( "examples/firmware/e1000_rev_a.p4",
+      "72cf3be38292b74c2bb3eda57726758b",
+      "1bf242534116fabc098e400c3e7491de" );
+    ( "examples/firmware/e1000_rev_b.p4",
+      "aac79d664d0f7a04dfe689a637f28af8",
+      "9e5555a846c1eab00e01bc1ab8114534" );
+    ( "examples/firmware/e1000_rev_broken.p4",
+      "d5653075c8edfb3cfc7d593ce4124f7f",
+      "1c9617841b6aef404189de696e426c40" );
+    ( "examples/intents/fig1.p4",
+      "c55c7f941cca147b8852098cc2a6d059",
+      "1f55745a8ccbd9b960eab8045c554125" );
+    ( "examples/intents/xdp_metadata.p4",
+      "70ba202d8cdd969f6aed8ae51d824d34",
+      "f6821edf4194451b4086e78f832d14c2" );
+  ]
+
+let test_pinned_digests () =
+  let sources = catalog @ examples in
+  check
+    Alcotest.(list string)
+    "every catalogue NIC and example is pinned"
+    (List.map fst sources)
+    (List.map (fun (name, _, _) -> name) pinned);
+  List.iter
+    (fun (name, tokens, ast) ->
+      let src = List.assoc name sources in
+      check Alcotest.string (name ^ " tokens") tokens (token_digest src);
+      check Alcotest.string (name ^ " AST") ast (ast_digest src))
+    pinned
+
+(* ------------------------------------------------------------------ *)
+(* Lexer invariants. The oracle computes positions from the raw text and
+   judges token boundaries by re-lexing slices, so it shares no code with
+   the lexer's own position tracking. *)
+
+(* [pos_ok p] holds when [p.line] is 1 + the newlines before [p.off] and
+   [p.col] is [p.off] minus the offset just past the last of them. *)
+let position_oracle src =
+  let n = String.length src in
+  let lines = Array.make (n + 1) 1 and cols = Array.make (n + 1) 0 in
+  let line = ref 1 and bol = ref 0 in
+  for off = 0 to n do
+    lines.(off) <- !line;
+    cols.(off) <- off - !bol;
+    if off < n && src.[off] = '\n' then begin
+      incr line;
+      bol := off + 1
+    end
+  done;
+  fun (p : Loc.pos) -> p.off >= 0 && p.off <= n && p.line = lines.(p.off) && p.col = cols.(p.off)
+
+let lexes_to slice expected =
+  match Lexer.tokenize slice with
+  | toks -> List.equal Token.equal_kind (List.map (fun (t : Token.t) -> t.kind) toks) expected
+  | exception Lexer.Error _ -> false
+
+(* Every token re-lexes alone to itself, the text between tokens is
+   trivia only, positions follow the line-start rule, and the list ends
+   in one [Eof] at the end of input. On a lexical error, its position
+   follows the same rule. *)
+let lexer_invariants src =
+  let pos_ok = position_oracle src in
+  let slice a b = String.sub src a (b - a) in
+  match Lexer.tokenize src with
+  | exception Lexer.Error (_, p) -> pos_ok p
+  | toks ->
+      let rec walk prev = function
+        | [] -> false
+        | [ { Token.kind = Token.Eof; span } ] ->
+            pos_ok span.left && span.left = span.right
+            && span.left.off = String.length src
+            && lexes_to (slice prev span.left.off) [ Token.Eof ]
+        | { Token.kind; span = { left; right } } :: rest ->
+            kind <> Token.Eof && pos_ok left && pos_ok right && left.off < right.off
+            && lexes_to (slice prev left.off) [ Token.Eof ]
+            && lexes_to (slice left.off right.off) [ kind; Token.Eof ]
+            && walk right.off rest
+      in
+      walk 0 toks
+
+(* Characters that start, end or split tokens, plus NUL and a non-ASCII
+   byte; mutations draw from these half of the time. *)
+let interesting = "<>&|/*\"\\\n\r\t 0189xXbowsW_aZ{}()[];:,.@?~^%+-=!\000\255"
+
+let mutate rng s =
+  let len = String.length s in
+  let byte () =
+    if Random.State.bool rng then interesting.[Random.State.int rng (String.length interesting)]
+    else Char.chr (Random.State.int rng 256)
+  in
+  let at () = Random.State.int rng (len + 1) in
+  match Random.State.int rng 4 with
+  | 0 when len > 0 ->
+      let i = Random.State.int rng len in
+      String.mapi (fun j c -> if i = j then byte () else c) s
+  | 1 ->
+      let i = at () in
+      String.sub s 0 i ^ String.init (1 + Random.State.int rng 4) (fun _ -> byte ())
+      ^ String.sub s i (len - i)
+  | 2 when len > 0 ->
+      let i = Random.State.int rng len in
+      let k = min (len - i) (1 + Random.State.int rng 16) in
+      String.sub s 0 i ^ String.sub s (i + k) (len - i - k)
+  | _ -> String.sub s 0 (at ())
+
+let corpus =
+  lazy
+    (Array.of_list
+       (List.map snd
+          (catalog
+          @ List.map (fun (n, s) -> (n, Opendesc.Prelude.source ^ s)) catalog
+          @ examples
+          @ fixtures [ "test/fuzz/corpus" ])))
+
+let gen_source : string QCheck.Gen.t =
+ fun rng ->
+  let base =
+    if Random.State.int rng 4 = 0 then
+      Opendesc_fuzz.Spec.render
+        (Opendesc_fuzz.Gen.generate ~seed:(Random.State.int64 rng Int64.max_int) ~name:"gen" ())
+    else
+      let c = Lazy.force corpus in
+      c.(Random.State.int rng (Array.length c))
+  in
+  let rec go s k = if k = 0 then s else go (mutate rng s) (k - 1) in
+  go base (Random.State.int rng 6)
+
+let prop_lexer_invariants =
+  QCheck.Test.make ~name:"tokens re-lex alone, gaps are trivia, positions follow line starts"
+    ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_source)
+    lexer_invariants
+
+(* ------------------------------------------------------------------ *)
+(* Allocation: a parse must not force a minor collection. OCaml 5 does
+   one when a large array is created from a young value, which is what
+   building a token array did, and the collection then promoted every
+   token. *)
+
+let test_parse_stays_young () =
+  let src =
+    List.fold_left
+      (fun acc (_, s) -> if String.length s > String.length acc then s else acc)
+      "" catalog
+  in
+  let src = Opendesc.Prelude.source ^ src in
+  ignore (Parser.parse_program src);
+  Gc.minor ();
+  let before = Gc.quick_stat () in
+  let prog = Parser.parse_program src in
+  let after = Gc.quick_stat () in
+  ignore (Sys.opaque_identity prog);
+  check ai "no minor collection" before.minor_collections after.minor_collections;
+  check ab "under 1k words promoted" true (after.promoted_words -. before.promoted_words < 1000.)
+
+let () =
+  Alcotest.run "p4 frontend"
+    [
+      ("pinned", [ Alcotest.test_case "token and AST digests" `Quick test_pinned_digests ]);
+      ("lexer", [ QCheck_alcotest.to_alcotest prop_lexer_invariants ]);
+      ("gc", [ Alcotest.test_case "parse stays in the minor heap" `Quick test_parse_stays_young ]);
+    ]

@@ -144,6 +144,99 @@ let test_parse_error_position () =
   | _ -> Alcotest.fail "expected parse error"
 
 (* ------------------------------------------------------------------ *)
+(* Parser: the token cursor and its lookahead. These shapes exercise the
+   two-token peeks (the token after a leading identifier or after '<';
+   '>>' adjacency is in "shift vs gt") and the backtracking around them. *)
+
+let test_expr_lookahead () =
+  (match Parser.parse_expr "f<T>(x)" with
+  | Ast.ECall
+      (Ast.EIdent { name = "f"; _ }, [ Ast.TName { name = "T"; _ } ], [ Ast.EIdent { name = "x"; _ } ])
+    ->
+      ()
+  | e -> Alcotest.failf "f<T>(x): %s" (Ast.show_expr e));
+  (match Parser.parse_expr "f<T, U>(x, y)" with
+  | Ast.ECall
+      ( Ast.EIdent { name = "f"; _ },
+        [ Ast.TName { name = "T"; _ }; Ast.TName { name = "U"; _ } ],
+        [ Ast.EIdent { name = "x"; _ }; Ast.EIdent { name = "y"; _ } ] ) ->
+      ()
+  | e -> Alcotest.failf "f<T, U>(x, y): %s" (Ast.show_expr e));
+  (match Parser.parse_expr "a < 3 && b > 2" with
+  | Ast.EBinop
+      ( Ast.LAnd,
+        Ast.EBinop (Ast.Lt, Ast.EIdent { name = "a"; _ }, Ast.EInt { value = 3L; _ }),
+        Ast.EBinop (Ast.Gt, Ast.EIdent { name = "b"; _ }, Ast.EInt { value = 2L; _ }) ) ->
+      ()
+  | e -> Alcotest.failf "a < 3 && b > 2: %s" (Ast.show_expr e));
+  match Parser.parse_expr "(bit<8>) x" with
+  | Ast.ECast (Ast.TBit (Ast.EInt { value = 8L; _ }), Ast.EIdent { name = "x"; _ }) -> ()
+  | e -> Alcotest.failf "(bit<8>) x: %s" (Ast.show_expr e)
+
+(* One statement inside a control's apply block, alone on line 2 so the
+   columns of an error are its own. *)
+let stmt_src s = "control C() { apply {\n" ^ s ^ "\n} }"
+
+let parse_stmt s =
+  match Parser.parse_program (stmt_src s) with
+  | [ Ast.DControl { apply = [ st ]; _ } ] -> st
+  | _ -> Alcotest.failf "expected one statement from %S" s
+
+let test_stmt_lookahead () =
+  let one src ok =
+    let st = parse_stmt src in
+    if not (ok st) then Alcotest.failf "%s: %s" src (Ast.show_stmt st)
+  in
+  one "x.y = 1;" (function
+    | Ast.SAssign (Ast.EMember (Ast.EIdent { name = "x"; _ }, { name = "y"; _ }), Ast.EInt _) ->
+        true
+    | _ -> false);
+  one "f(x);" (function
+    | Ast.SCall (Ast.ECall (Ast.EIdent { name = "f"; _ }, [], [ Ast.EIdent _ ])) -> true
+    | _ -> false);
+  one "a[0] = 1;" (function
+    | Ast.SAssign (Ast.EIndex (Ast.EIdent { name = "a"; _ }, Ast.EInt _), Ast.EInt _) -> true
+    | _ -> false);
+  one "T x;" (function
+    | Ast.SVar (Ast.TName { name = "T"; _ }, { name = "x"; _ }, None) -> true
+    | _ -> false);
+  one "T<bit<8>> x = y;" (function
+    | Ast.SVar
+        ( Ast.TApply ({ name = "T"; _ }, [ Ast.TBit _ ]),
+          { name = "x"; _ },
+          Some (Ast.EIdent { name = "y"; _ }) ) ->
+        true
+    | _ -> false);
+  one "x = y < z;" (function
+    | Ast.SAssign (Ast.EIdent { name = "x"; _ }, Ast.EBinop (Ast.Lt, Ast.EIdent _, Ast.EIdent _))
+      ->
+        true
+    | _ -> false)
+
+(* Message and span (line, col, line, col) of a syntax error. *)
+let syntax_error parse src =
+  match parse src with
+  | exception Parser.Error (msg, sp) ->
+      (msg, (sp.Loc.left.line, sp.left.col, sp.right.line, sp.right.col))
+  | _ -> Alcotest.failf "expected a syntax error from %S" src
+
+let test_lookahead_errors () =
+  let pinned = Alcotest.(pair string (pair (pair int int) (pair int int))) in
+  let one parse src msg (l1, c1, l2, c2) =
+    let m, (a, b, c, d) = syntax_error parse src in
+    check pinned src (msg, ((l1, c1), (l2, c2))) (m, ((a, b), (c, d)))
+  in
+  one Parser.parse_expr "a > > 2" "expected expression, found RAngle" (1, 4, 1, 5);
+  let stmt s = Parser.parse_program (stmt_src s) in
+  (* The statement is consumed through ';' before its shape is judged,
+     so the error sits on the closing brace after it. *)
+  one stmt "x.y;" "expected assignment or call statement" (3, 0, 3, 1);
+  one stmt "a b c;" "expected ';', found identifier \"b\"" (2, 2, 2, 3);
+  one stmt "x = ;" "expected expression, found Semi" (2, 4, 2, 5);
+  (* '(' cannot start a type, so this is the comparison f < (x). *)
+  one stmt "f<(x);" "expected assignment or call statement" (3, 0, 3, 1)
+
+(* ------------------------------------------------------------------ *)
 (* Parser: declarations *)
 
 let parse_ok src =
@@ -715,6 +808,9 @@ let () =
           Alcotest.test_case "concat" `Quick test_expr_concat;
           Alcotest.test_case "unops" `Quick test_expr_unops;
           Alcotest.test_case "error position" `Quick test_parse_error_position;
+          Alcotest.test_case "lookahead" `Quick test_expr_lookahead;
+          Alcotest.test_case "statement lookahead" `Quick test_stmt_lookahead;
+          Alcotest.test_case "lookahead errors" `Quick test_lookahead_errors;
           Alcotest.test_case "string literal escaping" `Quick
             test_string_literal_escaping;
           Alcotest.test_case "annotation string escaping" `Quick
