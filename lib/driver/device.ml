@@ -13,12 +13,11 @@ type t = {
   pkt_ring : Ring.t;
   tx_ring : Ring.t;
   tx_scratch : bytes;  (** reusable TX descriptor-fetch buffer *)
-  inj_slot : bytes;  (** reusable RX injection slot (len prefix + data) *)
   inj_cmpt : bytes;  (** reusable RX completion-record buffer *)
-  rx_scratch_cmpt : bytes;  (** reusable [rx_consume] harvest buffers *)
-  rx_scratch_pkt : bytes;
   buf_size : int;
   mutable tx_format : Opendesc.Descparser.t option;
+  mutable tx_addr : (bytes -> int64) option;
+      (** the TX format's [buf_addr] reader, staged with the format *)
   mutable rx_count : int;
   mutable tx_count : int;
   mutable drops : int;
@@ -59,6 +58,16 @@ let smallest_tx (spec : Opendesc.Nic_spec.t) =
              else best)
            f rest)
 
+let addr_reader fmt =
+  Option.map
+    (fun (f : Opendesc.Path.lfield) ->
+      Opendesc.Accessor.reader_fn ~bit_off:f.l_bit_off ~bits:f.l_bits)
+    (Opendesc.Descparser.field_for fmt "buf_addr")
+
+let stage_tx t fmt =
+  t.tx_format <- fmt;
+  t.tx_addr <- Option.bind fmt addr_reader
+
 (* Staged once per selected path, at [create], [configure] and
    [upgrade]: the registry and constant lookups and the writer shapes are
    resolved here, so injection runs a straight loop over the plan. Layout
@@ -93,6 +102,7 @@ let create ?(queue_depth = 512) ?(buf_size = 2048) ~config (model : Nic_models.M
         Ring.create ~slots:queue_depth ~slot_size:(max_cmpt_size model.spec)
       in
       let pkt_ring = Ring.create ~slots:queue_depth ~slot_size:(buf_size + 2) in
+      let tx_format = smallest_tx model.spec in
       Ok
         {
           model;
@@ -104,12 +114,10 @@ let create ?(queue_depth = 512) ?(buf_size = 2048) ~config (model : Nic_models.M
           pkt_ring;
           tx_ring;
           tx_scratch = Bytes.create (Ring.slot_size tx_ring);
-          inj_slot = Bytes.create (Ring.slot_size pkt_ring);
           inj_cmpt = Bytes.create (Ring.slot_size cmpt_ring);
-          rx_scratch_cmpt = Bytes.create (Ring.slot_size cmpt_ring);
-          rx_scratch_pkt = Bytes.create (Ring.slot_size pkt_ring);
           buf_size;
-          tx_format = smallest_tx model.spec;
+          tx_format;
+          tx_addr = Option.bind tx_format addr_reader;
           rx_count = 0;
           tx_count = 0;
           drops = 0;
@@ -176,7 +184,7 @@ let upgrade t ~config (model : Nic_models.Model.t) =
         t.config <- config;
         t.active_path <- path;
         t.plan <- plan_of model path;
-        t.tx_format <- smallest_tx model.spec;
+        stage_tx t (smallest_tx model.spec);
         Ok ()
       end
 
@@ -190,20 +198,17 @@ let buf_size t = t.buf_size
 
 (* The pooled injection primitive: the payload lives in the first [len]
    bytes of [buf] (which may be a reusable scratch buffer longer than the
-   packet). Everything is staged through the preallocated [inj_slot] /
-   [inj_cmpt] buffers and the path's plan, so injecting a packet
-   allocates only the [Pkt.t] wrapper, its parsed view and what the
-   producers return. *)
+   packet). The frame goes straight into the packet ring's slot and the
+   completion is built in the preallocated [inj_cmpt] by the path's
+   plan, so injecting a packet allocates only the [Pkt.t] wrapper, its
+   parsed view and what the producers return. *)
 let rx_inject_raw t buf ~len =
   if len > t.buf_size || Ring.is_full t.pkt_ring || Ring.is_full t.cmpt_ring then begin
     t.drops <- t.drops + 1;
     false
   end
   else begin
-    (* Packet buffer slot: 2-byte length prefix + data. *)
-    Bytes.set_uint16_le t.inj_slot 0 len;
-    Bytes.blit buf 0 t.inj_slot 2 len;
-    let ok1 = Ring.produce_dev ~len:(len + 2) t.pkt_ring t.inj_slot in
+    let ok1 = Ring.produce_frame t.pkt_ring buf ~len in
     (* Completion record per the active path's layout. *)
     let layout = t.active_path.p_layout in
     Bytes.fill t.inj_cmpt 0 layout.size_bytes '\x00';
@@ -214,7 +219,7 @@ let rx_inject_raw t buf ~len =
       let s = Array.unsafe_get plan i in
       s.write t.inj_cmpt (s.produce t.env pkt view)
     done;
-    let ok2 = Ring.produce_dev ~len:layout.size_bytes t.cmpt_ring t.inj_cmpt in
+    let ok2 = Ring.produce_dev t.cmpt_ring t.inj_cmpt ~len:layout.size_bytes in
     assert (ok1 && ok2);
     t.rx_count <- t.rx_count + 1;
     true
@@ -225,18 +230,18 @@ let rx_inject t pkt =
 
 let rx_available t = Ring.available t.cmpt_ring
 
+(* Harvest copies what the device wrote and nothing more: the active
+   layout's completion bytes and the frame's [len] data bytes, each to
+   offset 0 of the host buffer. *)
 let rx_consume t =
   if Ring.is_empty t.cmpt_ring then None
   else begin
-    let ok1 = Ring.consume_host_into t.cmpt_ring t.rx_scratch_cmpt in
-    let ok2 = Ring.consume_host_into t.pkt_ring t.rx_scratch_pkt in
-    (* rings advance in lockstep *)
-    assert (ok1 && ok2);
-    let len = Bytes.get_uint16_le t.rx_scratch_pkt 0 in
-    let pkt = Bytes.sub t.rx_scratch_pkt 2 len in
-    (* Trim the completion to the active layout size. *)
-    let cmpt = Bytes.sub t.rx_scratch_cmpt 0 t.active_path.p_layout.size_bytes in
-    Some (pkt, len, cmpt)
+    let size = t.active_path.p_layout.size_bytes in
+    let cmpt = Bytes.create size in
+    let ok = Ring.consume_host_prefix_into t.cmpt_ring cmpt ~len:size in
+    match (ok, Ring.consume_frame t.pkt_ring) with
+    | true, Some pkt -> Some (pkt, Bytes.length pkt, cmpt)
+    | _ -> assert false (* rings advance in lockstep *)
   end
 
 let burst_create ?(capacity = 64) t =
@@ -256,13 +261,9 @@ let rx_consume_batch t (b : burst) =
   let n = min (burst_capacity b) (Ring.available t.cmpt_ring) in
   let cmpt_len = t.active_path.p_layout.size_bytes in
   for i = 0 to n - 1 do
-    let ok1 = Ring.consume_host_into t.cmpt_ring b.bs_cmpts.(i) in
-    let ok2 = Ring.consume_host_into t.pkt_ring b.bs_pkts.(i) in
-    assert (ok1 && ok2);
-    (* Strip the 2-byte length prefix in place (overlapping blit is a
-       memmove) so the payload starts at offset 0 like {!rx_consume}. *)
-    let len = Bytes.get_uint16_le b.bs_pkts.(i) 0 in
-    Bytes.blit b.bs_pkts.(i) 2 b.bs_pkts.(i) 0 len;
+    let ok = Ring.consume_host_prefix_into t.cmpt_ring b.bs_cmpts.(i) ~len:cmpt_len in
+    let len = Ring.consume_frame_into t.pkt_ring b.bs_pkts.(i) in
+    assert (ok && len >= 0);
     b.bs_lens.(i) <- len;
     b.bs_cmpt_lens.(i) <- cmpt_len
   done;
@@ -270,7 +271,7 @@ let rx_consume_batch t (b : burst) =
   n
 
 let tx_format t = t.tx_format
-let set_tx_format t f = t.tx_format <- Some f
+let set_tx_format t f = stage_tx t (Some f)
 
 let tx_post t desc =
   let ok = Ring.produce_host t.tx_ring desc in
@@ -285,31 +286,22 @@ let tx_post_batch t descs =
 let tx_process t ~fetch =
   match t.tx_format with
   | None -> 0
-  | Some fmt ->
-      let addr_field = Opendesc.Descparser.field_for fmt "buf_addr" in
+  | Some _ ->
       let sent = ref 0 in
       (* The descriptor fetch reuses one scratch buffer: consuming a TX
          slot per packet must not allocate on the hot path. *)
-      let rec drain () =
-        if Ring.consume_dev_into t.tx_ring t.tx_scratch then begin
-          (match addr_field with
-          | Some f ->
-              let addr =
-                Opendesc.Accessor.reader ~bit_off:f.l_bit_off ~bits:f.l_bits
-                  t.tx_scratch
-              in
-              (match fetch addr with
-              | Some pkt ->
-                  (* Device fetches the packet body over DMA. *)
-                  t.tx_pkt_bytes_read <- t.tx_pkt_bytes_read + Packet.Pkt.len pkt;
-                  t.tx_count <- t.tx_count + 1;
-                  incr sent
-              | None -> t.drops <- t.drops + 1)
-          | None -> t.drops <- t.drops + 1);
-          drain ()
-        end
-      in
-      drain ();
+      while Ring.consume_dev_into t.tx_ring t.tx_scratch do
+        match t.tx_addr with
+        | Some read -> (
+            match fetch (read t.tx_scratch) with
+            | Some pkt ->
+                (* Device fetches the packet body over DMA. *)
+                t.tx_pkt_bytes_read <- t.tx_pkt_bytes_read + Packet.Pkt.len pkt;
+                t.tx_count <- t.tx_count + 1;
+                incr sent
+            | None -> t.drops <- t.drops + 1)
+        | None -> t.drops <- t.drops + 1
+      done;
       !sent
 
 let rx_count t = t.rx_count

@@ -103,9 +103,10 @@ val rx_inject : t -> Packet.Pkt.t -> bool
 val rx_inject_raw : t -> bytes -> len:int -> bool
 (** Like {!rx_inject}, but the packet is the first [len] bytes of a
     caller-owned buffer (which may be a reusable scratch longer than the
-    packet, so the producer loop never slices). Staged entirely through
-    preallocated device buffers — the pooled fast path's injection
-    primitive. Requires [len <= Bytes.length buf]. *)
+    packet, so the producer loop never slices). The frame is written
+    once, straight into the packet ring's slot ([len + 2] bytes of DMA);
+    the completion is built in a preallocated buffer — the pooled fast
+    path's injection primitive. Requires [len <= Bytes.length buf]. *)
 
 val rx_available : t -> int
 
@@ -122,8 +123,11 @@ val burst_capacity : burst -> int
 val rx_consume_batch : t -> burst -> int
 (** Harvest up to [burst_capacity] ready completions into the burst in
     one poll, overwriting its previous contents. Returns the number
-    harvested (0 when the ring is empty). Observably equivalent to
-    calling {!rx_consume} that many times. *)
+    harvested (0 when the ring is empty). Copies only what the device
+    wrote: the active layout's completion bytes and each frame's [len]
+    bytes, to offset 0 of the burst's buffers; bytes past those are
+    left as they were. Observably equivalent to calling {!rx_consume}
+    that many times. *)
 
 (** {1 Transmit} *)
 
@@ -132,6 +136,9 @@ val tx_format : t -> Opendesc.Descparser.t option
     default). *)
 
 val set_tx_format : t -> Opendesc.Descparser.t -> unit
+(** Select the descriptor format and stage its [buf_addr] reader, which
+    {!tx_process} applies to every descriptor. {!create} and {!upgrade}
+    stage the smallest format the same way. *)
 
 val tx_post : t -> bytes -> bool
 (** Host posts a raw TX descriptor and rings the doorbell. False when

@@ -8,6 +8,10 @@ let dev_write t ~off src ~pos ~len =
   Bytes.blit src pos t.mem off len;
   t.written <- t.written + len
 
+let dev_write_u16_le t ~off v =
+  Bytes.set_uint16_le t.mem off v;
+  t.written <- t.written + 2
+
 let dev_read t ~off ~len =
   t.read <- t.read + len;
   Bytes.sub t.mem off len

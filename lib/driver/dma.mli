@@ -18,6 +18,9 @@ val mem : t -> bytes
 val dev_write : t -> off:int -> bytes -> pos:int -> len:int -> unit
 (** Device writes into host memory (counted). *)
 
+val dev_write_u16_le : t -> off:int -> int -> unit
+(** Device writes a 16-bit little-endian value (2 bytes counted). *)
+
 val dev_read : t -> off:int -> len:int -> bytes
 (** Device reads from host memory (counted). *)
 

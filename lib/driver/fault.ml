@@ -289,22 +289,16 @@ let inject_plain t pkt =
   if ok then t.c.rx_accepted <- t.c.rx_accepted + 1;
   ok
 
-(* Re-produce the last (pkt, cmpt) slot pair verbatim. Raw slot copies —
-   not a second rx_inject — so stateful semantics (timestamps, flow
-   counters) are not recomputed and the duplicate stays byte-identical. *)
+(* Re-deliver the last frame and completion verbatim: the device DMAs
+   the frame ([len + 2] bytes) and the active layout's completion bytes
+   again from the slots it just wrote — not a second rx_inject, so
+   stateful semantics (timestamps, flow counters) are not recomputed and
+   the duplicate stays byte-identical. *)
 let duplicate_last t =
-  let copy ring =
-    let sz = Ring.slot_size ring in
-    let last =
-      Bytes.sub (Dma.mem (Ring.dma ring))
-        (Ring.slot_offset ring (Ring.prod_index ring - 1))
-        sz
-    in
-    Ring.produce_dev ring last
-  in
   let pkt_ring = Device.pkt_ring t.dev and cmpt_ring = Device.cmpt_ring t.dev in
   if Ring.space pkt_ring > 0 && Ring.space cmpt_ring > 0 then begin
-    let ok1 = copy pkt_ring and ok2 = copy cmpt_ring in
+    let ok1 = Ring.repeat_frame pkt_ring in
+    let ok2 = Ring.repeat_dev cmpt_ring ~len:(layout_size t) in
     assert (ok1 && ok2);
     t.c.duplicates <- t.c.duplicates + 1;
     true
@@ -429,7 +423,9 @@ let harvest ?(max_kicks = default_max_kicks) t (b : Device.burst) =
     let kept = ref 0 in
     for i = 0 to n - 1 do
       let pkt = Packet.Pkt.sub b.Device.bs_pkts.(i) ~len:b.Device.bs_lens.(i) in
-      let cmpt = Bytes.sub b.Device.bs_cmpts.(i) 0 b.Device.bs_cmpt_lens.(i) in
+      (* Validated in place: the checker reads only layout fields, so
+         the burst buffer's tail past the layout does not matter. *)
+      let cmpt = b.Device.bs_cmpts.(i) in
       match Validate.check_desc t.checker ~pkt ~cmpt with
       | Some _ ->
           t.c.detected <- t.c.detected + 1;

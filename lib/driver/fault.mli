@@ -27,7 +27,7 @@ type kind =
   | Flip  (** 1–3 random bit flips anywhere in the completion record *)
   | Semantic  (** targeted corruption of one checkable @semantic field *)
   | Torn  (** partial DMA write: the record's tail is garbage *)
-  | Duplicate  (** the completion (and its packet slot) is delivered twice *)
+  | Duplicate  (** the completion and its frame are delivered twice *)
   | Reorder  (** the completion swaps places with its successor *)
   | Stale
       (** spurious wraparound: the slot retains the previous lap's

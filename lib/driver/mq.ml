@@ -34,24 +34,12 @@ let steer ?view t pkt =
 
 let rx_inject ?view t pkt = Device.rx_inject t.devices.(steer ?view t pkt) pkt
 
-(* A flow->queue cache in front of the Toeplitz hash, like a NIC's RSS
-   indirection table: same queue decisions as [steer] (the hash is a pure
-   function of the flow), one hash per flow instead of one per packet. *)
-type steer_cache = (Packet.Fivetuple.t, int) Hashtbl.t
+(* Kept for existing callers only: steering is the hash itself (one
+   table lookup per input byte), so there is nothing to cache. *)
+type steer_cache = unit
 
-let make_steer_cache ?(size = 256) () : steer_cache = Hashtbl.create size
-
-let steer_cached t (cache : steer_cache) pkt =
-  let view = Packet.Pkt.parse pkt in
-  match Packet.Fivetuple.of_pkt pkt view with
-  | Some flow -> (
-      match Hashtbl.find_opt cache flow with
-      | Some q -> q
-      | None ->
-          let q = steer ~view t pkt in
-          Hashtbl.replace cache flow q;
-          q)
-  | None -> steer ~view t pkt
+let make_steer_cache () = ()
+let steer_cached t () pkt = steer t pkt
 
 let rx_counts t = Array.map Device.rx_count t.devices
 

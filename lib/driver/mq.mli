@@ -32,25 +32,25 @@ val queue : t -> int -> Device.t
 
 val steer : ?view:Packet.Pkt.view -> t -> Packet.Pkt.t -> int
 (** The queue the steering function selects (Toeplitz over the flow,
-    modulo queue count; 0 for unhashable frames). Pass [?view] when the
-    caller already holds the parsed view — the injection hot path — to
-    skip the re-parse. *)
+    modulo queue count; 0 for unhashable frames). Every packet is
+    hashed: the hash is a pure function of the flow, so a flow's packets
+    always pick the same queue without a flow table. Pass [?view] when
+    the caller already holds the parsed view to skip the re-parse. *)
 
 val rx_inject : ?view:Packet.Pkt.view -> t -> Packet.Pkt.t -> bool
 (** Inject via the steering function ([?view] as in {!steer}). *)
 
 type steer_cache
-(** A flow -> queue cache in front of the Toeplitz hash — the software
-    twin of a NIC's RSS indirection table. *)
+(** Stateless. Steering hashes every packet: {!steer} is one Toeplitz
+    table lookup per input byte, cheaper than looking the flow up in a
+    table. The type, {!make_steer_cache} and {!steer_cached} remain only
+    for existing callers. *)
 
-val make_steer_cache : ?size:int -> unit -> steer_cache
-(** Default initial size 256 (flows, not packets). *)
+val make_steer_cache : unit -> steer_cache
+(** Equivalent to [()]: there is no state to create. *)
 
 val steer_cached : t -> steer_cache -> Packet.Pkt.t -> int
-(** {!steer} through the cache: parses the packet, hashes only on a
-    cache miss. Identical queue choice to {!steer} — the hash is a pure
-    function of the flow — so cached and uncached steering interleave
-    safely. Unhashable frames bypass the cache (queue 0). *)
+(** Equivalent to {!steer}: [steer_cached t c pkt = steer t pkt]. *)
 
 val rx_counts : t -> int array
 (** Packets delivered per queue. *)

@@ -4,9 +4,8 @@
    worker performs both the device-side injection (completion write-out)
    and the host-side burst harvest for its queues, so no device state is
    ever shared between domains. A steering/injection domain parses each
-   packet once, steers it (with a flow->queue cache in front of the
-   Toeplitz hash, like a NIC's RSS indirection table) and hands the
-   packet BYTES to the owning worker over a bounded SPSC byte ring
+   packet once, steers it by its Toeplitz hash ({!Mq.steer}) and hands
+   the packet BYTES to the owning worker over a bounded SPSC byte ring
    ({!Pktring}) whose slots are preallocated — the handoff neither
    allocates nor publishes an index per packet. Stats are sharded: each
    worker charges a domain-local ledger and the shards merge on demand
@@ -634,7 +633,6 @@ let run ?(domains = 1) ?(batch = 32) ?(ring_capacity = 1024) ?(collect = false)
   let pre =
     if not pregen then None
     else begin
-      let cache = Mq.make_steer_cache () in
       let bufs = Array.make (max 1 pkts) Bytes.empty in
       let lens = Array.make (max 1 pkts) 0 in
       let qs = Array.make (max 1 pkts) 0 in
@@ -642,7 +640,7 @@ let run ?(domains = 1) ?(batch = 32) ?(ring_capacity = 1024) ?(collect = false)
         let pkt = Packet.Workload.next workload in
         bufs.(k) <- pkt.Packet.Pkt.buf;
         lens.(k) <- pkt.Packet.Pkt.len;
-        qs.(k) <- Mq.steer_cached mq cache pkt
+        qs.(k) <- Mq.steer mq pkt
       done;
       Some (bufs, lens, qs)
     end
@@ -712,11 +710,9 @@ let run ?(domains = 1) ?(batch = 32) ?(ring_capacity = 1024) ?(collect = false)
         push_one bufs.(k) lens.(k) qs.(k)
       done
   | None ->
-      let cache = Mq.make_steer_cache () in
       for _ = 1 to pkts do
         let pkt = Packet.Workload.next workload in
-        push_one pkt.Packet.Pkt.buf pkt.Packet.Pkt.len
-          (Mq.steer_cached mq cache pkt)
+        push_one pkt.Packet.Pkt.buf pkt.Packet.Pkt.len (Mq.steer mq pkt)
       done);
   Array.iter Pktring.flush rings;
   end_chunk ();
@@ -859,12 +855,10 @@ let hot_swap ?(domains = 1) ?(batch = 32) ?(ring_capacity = 1024)
     incr pushed_in_chunk;
     if !pushed_in_chunk >= 256 then end_chunk ()
   in
-  let cache = Mq.make_steer_cache () in
   let push_range n =
     for _ = 1 to n do
       let pkt = Packet.Workload.next workload in
-      push_one pkt.Packet.Pkt.buf pkt.Packet.Pkt.len
-        (Mq.steer_cached mq cache pkt)
+      push_one pkt.Packet.Pkt.buf pkt.Packet.Pkt.len (Mq.steer mq pkt)
     done;
     Array.iter Pktring.flush rings;
     end_chunk ()

@@ -269,12 +269,11 @@ let run_seq ~mq ~plan ~batch ~pkts ~at ~workload ~collect_post ~stack0
         done
     | _ -> ()
   in
-  let cache = Mq.make_steer_cache () in
   let injected = ref 0 in
   let inject_n n =
     for _ = 1 to n do
       let pkt = Packet.Workload.next workload in
-      let q = Mq.steer_cached mq cache pkt in
+      let q = Mq.steer mq pkt in
       ignore (Fault.rx_inject fqs.(q) pkt);
       incr injected;
       if !injected mod batch = 0 then

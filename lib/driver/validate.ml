@@ -22,13 +22,20 @@ let nondeterministic = [ "timestamp"; "wire_timestamp" ]
    the register and disagree with the device by construction. *)
 let stateful = [ "flow_pkts" ]
 
-type checker = {
-  ck_env : Softnic.Feature.env;
-  ck_fields : (Opendesc.Path.lfield * Softnic.Feature.t) list;
+(* One checked field, staged once per path as {!Device} stages its
+   synthesis plan: the reference [compute], the field's reader and its
+   mask are looked up and built here, not per packet. *)
+type check = {
+  c_field : Opendesc.Path.lfield;
+  c_compute : Softnic.Feature.env -> Packet.Pkt.t -> Packet.Pkt.view -> int64;
+  c_read : bytes -> int64;
+  c_mask : int64;
 }
 
+type checker = { ck_env : Softnic.Feature.env; ck_checks : check array }
+
 let checker_of_path ~env ~softnic (path : Opendesc.Path.t) =
-  let fields =
+  let checks =
     List.filter_map
       (fun (f : Opendesc.Path.lfield) ->
         match f.l_semantic with
@@ -36,38 +43,42 @@ let checker_of_path ~env ~softnic (path : Opendesc.Path.t) =
           when f.l_bits <= 64
                && (not (List.mem sem nondeterministic))
                && not (List.mem sem stateful) ->
-            Option.map (fun feature -> (f, feature)) (Softnic.Registry.find softnic sem)
+            Option.map
+              (fun (feature : Softnic.Feature.t) ->
+                {
+                  c_field = f;
+                  c_compute = feature.compute;
+                  c_read = Opendesc.Accessor.reader_fn ~bit_off:f.l_bit_off ~bits:f.l_bits;
+                  c_mask = Packet.Bitops.mask f.l_bits;
+                })
+              (Softnic.Registry.find softnic sem)
         | _ -> None)
       path.p_layout.fields
   in
-  { ck_env = env; ck_fields = fields }
+  { ck_env = env; ck_checks = Array.of_list checks }
 
 let checker_of_device device =
   checker_of_path ~env:(Device.env device)
     ~softnic:(Softnic.Registry.builtin ())
     (Device.active_path device)
 
-let checker_fields ck = List.map fst ck.ck_fields
+let checker_fields ck = Array.to_list (Array.map (fun c -> c.c_field) ck.ck_checks)
 let checker_semantics ck =
-  List.map (fun ((f : Opendesc.Path.lfield), _) -> Option.get f.l_semantic) ck.ck_fields
+  List.map (fun (f : Opendesc.Path.lfield) -> Option.get f.l_semantic) (checker_fields ck)
 
 let check_desc ck ~pkt ~cmpt =
   let view = Packet.Pkt.parse pkt in
-  let rec go = function
-    | [] -> None
-    | ((f : Opendesc.Path.lfield), (feature : Softnic.Feature.t)) :: rest ->
-        let expected =
-          Int64.logand
-            (feature.compute ck.ck_env pkt view)
-            (Packet.Bitops.mask f.l_bits)
-        in
-        let got =
-          Opendesc.Accessor.reader ~bit_off:f.l_bit_off ~bits:f.l_bits cmpt
-        in
-        if Int64.equal expected got then go rest
-        else Some (Option.get f.l_semantic)
-  in
-  go ck.ck_fields
+  let checks = ck.ck_checks in
+  let i = ref 0 in
+  while
+    !i < Array.length checks
+    &&
+    let c = Array.unsafe_get checks !i in
+    Int64.equal (Int64.logand (c.c_compute ck.ck_env pkt view) c.c_mask) (c.c_read cmpt)
+  do
+    incr i
+  done;
+  if !i = Array.length checks then None else Some (Option.get checks.(!i).c_field.l_semantic)
 
 let probe_workloads seed =
   Packet.Workload.

@@ -57,7 +57,9 @@ val checker_of_path :
 (** Check every layout field whose semantic has a deterministic software
     reference: present in [softnic], at most 64 bits, and neither
     nondeterministic (timestamps) nor stateful (register-file offloads
-    like [flow_pkts], whose recomputation would advance the register). *)
+    like [flow_pkts], whose recomputation would advance the register).
+    Staged once per path: each checked field's reference [compute],
+    reader and mask are built here, so {!check_desc} only walks them. *)
 
 val checker_of_device : Device.t -> checker
 (** {!checker_of_path} over the device's active path, sharing the
@@ -74,4 +76,6 @@ val check_desc : checker -> pkt:Packet.Pkt.t -> cmpt:bytes -> string option
 (** [Some semantic] names the first field whose completion value differs
     from the reference recomputation on [pkt]; [None] means the
     descriptor honours the contract. Pure for the device: no counters
-    advance, no state mutates. *)
+    advance, no state mutates. Each field's reader returns only that
+    field's bits, so [cmpt] may be longer than the layout (a burst
+    buffer) and gives the same verdict as the record trimmed to it. *)

@@ -28,6 +28,11 @@ val reader : bit_off:int -> bits:int -> bytes -> int64
     Fields wider than 64 bits — reserved/padding blobs in real
     descriptors — read as 0 and write as a no-op. *)
 
+val reader_fn : bit_off:int -> bits:int -> bytes -> int64
+(** {!reader} staged: applied to [~bit_off ~bits] it picks the read
+    shape once and returns the closure that reads. Stage it where a
+    field is read per packet; [reader] picks the shape on every call. *)
+
 val writer : bit_off:int -> bits:int -> bytes -> int64 -> unit
 
 val of_lfield : ?registry_bits:int -> Path.lfield -> t
