@@ -866,7 +866,7 @@ let parallel_domains = [ 1; 2; 4 ]
    is still reported, informationally. *)
 
 let hot_reps = 3
-let minor_words_budget = 400.0
+let minor_words_budget = 60.0
 
 type parallel_point = {
   pp_domains : int;

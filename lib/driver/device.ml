@@ -1,14 +1,10 @@
-(* One completion field of the synthesis plan: its writer and the
-   model's staged producer. *)
-type step = { write : bytes -> int64 -> unit; produce : Nic_models.Model.producer }
-
 type t = {
   mutable model : Nic_models.Model.t;
   env : Softnic.Feature.env;
   mutable config : Opendesc_analysis.Context.assignment;
   mutable active_path : Opendesc.Path.t;
-  mutable plan : step array;
-      (** the active path's fields in layout order, staged by {!plan_of} *)
+  mutable encoder : Softnic.Codec.encoder;
+      (** the active path's completion encoder, staged by {!encoder_of} *)
   cmpt_ring : Ring.t;
   pkt_ring : Ring.t;
   tx_ring : Ring.t;
@@ -69,18 +65,14 @@ let stage_tx t fmt =
   t.tx_addr <- Option.bind fmt addr_reader
 
 (* Staged once per selected path, at [create], [configure] and
-   [upgrade]: the registry and constant lookups and the writer shapes are
-   resolved here, so injection runs a straight loop over the plan. Layout
-   order is kept, so stateful producers ([flow_pkts], [timestamp]) tick
-   in the same order as the fields are written. *)
-let plan_of (model : Nic_models.Model.t) (path : Opendesc.Path.t) =
-  Array.of_list
+   [upgrade]: the registry and constant lookups, the identity check that
+   picks each field's int core, and the write shapes are resolved here,
+   so injection runs one straight loop. *)
+let encoder_of (model : Nic_models.Model.t) (path : Opendesc.Path.t) =
+  Softnic.Codec.encoder ~size_bytes:path.p_layout.size_bytes
     (List.map
        (fun (f : Opendesc.Path.lfield) ->
-         {
-           write = Opendesc.Accessor.writer ~bit_off:f.l_bit_off ~bits:f.l_bits;
-           produce = model.stage f;
-         })
+         (f.l_bit_off, f.l_bits, Nic_models.Model.source model f))
        path.p_layout.fields)
 
 let create ?(queue_depth = 512) ?(buf_size = 2048) ~config (model : Nic_models.Model.t)
@@ -109,7 +101,7 @@ let create ?(queue_depth = 512) ?(buf_size = 2048) ~config (model : Nic_models.M
           env = Softnic.Feature.make_env ();
           config;
           active_path = path;
-          plan = plan_of model path;
+          encoder = encoder_of model path;
           cmpt_ring;
           pkt_ring;
           tx_ring;
@@ -139,7 +131,7 @@ let configure t config =
   | Some path ->
       t.config <- config;
       t.active_path <- path;
-      t.plan <- plan_of t.model path;
+      t.encoder <- encoder_of t.model path;
       Ok ()
 
 let active_path t = t.active_path
@@ -183,7 +175,7 @@ let upgrade t ~config (model : Nic_models.Model.t) =
         t.model <- model;
         t.config <- config;
         t.active_path <- path;
-        t.plan <- plan_of model path;
+        t.encoder <- encoder_of model path;
         stage_tx t (smallest_tx model.spec);
         Ok ()
       end
@@ -199,9 +191,9 @@ let buf_size t = t.buf_size
 (* The pooled injection primitive: the payload lives in the first [len]
    bytes of [buf] (which may be a reusable scratch buffer longer than the
    packet). The frame goes straight into the packet ring's slot and the
-   completion is built in the preallocated [inj_cmpt] by the path's
-   plan, so injecting a packet allocates only the [Pkt.t] wrapper, its
-   parsed view and what the producers return. *)
+   path's encoder writes the completion into the preallocated
+   [inj_cmpt], so injecting a packet allocates only the [Pkt.t] wrapper
+   and its parsed view, plus whatever a boxed producer returns. *)
 let rx_inject_raw t buf ~len =
   if len > t.buf_size || Ring.is_full t.pkt_ring || Ring.is_full t.cmpt_ring then begin
     t.drops <- t.drops + 1;
@@ -209,17 +201,12 @@ let rx_inject_raw t buf ~len =
   end
   else begin
     let ok1 = Ring.produce_frame t.pkt_ring buf ~len in
-    (* Completion record per the active path's layout. *)
-    let layout = t.active_path.p_layout in
-    Bytes.fill t.inj_cmpt 0 layout.size_bytes '\x00';
     let pkt = Packet.Pkt.sub buf ~len in
-    let view = Packet.Pkt.parse pkt in
-    let plan = t.plan in
-    for i = 0 to Array.length plan - 1 do
-      let s = Array.unsafe_get plan i in
-      s.write t.inj_cmpt (s.produce t.env pkt view)
-    done;
-    let ok2 = Ring.produce_dev t.cmpt_ring t.inj_cmpt ~len:layout.size_bytes in
+    Softnic.Codec.encode t.encoder t.env pkt (Packet.Pkt.parse pkt) t.inj_cmpt;
+    let ok2 =
+      Ring.produce_dev t.cmpt_ring t.inj_cmpt
+        ~len:(Softnic.Codec.size_bytes t.encoder)
+    in
     assert (ok1 && ok2);
     t.rx_count <- t.rx_count + 1;
     true

@@ -49,10 +49,11 @@ val create_exn :
 
 val configure : t -> Opendesc_analysis.Context.assignment -> (unit, string) result
 (** Reprogram the queue context (the implicit control channel of the
-    paper's Figure 2) and stage the selected path's synthesis plan: each
-    field's writer and {!Nic_models.Model.stage} producer, built here
-    once so injection does no per-field lookup. Outstanding completions
-    keep the old layout; callers normally drain first. *)
+    paper's Figure 2) and stage the selected path's completion encoder
+    ({!Softnic.Codec.encoder}): each field's {!Nic_models.Model.source}
+    and write shape, resolved here once so injection does no per-field
+    lookup. Outstanding completions keep the old layout; callers
+    normally drain first. *)
 
 val active_path : t -> Opendesc.Path.t
 
@@ -63,8 +64,8 @@ val upgrade :
   (unit, string) result
 (** Hot-swap the device's firmware contract in place: install a new
     behavioural model and program [config] (which must select one of its
-    completion paths), staging the new path's synthesis plan from the new
-    model as {!configure} does. Rings, DMA counters and the feature
+    completion paths), staging the new path's completion encoder from
+    the new model as {!configure} does. Rings, DMA counters and the feature
     environment (RSS key, clock, flow marks) are preserved, so steering
     and keyed semantics are continuous across the swap. Refused — with the device
     untouched — when completions are still in flight (they were written

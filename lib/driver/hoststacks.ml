@@ -196,6 +196,10 @@ let opendesc ~(compiled : Opendesc.Compile.t) =
   in
   { Stack.st_name = "opendesc"; st_consume = consume }
 
+(* A software binding on the byte path: a builtin's int core, or the
+   feature's own [compute] (custom registries, [kvs_key]). *)
+type shim = Core of Softnic.Codec.sem | Compute of Softnic.Feature.t
+
 (* Burst-at-a-time generated runtime: one ring advance, one refill, one
    doorbell and one contiguous completion-array load for the whole
    harvest, then the same constant-time accessor reads / software shims
@@ -206,16 +210,43 @@ let opendesc_batched ~(compiled : Opendesc.Compile.t) =
   let path = Opendesc.Compile.path compiled in
   let size = path.p_layout.size_bytes in
   (* Bind once at stack-construction time: an array walks without the
-     list's pointer chasing, and [nsoft] tells the hot path whether it
-     can skip the software parse entirely. *)
+     list's pointer chasing. *)
   let bindings = Array.of_list (List.map snd compiled.bindings) in
   let nbind = Array.length bindings in
-  let nsoft =
-    Array.fold_left
-      (fun a b ->
-        match b with Opendesc.Compile.Software _ -> a + 1 | _ -> a)
-      0 bindings
+  (* The byte path's decoder, staged from the same bindings: hardware
+     fields by read shape, software ones by core. *)
+  let hw =
+    Array.of_list
+      (List.filter_map
+         (function
+           | _, Opendesc.Compile.Hardware (a : Opendesc.Accessor.t) -> Some a
+           | _, Opendesc.Compile.Software _ -> None)
+         compiled.bindings)
   in
+  let shapes =
+    Array.map
+      (fun (a : Opendesc.Accessor.t) ->
+        Opendesc.Accessor.shape ~bit_off:a.a_bit_off ~bits:a.a_bits)
+      hw
+  in
+  let shims =
+    Array.of_list
+      (List.filter_map
+         (function
+           | _, Opendesc.Compile.Hardware _ -> None
+           | _, Opendesc.Compile.Software (f : Softnic.Feature.t) ->
+               Some
+                 (match Softnic.Registry.core_of f.compute with
+                 | Some sem -> Core sem
+                 | None -> Compute f))
+         compiled.bindings)
+  in
+  let nshim = Array.length shims in
+  let needs fact =
+    Array.exists (function Core sem -> fact sem | Compute _ -> false) shims
+  in
+  let need_ipsum = needs Softnic.Codec.needs_ipsum in
+  let need_l4sum = needs Softnic.Codec.needs_l4sum in
   let consume sink env (b : Device.burst) =
     let n = b.Device.bs_count in
     if n = 0 then 0L
@@ -250,31 +281,46 @@ let opendesc_batched ~(compiled : Opendesc.Compile.t) =
           done;
           !acc
       | Cost.Null ->
-          (* The byte path: same values, no bookkeeping. Hardware-only
-             bindings never touch the packet; software shims parse once
-             per packet (one [Pkt.t] + one [view] record — the only
-             allocations on this path). *)
+          (* The byte path: same values, no bookkeeping, nothing boxed
+             per packet. Hardware reads are [Bytes] loads in this loop
+             (a call into [Accessor] would return a boxed int64); the sum
+             is order-free, and shims keep their binding order, so
+             stateful ones tick as on the accounting path. Shims parse
+             once per packet (one [Pkt.t] + one [view] record) and share
+             the checksum facts. *)
           let acc = ref 0L in
           for i = 0 to n - 1 do
             let cmpt = b.Device.bs_cmpts.(i) in
-            if nsoft = 0 then
-              for j = 0 to nbind - 1 do
-                match bindings.(j) with
-                | Opendesc.Compile.Hardware a ->
-                    acc := Int64.add !acc (a.a_get cmpt)
-                | Opendesc.Compile.Software _ -> ()
-              done
-            else begin
+            for j = 0 to Array.length shapes - 1 do
+              acc :=
+                Int64.add !acc
+                  (match Array.unsafe_get shapes j with
+                  | Opendesc.Accessor.Byte o -> Int64.of_int (Bytes.get_uint8 cmpt o)
+                  | Be16 o -> Int64.of_int (Bytes.get_uint16_be cmpt o)
+                  | Be32 o ->
+                      Int64.of_int (Int32.to_int (Bytes.get_int32_be cmpt o) land 0xFFFFFFFF)
+                  | Be64 o -> Bytes.get_int64_be cmpt o
+                  | In_word { word; shift; mask } when Bytes.length cmpt >= word + 8 ->
+                      Int64.logand
+                        (Int64.shift_right_logical (Bytes.get_int64_be cmpt word) shift)
+                        mask
+                  | Blob -> 0L
+                  | In_word _ | Walk -> hw.(j).a_get cmpt)
+            done;
+            if nshim > 0 then begin
               let pkt =
                 Packet.Pkt.sub b.Device.bs_pkts.(i) ~len:b.Device.bs_lens.(i)
               in
               let view = Packet.Pkt.parse pkt in
-              for j = 0 to nbind - 1 do
-                match bindings.(j) with
-                | Opendesc.Compile.Hardware a ->
-                    acc := Int64.add !acc (a.a_get cmpt)
-                | Opendesc.Compile.Software f ->
-                    acc := Int64.add !acc (f.compute env pkt view)
+              let ipsum = if need_ipsum then Softnic.Codec.ipv4_sum pkt view else -1 in
+              let l4sum = if need_l4sum then Softnic.Codec.l4_sum pkt view else -1 in
+              for j = 0 to nshim - 1 do
+                match Array.unsafe_get shims j with
+                | Core sem ->
+                    acc :=
+                      Int64.add !acc
+                        (Int64.of_int (Softnic.Codec.value sem env pkt view ~ipsum ~l4sum))
+                | Compute f -> acc := Int64.add !acc (f.compute env pkt view)
               done
             end
           done;

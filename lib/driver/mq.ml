@@ -28,9 +28,8 @@ let queue t i = t.devices.(i)
 
 let steer ?view t pkt =
   let view = match view with Some v -> v | None -> Packet.Pkt.parse pkt in
-  let hash = Softnic.Toeplitz.hash_pkt ~key:t.key pkt view in
-  if Int32.equal hash 0l then 0
-  else Int32.to_int (Int32.logand hash 0x7FFFFFFFl) mod Array.length t.devices
+  let hash = Softnic.Toeplitz.hash_pkt_int t.key pkt view in
+  if hash = 0 then 0 else (hash land 0x7FFFFFFF) mod Array.length t.devices
 
 let rx_inject ?view t pkt = Device.rx_inject t.devices.(steer ?view t pkt) pkt
 

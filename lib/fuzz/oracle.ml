@@ -383,7 +383,11 @@ let check_differential rng (spec : Nic_spec.t) =
 (* Stage: device emit. A simulated device programmed onto each path
    serialises completions for real traffic; the three decoders must
    agree on the emitted bytes too (write/read agreement, not just
-   read/read). *)
+   read/read), and every field with a deterministic reference must hold
+   the registry's value for the packet, masked to the field — so the
+   random widths and offsets exercise every write shape of the device's
+   encoder. Timestamps and stateful semantics are skipped, as
+   [Driver.Validate]'s checker skips them. *)
 
 let packets_per_path = 10
 
@@ -401,6 +405,11 @@ let check_device rng (spec : Nic_spec.t) =
           | Ok dev ->
               let* fields, tenv, pd = path_interp p in
               let size = p.p_layout.Path.size_bytes in
+              let values =
+                Driver.Validate.checker_of_path ~env:(Driver.Device.env dev)
+                  ~softnic:(Nic_models.Model.hardware_registry ())
+                  p
+              in
               let wl =
                 Packet.Workload.make ~seed:(Rng.next64 rng) ~flows:8
                   Packet.Workload.Imix
@@ -423,6 +432,14 @@ let check_device rng (spec : Nic_spec.t) =
                                 (Printf.sprintf "%s/p%d cmpt" spec.nic_name
                                    p.p_index)
                               ~tenv ~parser_def:pd fields cmpt size
+                        in
+                        let* () =
+                          match Driver.Validate.check_desc values ~pkt ~cmpt with
+                          | None -> Ok ()
+                          | Some sem ->
+                              fail "device"
+                                "%s/p%d: %s differs from the registry's value"
+                                spec.nic_name p.p_index sem
                         in
                         go (n - 1)
                 end

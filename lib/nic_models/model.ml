@@ -9,6 +9,7 @@ type t = {
     Packet.Pkt.view ->
     Opendesc.Path.lfield ->
     int64;
+  constant : producer -> int64 option;
 }
 
 let feature semantic width_bits compute =
@@ -16,9 +17,10 @@ let feature semantic width_bits compute =
 
 (* Device-side implementations of semantics the host cannot reproduce. *)
 let wire_timestamp =
-  (* A PHC reading: reuse the env clock but at a finer notional
-     granularity; what matters to experiments is monotonicity. *)
-  feature "wire_timestamp" 64 (fun env _ _ -> Softnic.Tstamp.now env.clock)
+  (* A PHC reading: the env clock, read as the software timestamp reads
+     it. Sharing its [compute] lets the device's encoder tick the clock
+     as an int; what matters to experiments is monotonicity. *)
+  feature "wire_timestamp" 64 Softnic.Registry.timestamp.compute
 
 let inline_crypto_tag =
   (* Stand-in for an inline-crypto accelerator: a keyed digest of the
@@ -61,20 +63,33 @@ let default_constants =
 let zero _ _ _ = 0L
 
 (* The lookups happen here, once per field; the producer returned is the
-   registry's own [compute] or a constant, so running it per packet does
-   no lookup and allocates no closure. *)
-let stage_with registry constants (f : Opendesc.Path.lfield) =
-  match f.l_semantic with
-  | Some s -> (
-      match Softnic.Registry.find registry s with
-      | Some feature -> feature.compute
-      | None -> zero)
-  | None -> (
-      match List.assoc_opt f.l_name constants with
-      | Some v -> fun _ _ _ -> v
-      | None -> zero)
-
+   registry's own [compute], one of the model's constant closures (made
+   once, in [make]) or [zero], so running it per packet does no lookup
+   and allocates no closure. *)
 let make ?(constants = default_constants) ?registry spec =
   let registry = match registry with Some r -> r | None -> hardware_registry () in
-  let stage = stage_with registry constants in
-  { spec; stage; resolve = (fun env pkt view f -> stage f env pkt view) }
+  let staged = List.map (fun (name, v) -> (name, v, fun _ _ _ -> v)) constants in
+  let stage (f : Opendesc.Path.lfield) =
+    match f.l_semantic with
+    | Some s -> (
+        match Softnic.Registry.find registry s with
+        | Some feature -> feature.compute
+        | None -> zero)
+    | None -> (
+        match List.find_opt (fun (name, _, _) -> name = f.l_name) staged with
+        | Some (_, _, p) -> p
+        | None -> zero)
+  in
+  let constant p = List.find_map (fun (_, v, q) -> if q == p then Some v else None) staged in
+  { spec; stage; resolve = (fun env pkt view f -> stage f env pkt view); constant }
+
+let source t f =
+  let p = t.stage f in
+  if p == zero then Softnic.Codec.Const 0L
+  else
+    match Softnic.Registry.core_of p with
+    | Some sem -> Softnic.Codec.Core sem
+    | None -> (
+        match t.constant p with
+        | Some v -> Softnic.Codec.Const v
+        | None -> Softnic.Codec.Boxed p)

@@ -31,6 +31,9 @@ type t = {
       (** Unstaged resolution, [resolve env pkt view f = stage f env pkt
           view] for models built by {!make}: the lookup runs on every
           call. *)
+  constant : producer -> int64 option;
+      (** [constant p] is [Some v] when [p] is one of the constant
+          producers {!stage} returns, compared by identity. *)
 }
 
 val hardware_registry : unit -> Softnic.Registry.t
@@ -51,3 +54,12 @@ val make :
     with the reference implementations of any custom semantics a
     programmable pipeline is supposed to compute; it is read when a
     field is staged, so extend it before creating devices. *)
+
+val source : t -> Opendesc.Path.lfield -> Softnic.Codec.source
+(** How the device's encoder produces field [f]: calls [t.stage f] and
+    classifies the producer by identity — the zero producer or one of
+    the model's constants is [Const], a builtin's [compute] is its
+    [Core], and anything else (a custom registry's feature, a wrapper
+    around [stage], [inline_crypto_tag]) stays [Boxed] and is called
+    per packet. Either way the completion bytes are those of
+    [resolve]. *)

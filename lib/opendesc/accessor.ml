@@ -10,40 +10,56 @@ type t = {
 
 let of_int32 v = Int64.logand (Int64.of_int32 v) 0xFFFFFFFFL
 
-(* Specialised closures for the common shapes; the device writer uses the
-   same MSB-first convention, so reads and writes always agree. Fields
-   that are neither byte-aligned power-of-two nor confined to one aligned
-   64-bit word fall back to the generic per-byte bit walk. *)
-let reader_fn ~bit_off ~bits =
-  if bits > 64 then fun _ -> 0L (* reserved/padding blobs exceed an int64 *)
+type shape =
+  | Blob
+  | Byte of int
+  | Be16 of int
+  | Be32 of int
+  | Be64 of int
+  | In_word of { word : int; shift : int; mask : int64 }
+  | Walk
+
+(* The read shape of a field; the device writer uses the same MSB-first
+   convention, so reads and writes always agree. Fields that are neither
+   byte-aligned power-of-two nor confined to one aligned 64-bit word take
+   the generic per-byte bit walk. An [In_word] field is one big-endian
+   load, a logical shift and a mask (MSB-first: bit 0 of the word is its
+   top bit). *)
+let shape ~bit_off ~bits =
+  if bits > 64 then Blob (* reserved/padding blobs exceed an int64 *)
   else if bit_off mod 8 = 0 && (bits = 8 || bits = 16 || bits = 32 || bits = 64)
   then begin
     let byte = bit_off / 8 in
-    match bits with
-    | 8 -> fun b -> Int64.of_int (Char.code (Bytes.get b byte))
-    | 16 -> fun b -> Int64.of_int (Bytes.get_uint16_be b byte)
-    | 32 -> fun b -> of_int32 (Bytes.get_int32_be b byte)
-    | _ -> fun b -> Bytes.get_int64_be b byte
+    match bits with 8 -> Byte byte | 16 -> Be16 byte | 32 -> Be32 byte | _ -> Be64 byte
   end
   else begin
-    (* Single-load fast path: any field fully contained in one aligned
-       64-bit word is one big-endian load, a logical shift and a mask
-       (MSB-first: bit 0 of the word is its top bit). Buffers shorter
-       than the containing word (odd-size layouts) take the generic
-       walk — the fast path must never read past the layout. *)
-    let word_byte = bit_off / 64 * 8 in
-    if bit_off + bits <= (word_byte * 8) + 64 then begin
-      let shift = (word_byte * 8) + 64 - (bit_off + bits) in
-      let msk = Packet.Bitops.mask bits in
-      fun b ->
-        if Bytes.length b >= word_byte + 8 then
-          Int64.logand
-            (Int64.shift_right_logical (Bytes.get_int64_be b word_byte) shift)
-            msk
-        else Packet.Bitops.get_bits b ~bit_off ~width:bits
-    end
-    else fun b -> Packet.Bitops.get_bits b ~bit_off ~width:bits
+    let word = bit_off / 64 * 8 in
+    if bit_off + bits <= (word * 8) + 64 then
+      In_word
+        {
+          word;
+          shift = (word * 8) + 64 - (bit_off + bits);
+          mask = Packet.Bitops.mask bits;
+        }
+    else Walk
   end
+
+(* Buffers shorter than an [In_word] field's containing word (odd-size
+   layouts) take the generic walk: the fast path must never read past
+   the layout. *)
+let reader_fn ~bit_off ~bits =
+  match shape ~bit_off ~bits with
+  | Blob -> fun _ -> 0L
+  | Byte byte -> fun b -> Int64.of_int (Char.code (Bytes.get b byte))
+  | Be16 byte -> fun b -> Int64.of_int (Bytes.get_uint16_be b byte)
+  | Be32 byte -> fun b -> of_int32 (Bytes.get_int32_be b byte)
+  | Be64 byte -> fun b -> Bytes.get_int64_be b byte
+  | In_word { word; shift; mask } ->
+      fun b ->
+        if Bytes.length b >= word + 8 then
+          Int64.logand (Int64.shift_right_logical (Bytes.get_int64_be b word) shift) mask
+        else Packet.Bitops.get_bits b ~bit_off ~width:bits
+  | Walk -> fun b -> Packet.Bitops.get_bits b ~bit_off ~width:bits
 
 let reader ~bit_off ~bits b = (reader_fn ~bit_off ~bits) b
 

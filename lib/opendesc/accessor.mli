@@ -23,6 +23,23 @@ type t = {
   a_get : bytes -> int64;
 }
 
+type shape =
+  | Blob  (** wider than 64 bits: reads as 0 *)
+  | Byte of int  (** byte offset *)
+  | Be16 of int
+  | Be32 of int
+  | Be64 of int
+  | In_word of { word : int; shift : int; mask : int64 }
+      (** inside the aligned 64-bit word at byte [word]: shift the
+          big-endian load right by [shift], then mask — when the buffer
+          holds the whole word; otherwise the bit walk *)
+  | Walk  (** the generic bit walk *)
+(** How a field is read. {!reader_fn} is built from it; a decoder that
+    reads in its own loop (the batched host stack) matches on it and
+    reads with [Bytes] primitives, so a read returns an unboxed value. *)
+
+val shape : bit_off:int -> bits:int -> shape
+
 val reader : bit_off:int -> bits:int -> bytes -> int64
 (** Generic MSB-first field read (specialised fast paths inside).
     Fields wider than 64 bits — reserved/padding blobs in real

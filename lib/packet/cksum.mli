@@ -10,9 +10,19 @@ val finish : int -> int
 
 val ipv4_header : bytes -> off:int -> int
 (** Checksum of the IPv4 header starting at [off] (reads IHL itself),
-    computed with the checksum field treated as zero. *)
+    computed with the checksum field treated as zero. Reads IHL×4 bytes
+    whatever they hold: for a received frame use {!ipv4_header_within}. *)
+
+val ipv4_header_within : bytes -> off:int -> len:int -> int
+(** {!ipv4_header} of a header that must lie in the first [len] bytes of
+    the buffer: [-1] when IHL×4 is under 20 bytes or [off + IHL×4 > len],
+    so a truncated frame never reads past its end (nor, in a pooled
+    buffer, a previous frame's bytes). Requires [off < len]. *)
+
+val l4_sum : bytes -> v:Pkt.view -> total_len:int -> int
+(** TCP/UDP checksum over IPv4 pseudo-header + L4 segment, with the
+    in-packet checksum field treated as zero; [-1] for non-IPv4 or
+    missing L4. [total_len] is the packet length. Allocates nothing. *)
 
 val l4 : bytes -> v:Pkt.view -> total_len:int -> int option
-(** TCP/UDP checksum over IPv4 pseudo-header + L4 segment, with the
-    in-packet checksum field treated as zero. [None] for non-IPv4 or
-    missing L4. [total_len] is the packet length. *)
+(** {!l4_sum} with [None] for [-1]. *)

@@ -42,13 +42,14 @@ let no_view =
 (* Parsing runs once per packet on the datapath, so it builds exactly one
    [view] record: every field is computed into a local mutable (ocamlopt
    unboxes non-escaping refs) and the record is constructed once at the
-   end. The staged [{ v with ... }] style read more naturally but cost
+   end. Header reads are Stdlib [Bytes] calls, which inline here; the
+   [Bitops] aliases would be calls across a module boundary. The staged [{ v with ... }] style read more naturally but cost
    four or five 13-field minor-heap records per packet. *)
 let parse t =
   let b = t.buf in
   if t.len < Hdr.eth_len then no_view
   else begin
-    let ethertype = ref (Bitops.get_u16_be b 12) in
+    let ethertype = ref (Bytes.get_uint16_be b 12) in
     let off = ref Hdr.eth_len in
     let vlan_off = ref (-1) in
     let vlan_tci = ref 0 in
@@ -57,9 +58,9 @@ let parse t =
     while !ethertype = Hdr.Ethertype.vlan && !tags < 2 && !off + Hdr.vlan_len <= t.len do
       if !vlan_off = -1 then begin
         vlan_off := !off;
-        vlan_tci := Bitops.get_u16_be b !off
+        vlan_tci := Bytes.get_uint16_be b !off
       end;
-      ethertype := Bitops.get_u16_be b (!off + 2);
+      ethertype := Bytes.get_uint16_be b (!off + 2);
       off := !off + Hdr.vlan_len;
       incr tags
     done;
@@ -75,47 +76,47 @@ let parse t =
        them and allocate per call. The L4 block is spelled out twice. *)
     if !ethertype = Hdr.Ethertype.ipv4 && !off + Hdr.ipv4_min_len <= t.len then begin
       let l3 = !off in
-      let ihl = (Bitops.get_u8 b l3 land 0x0f) * 4 in
+      let ihl = (Bytes.get_uint8 b l3 land 0x0f) * 4 in
       l3_off := l3;
       is_ipv4 := true;
       if ihl >= Hdr.ipv4_min_len && l3 + ihl <= t.len then begin
-        let proto = Bitops.get_u8 b (l3 + 9) in
+        let proto = Bytes.get_uint8 b (l3 + 9) in
         let l4 = l3 + ihl in
         l4_proto := proto;
         if proto = Hdr.Proto.tcp && l4 + Hdr.tcp_min_len <= t.len then begin
-          let doff = (Bitops.get_u8 b (l4 + 12) lsr 4) * 4 in
+          let doff = (Bytes.get_uint8 b (l4 + 12) lsr 4) * 4 in
           l4_off := l4;
           payload_off := min (l4 + doff) t.len;
-          src_port := Bitops.get_u16_be b l4;
-          dst_port := Bitops.get_u16_be b (l4 + 2)
+          src_port := Bytes.get_uint16_be b l4;
+          dst_port := Bytes.get_uint16_be b (l4 + 2)
         end
         else if proto = Hdr.Proto.udp && l4 + Hdr.udp_len <= t.len then begin
           l4_off := l4;
           payload_off := l4 + Hdr.udp_len;
-          src_port := Bitops.get_u16_be b l4;
-          dst_port := Bitops.get_u16_be b (l4 + 2)
+          src_port := Bytes.get_uint16_be b l4;
+          dst_port := Bytes.get_uint16_be b (l4 + 2)
         end
       end
     end
     else if !ethertype = Hdr.Ethertype.ipv6 && !off + Hdr.ipv6_len <= t.len then begin
       let l3 = !off in
-      let proto = Bitops.get_u8 b (l3 + 6) in
+      let proto = Bytes.get_uint8 b (l3 + 6) in
       let l4 = l3 + Hdr.ipv6_len in
       l3_off := l3;
       is_ipv6 := true;
       l4_proto := proto;
       if proto = Hdr.Proto.tcp && l4 + Hdr.tcp_min_len <= t.len then begin
-        let doff = (Bitops.get_u8 b (l4 + 12) lsr 4) * 4 in
+        let doff = (Bytes.get_uint8 b (l4 + 12) lsr 4) * 4 in
         l4_off := l4;
         payload_off := min (l4 + doff) t.len;
-        src_port := Bitops.get_u16_be b l4;
-        dst_port := Bitops.get_u16_be b (l4 + 2)
+        src_port := Bytes.get_uint16_be b l4;
+        dst_port := Bytes.get_uint16_be b (l4 + 2)
       end
       else if proto = Hdr.Proto.udp && l4 + Hdr.udp_len <= t.len then begin
         l4_off := l4;
         payload_off := l4 + Hdr.udp_len;
-        src_port := Bitops.get_u16_be b l4;
-        dst_port := Bitops.get_u16_be b (l4 + 2)
+        src_port := Bytes.get_uint16_be b l4;
+        dst_port := Bytes.get_uint16_be b (l4 + 2)
       end
     end;
     {
@@ -134,13 +135,13 @@ let parse t =
     }
   end
 
-let ipv4_src t v = Bitops.get_u32_be t.buf (v.l3_off + 12)
-let ipv4_dst t v = Bitops.get_u32_be t.buf (v.l3_off + 16)
-let ipv4_ihl t v = (Bitops.get_u8 t.buf v.l3_off land 0x0f) * 4
-let ipv4_total_len t v = Bitops.get_u16_be t.buf (v.l3_off + 2)
-let ipv4_id t v = Bitops.get_u16_be t.buf (v.l3_off + 4)
-let ipv4_ttl t v = Bitops.get_u8 t.buf (v.l3_off + 8)
-let ipv4_hdr_checksum t v = Bitops.get_u16_be t.buf (v.l3_off + 10)
+let ipv4_src t v = Bytes.get_int32_be t.buf (v.l3_off + 12)
+let ipv4_dst t v = Bytes.get_int32_be t.buf (v.l3_off + 16)
+let ipv4_ihl t v = (Bytes.get_uint8 t.buf v.l3_off land 0x0f) * 4
+let ipv4_total_len t v = Bytes.get_uint16_be t.buf (v.l3_off + 2)
+let ipv4_id t v = Bytes.get_uint16_be t.buf (v.l3_off + 4)
+let ipv4_ttl t v = Bytes.get_uint8 t.buf (v.l3_off + 8)
+let ipv4_hdr_checksum t v = Bytes.get_uint16_be t.buf (v.l3_off + 10)
 let ipv6_src t v = Bytes.sub t.buf (v.l3_off + 8) 16
 let ipv6_dst t v = Bytes.sub t.buf (v.l3_off + 24) 16
 

@@ -1,0 +1,91 @@
+(** The completion codec's cores and encoder.
+
+    Every builtin semantic with a value of at most 32 bits (or a clock
+    reading) is one allocation-free {e core} here, returning an int.
+    {!Registry}'s [compute] boxes the core's value; the device's
+    completion encoder ({!encoder}) and the host's batched decoder call
+    the core directly. One implementation per semantic, so the device and
+    the shims cannot drift apart.
+
+    Two packet facts are shared between cores: the IPv4 header sum
+    ({!ipv4_sum}) and the L4 sum ({!l4_sum}). The encoder computes each
+    once per packet, only when a field of its path needs it. *)
+
+type sem =
+  | Rss
+  | Rss_type
+  | Ip_checksum
+  | Csum_ok
+  | L4_checksum
+  | Vlan
+  | Timestamp
+  | Flow_id
+  | Mark
+  | Pkt_len
+  | L3_type
+  | L4_type
+  | Ip_id
+  | Lro_num_seg
+  | Crc
+  | Tunnel_vni
+  | Flow_pkts
+      (** The builtin semantics with an int core ([kvs_key] has none: its
+          value needs all 64 bits). *)
+
+(** {1 Shared facts} *)
+
+val ipv4_sum : Packet.Pkt.t -> Packet.Pkt.view -> int
+(** The computed IPv4 header checksum, or [-1] when the packet is not
+    IPv4 or its IHL×4 is under 20 or runs past the frame. *)
+
+val l4_sum : Packet.Pkt.t -> Packet.Pkt.view -> int
+(** The computed TCP/UDP checksum over the IPv4 pseudo-header, or [-1]
+    when there is no IPv4 L4 header. *)
+
+val needs_ipsum : sem -> bool
+val needs_l4sum : sem -> bool
+
+(** {1 Cores} *)
+
+val value :
+  sem -> Feature.env -> Packet.Pkt.t -> Packet.Pkt.view -> ipsum:int -> l4sum:int -> int
+(** The semantic's value, given the packet's shared facts (any value
+    where [needs_*] is false). *)
+
+val eval : sem -> Feature.env -> Packet.Pkt.t -> Packet.Pkt.view -> int
+(** {!value} computing the facts it needs. *)
+
+val flow_hash :
+  src_ip:int -> dst_ip:int -> src_port:int -> dst_port:int -> proto:int -> int
+(** {!Packet.Fivetuple.hash_fold} of the 5-tuple given as ints (the
+    addresses' low 32 bits), with no tuple built: the runtime's
+    MurmurHash3-based [Hashtbl.hash] replayed on ints. *)
+
+(** {1 Encoder} *)
+
+type producer = Feature.env -> Packet.Pkt.t -> Packet.Pkt.view -> int64
+
+type source =
+  | Const of int64  (** the same value in every completion *)
+  | Core of sem
+  | Boxed of producer  (** anything else: called per packet *)
+
+type encoder
+(** One completion layout's encoder: the constant fields pre-written in a
+    template, the rest an array of (source, write shape) in layout
+    order, so stateful sources tick in the order the fields are laid
+    out. *)
+
+val encoder : size_bytes:int -> (int * int * source) list -> encoder
+(** [encoder ~size_bytes fields] stages a layout of [size_bytes] bytes
+    whose [fields] are [(bit_off, bits, source)], non-overlapping, in
+    layout order. Bits are MSB-first as in {!Opendesc.Accessor.writer};
+    fields wider than 64 bits are never written. *)
+
+val size_bytes : encoder -> int
+
+val encode :
+  encoder -> Feature.env -> Packet.Pkt.t -> Packet.Pkt.view -> bytes -> unit
+(** Write one packet's completion into the first [size_bytes] bytes of
+    the buffer. Allocates nothing of its own: only [Boxed] sources and
+    table lookups ([mark] with a mark installed, [flow_pkts]) do. *)

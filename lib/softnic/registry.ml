@@ -8,121 +8,60 @@ let mem t name = Hashtbl.mem t name
 let names t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t [] |> List.sort String.compare
 
-let of_int32 (v : int32) = Int64.logand (Int64.of_int32 v) 0xFFFFFFFFL
-
 let feature semantic width_bits cost_cycles compute =
   { Feature.semantic; width_bits; cost_cycles; compute }
 
-let rss =
-  feature "rss" 32 120.0 (fun env pkt v -> of_int32 (Toeplitz.hash_pkt ~key:env.rss_key pkt v))
+(* A builtin with an int core: [compute] boxes the core's value. *)
+let cored sem semantic width_bits cost_cycles =
+  ( feature semantic width_bits cost_cycles (fun env pkt v ->
+        Int64.of_int (Codec.eval sem env pkt v)),
+    sem )
 
-let rss_type =
-  feature "rss_type" 8 20.0 (fun _ _ v ->
-      if not v.is_ipv4 then 0L
-      else if v.l4_proto = Packet.Hdr.Proto.tcp && v.l4_off >= 0 then 2L
-      else if v.l4_proto = Packet.Hdr.Proto.udp && v.l4_off >= 0 then 3L
-      else 1L)
+let cores =
+  [
+    cored Codec.Rss "rss" 32 120.0;
+    cored Codec.Rss_type "rss_type" 8 20.0;
+    cored Codec.Ip_checksum "ip_checksum" 16 180.0;
+    cored Codec.Csum_ok "csum_ok" 1 200.0;
+    cored Codec.L4_checksum "l4_checksum" 16 450.0;
+    cored Codec.Vlan "vlan" 16 15.0;
+    cored Codec.Timestamp "timestamp" 64 25.0;
+    cored Codec.Flow_id "flow_id" 32 60.0;
+    cored Codec.Mark "mark" 32 70.0;
+    cored Codec.Pkt_len "pkt_len" 16 5.0;
+    cored Codec.L3_type "l3_type" 4 15.0;
+    cored Codec.L4_type "l4_type" 4 18.0;
+    cored Codec.Ip_id "ip_id" 16 12.0;
+    cored Codec.Lro_num_seg "lro_num_seg" 8 5.0;
+    cored Codec.Crc "crc" 32 900.0;
+    cored Codec.Tunnel_vni "tunnel_vni" 24 90.0;
+    cored Codec.Flow_pkts "flow_pkts" 16 70.0;
+  ]
 
-let ip_checksum =
-  feature "ip_checksum" 16 180.0 (fun _ pkt v ->
-      if v.l3_off < 0 || not v.is_ipv4 then 0L
-      else Int64.of_int (Packet.Cksum.ipv4_header pkt.buf ~off:v.l3_off))
+let core_of compute =
+  List.find_map
+    (fun ((f : Feature.t), sem) -> if f.compute == compute then Some sem else None)
+    cores
 
-let csum_ok =
-  feature "csum_ok" 1 200.0 (fun _ pkt v ->
-      if v.l3_off < 0 || not v.is_ipv4 then 0L
-      else begin
-        let computed = Packet.Cksum.ipv4_header pkt.buf ~off:v.l3_off in
-        let stored = Packet.Pkt.ipv4_hdr_checksum pkt v in
-        let l3_ok = computed = stored in
-        let l4_ok =
-          match Packet.Cksum.l4 pkt.buf ~v ~total_len:pkt.len with
-          | None -> true
-          | Some c ->
-              let off =
-                if v.l4_proto = Packet.Hdr.Proto.tcp then v.l4_off + 16 else v.l4_off + 6
-              in
-              let stored = Packet.Bitops.get_u16_be pkt.buf off in
-              (* UDP checksum 0 means "not computed": accept it. *)
-              stored = 0 || c = stored
-        in
-        if l3_ok && l4_ok then 1L else 0L
-      end)
-
-let l4_checksum =
-  feature "l4_checksum" 16 450.0 (fun _ pkt v ->
-      match Packet.Cksum.l4 pkt.buf ~v ~total_len:pkt.len with
-      | None -> 0L
-      | Some c -> Int64.of_int c)
-
-let vlan =
-  feature "vlan" 16 15.0 (fun _ _ v -> Int64.of_int (v.vlan_tci land 0xffff))
-
-let timestamp = feature "timestamp" 64 25.0 (fun env _ _ -> Tstamp.now env.clock)
-
-let flow_id =
-  feature "flow_id" 32 60.0 (fun _ pkt v ->
-      match Packet.Fivetuple.of_pkt pkt v with
-      | None -> 0L
-      | Some f -> Int64.of_int (Packet.Fivetuple.hash_fold f land 0xFFFFFFFF))
-
-let mark =
-  feature "mark" 32 70.0 (fun env pkt v ->
-      match Packet.Fivetuple.of_pkt pkt v with
-      | None -> 0L
-      | Some f -> (
-          match Hashtbl.find_opt env.flow_marks f with
-          | None -> 0L
-          | Some m -> of_int32 m))
-
-let pkt_len = feature "pkt_len" 16 5.0 (fun _ pkt _ -> Int64.of_int pkt.len)
-
-let l3_type =
-  feature "l3_type" 4 15.0 (fun _ _ v ->
-      if v.is_ipv4 then 1L else if v.is_ipv6 then 2L else 0L)
-
-let l4_type =
-  feature "l4_type" 4 18.0 (fun _ _ v ->
-      if v.l4_off < 0 then if v.l4_proto >= 0 then 3L else 0L
-      else if v.l4_proto = Packet.Hdr.Proto.tcp then 1L
-      else if v.l4_proto = Packet.Hdr.Proto.udp then 2L
-      else 3L)
-
-let ip_id =
-  feature "ip_id" 16 12.0 (fun _ pkt v ->
-      if v.is_ipv4 && v.l3_off >= 0 then Int64.of_int (Packet.Pkt.ipv4_id pkt v) else 0L)
-
-let lro_num_seg =
-  feature "lro_num_seg" 8 5.0 (fun _ pkt _ -> if pkt.len > 0 then 1L else 0L)
-
+let get sem = fst (List.find (fun (_, s) -> s = sem) cores)
+let rss = get Codec.Rss
+let rss_type = get Codec.Rss_type
+let ip_checksum = get Codec.Ip_checksum
+let csum_ok = get Codec.Csum_ok
+let l4_checksum = get Codec.L4_checksum
+let vlan = get Codec.Vlan
+let timestamp = get Codec.Timestamp
+let flow_id = get Codec.Flow_id
+let mark = get Codec.Mark
+let pkt_len = get Codec.Pkt_len
+let l3_type = get Codec.L3_type
+let l4_type = get Codec.L4_type
+let ip_id = get Codec.Ip_id
+let lro_num_seg = get Codec.Lro_num_seg
 let kvs_key = feature "kvs_key" 64 80.0 (fun _ pkt v -> Kvs.key64_of_pkt pkt v)
-
-let crc = feature "crc" 32 900.0 (fun _ pkt _ -> of_int32 (Crc32.of_pkt pkt))
-
-let tunnel_vni =
-  feature "tunnel_vni" 24 90.0 (fun _ pkt (v : Packet.Pkt.view) ->
-      (* VXLAN: UDP destination 4789, 8-byte header after the UDP header,
-         VNI in bytes 4..6. *)
-      if
-        v.l4_proto = Packet.Hdr.Proto.udp
-        && v.dst_port = 4789
-        && v.payload_off >= 0
-        && v.payload_off + 8 <= pkt.len
-        && Packet.Bitops.get_u8 pkt.buf v.payload_off land 0x08 <> 0
-      then Packet.Bitops.get_bits pkt.buf ~bit_off:(8 * (v.payload_off + 4)) ~width:24
-      else 0L)
-
-let flow_pkts =
-  feature "flow_pkts" 16 70.0 (fun env pkt v ->
-      match Packet.Fivetuple.of_pkt pkt v with
-      | None -> 0L
-      | Some f ->
-          let n =
-            (match Hashtbl.find_opt env.flow_counters f with Some n -> n | None -> 0)
-            + 1
-          in
-          Hashtbl.replace env.flow_counters f n;
-          Int64.of_int (n land 0xFFFF))
+let crc = get Codec.Crc
+let tunnel_vni = get Codec.Tunnel_vni
+let flow_pkts = get Codec.Flow_pkts
 
 let all =
   [

@@ -22,7 +22,17 @@ val mem : t -> string -> bool
 val names : t -> string list
 (** Sorted semantic names with software implementations. *)
 
+val core_of :
+  (Feature.env -> Packet.Pkt.t -> Packet.Pkt.view -> int64) -> Codec.sem option
+(** [core_of compute] names the {!Codec} core behind a builtin feature's
+    [compute], compared by identity: [None] for anything else — a custom
+    registry's implementation, a wrapper around a builtin, or a builtin
+    without a core ([kvs_key]). Callers that find a core may call it
+    instead of [compute] and get the same value unboxed. *)
+
 (** {1 Built-in features}
+
+    Every builtin except {!kvs_key} is its {!Codec} core's value boxed.
 
     Cycle costs are nominal single-core x86 figures; what matters to the
     compiler and the simulator is their relative order (e.g. recomputing a

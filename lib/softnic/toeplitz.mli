@@ -46,3 +46,8 @@ val hash_pkt : ?key:key -> Packet.Pkt.t -> Packet.Pkt.view -> int32
     IPv4, 4-tuple over the 16-byte addresses for IPv6 TCP/UDP, and [0l]
     for non-IP (what NICs report for unhashable frames). Reads the packet
     in place. *)
+
+val hash_pkt_int : key -> Packet.Pkt.t -> Packet.Pkt.view -> int
+(** {!hash_pkt} as an unsigned 32-bit value in an int: no option, no
+    boxed result, so the per-packet callers (RSS steering and the
+    device's completion encoder) allocate nothing. *)

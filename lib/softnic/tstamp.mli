@@ -13,5 +13,9 @@ val create : ?step_ns:int64 -> ?start_ns:int64 -> unit -> t
 val now : t -> int64
 (** Next timestamp (ns). Strictly increasing. *)
 
+val tick : t -> int
+(** {!now} as a native int, allocating nothing: the clock counts in an
+    int, so start and step are taken modulo 2{^63}. *)
+
 val peek : t -> int64
 (** Current value without advancing. *)

@@ -329,6 +329,169 @@ let test_device_flow_marks () =
   check ai64 "marked flow" 0xBEEFL (get_mark marked);
   check ai64 "other flow" 0L (get_mark other)
 
+(* Regression: injecting one 64 B TCP packet on the mlx5 full-CQE path
+   (17 fields, 12 of them semantics) allocates at most 20 minor words:
+   the [Pkt.t] and its parsed view (16), nothing per field — one boxed
+   value per field would cost at least 36 more. *)
+let inject_words_budget = 20.0
+
+let test_device_inject_alloc_budget () =
+  let m = Nic_models.Mlx5.model () in
+  let full = List.find (fun (p : Opendesc.Path.t) -> Opendesc.Path.size p = 64) m.spec.paths in
+  let device = Device.create_exn ~queue_depth:256 ~config:(List.hd full.p_assignments) m in
+  let pkt = Packet.Workload.next (Packet.Workload.make ~seed:5L Packet.Workload.Min_size) in
+  check ai "64 B packet" 64 pkt.Packet.Pkt.len;
+  let n = 200 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Device.rx_inject device pkt)
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  check ai "all injected" n (Device.rx_available device);
+  check ab
+    (Printf.sprintf "minor words/inject %.1f within budget %.0f" words inject_words_budget)
+    true (words <= inject_words_budget)
+
+(* A 40 B IPv4 frame whose IHL (15) claims a 60 B header: the checksum
+   semantics must not sum past the frame. *)
+let ihl_overrun_frame () =
+  let flow =
+    Packet.Fivetuple.make ~src_ip:0x0a000001l ~dst_ip:0x0a000002l ~src_port:1 ~dst_port:2
+      ~proto:Packet.Hdr.Proto.udp
+  in
+  let p = Packet.Builder.ipv4 ~payload:(Bytes.make 20 'x') ~flow Packet.Builder.Udp in
+  let b = Bytes.sub p.buf 0 40 in
+  Bytes.set_uint8 b 14 0x4F;
+  b
+
+let catalog_paths () =
+  List.concat_map
+    (fun (m : Nic_models.Model.t) ->
+      List.filter_map
+        (fun (p : Opendesc.Path.t) ->
+          match p.p_assignments with
+          | [] -> None
+          | config :: _ ->
+              Some (Printf.sprintf "%s/p%d" m.spec.nic_name p.p_index, m, p, config))
+        m.spec.paths)
+    (Nic_models.Catalog.all ())
+
+let read_semantic (p : Opendesc.Path.t) sem cmpt =
+  Option.map
+    (fun (f : Opendesc.Path.lfield) ->
+      Opendesc.Accessor.reader ~bit_off:f.l_bit_off ~bits:f.l_bits cmpt)
+    (Opendesc.Path.field_for p sem)
+
+let test_ihl_overrun_exact_buffer () =
+  let pkt = Packet.Pkt.create (ihl_overrun_frame ()) in
+  let view = Packet.Pkt.parse pkt in
+  check ab "parsed as IPv4" true view.is_ipv4;
+  let env = Softnic.Feature.make_env () in
+  check ai64 "ip_checksum" 0L (Softnic.Registry.ip_checksum.compute env pkt view);
+  check ai64 "csum_ok" 0L (Softnic.Registry.csum_ok.compute env pkt view);
+  List.iter
+    (fun (label, m, p, config) ->
+      let device = Device.create_exn ~config m in
+      check ab (label ^ " injected") true (Device.rx_inject device pkt);
+      match Device.rx_consume device with
+      | None -> Alcotest.fail (label ^ ": no completion")
+      | Some (_, _, cmpt) ->
+          List.iter
+            (fun sem ->
+              match read_semantic p sem cmpt with
+              | Some v -> check ai64 (label ^ " " ^ sem) 0L v
+              | None -> ())
+            [ "ip_checksum"; "csum_ok" ])
+    (catalog_paths ())
+
+(* Pooled buffers: the frame is the first 40 bytes of a larger slot whose
+   tail holds a previous occupant's bytes. Two different stale fills must
+   give the same completion. *)
+let test_ihl_overrun_pooled_slot () =
+  let frame = ihl_overrun_frame () in
+  List.iter
+    (fun (label, m, _, config) ->
+      let completion stale =
+        let device = Device.create_exn ~config m in
+        let slot = Bytes.init (Device.buf_size device) (fun i -> Char.chr (stale i land 0xff)) in
+        Bytes.blit frame 0 slot 0 (Bytes.length frame);
+        check ab (label ^ " injected") true
+          (Device.rx_inject_raw device slot ~len:(Bytes.length frame));
+        match Device.rx_consume device with
+        | Some (_, _, cmpt) -> cmpt
+        | None -> Alcotest.fail (label ^ ": no completion")
+      in
+      check Alcotest.bytes (label ^ " stale fill does not leak")
+        (completion (fun i -> (7 * i) + 3))
+        (completion (fun i -> (13 * i) + 101)))
+    (catalog_paths ())
+
+(* No truncated or byte-mutated frame raises through [rx_inject] on any
+   catalog path. A mutation may rewrite the ethertype to IPv4 and the IHL,
+   so every frame kind reaches the IPv4 semantics with any header
+   length. *)
+let prop_mutated_frames_never_raise =
+  let bases =
+    let draw profile n =
+      let w = Packet.Workload.make ~seed:17L profile in
+      List.init n (fun _ -> Packet.Workload.next w)
+    in
+    let inner =
+      Packet.Builder.ipv4
+        ~flow:
+          (Packet.Fivetuple.make ~src_ip:1l ~dst_ip:2l ~src_port:10 ~dst_port:20
+             ~proto:Packet.Hdr.Proto.tcp)
+        (Packet.Builder.Tcp { seq = 0l; flags = 0 })
+    in
+    Array.of_list
+      (List.concat_map
+         (fun (p, n) -> draw p n)
+         Packet.Workload.
+           [
+             (Min_size, 2); (Imix, 3); (Vlan_tagged, 2); (Ipv6_mix, 2);
+             (Kvs { key_len = 9 }, 2); (Raw_stream { size = 96 }, 1);
+           ]
+      @ [
+          Packet.Builder.vxlan ~vni:7
+            ~outer_flow:
+              (Packet.Fivetuple.make ~src_ip:3l ~dst_ip:4l ~src_port:4000 ~dst_port:4789
+                 ~proto:Packet.Hdr.Proto.udp)
+            ~inner;
+        ])
+  in
+  let devices =
+    lazy
+      (List.map
+         (fun (label, m, _, config) -> (label, Device.create_exn ~queue_depth:8 ~config m))
+         (catalog_paths ()))
+  in
+  let gen =
+    QCheck.Gen.(
+      triple (int_bound (Array.length bases - 1)) nat
+        (pair (opt (int_bound 15)) (list_size (int_bound 4) (pair nat (int_bound 255)))))
+  in
+  (* [ihl]: rewrite the ethertype to IPv4 and the IHL to this value. *)
+  let frame (i, cut, (ihl, muts)) =
+    let base = bases.(i) in
+    let len = cut mod (base.Packet.Pkt.len + 1) in
+    let b = Bytes.sub base.buf 0 len in
+    (match ihl with
+    | Some ihl when len > 14 ->
+        Bytes.set_uint16_be b 12 0x0800;
+        Bytes.set_uint8 b 14 (0x40 lor ihl)
+    | _ -> ());
+    List.iter (fun (pos, v) -> if len > 0 then Bytes.set_uint8 b (pos mod len) v) muts;
+    Packet.Pkt.create b
+  in
+  QCheck.Test.make ~name:"truncated or mutated frames never raise on any path" ~count:300
+    (QCheck.make ~print:(fun g -> Packet.Bitops.hex (frame g).buf) gen)
+    (fun g ->
+      let pkt = frame g in
+      List.for_all
+        (fun (_, device) ->
+          Device.rx_inject device pkt && Device.rx_consume device <> None)
+        (Lazy.force devices))
+
 (* ------------------------------------------------------------------ *)
 (* Failure injection *)
 
@@ -1041,12 +1204,13 @@ let test_stats_merge_idle () =
 
 (* Regression: the hot path must stay inside the pinned minor-heap
    allocation budget. This fixture (mlx5 8-byte mini-CQE, rss +
-   pkt_len, 64 B packets) measures 34 words/pkt: the [Pkt.t] and parsed
-   view per injection and what the staged producers return. The budget
-   leaves about 2x headroom, so a pooled-path regression (a per-packet
-   closure, a boxed option on the handoff, a Bytes.create in the drain
-   loop, a whole-slot copy through a fresh buffer) trips it. *)
-let minor_words_budget = 80.0
+   pkt_len, 64 B packets) measures 17.0 words/pkt: the [Pkt.t] and
+   parsed view per injection; the completion encoder and the batched
+   decoder box nothing per packet. The budget leaves about 2x headroom,
+   so a pooled-path regression (a per-packet closure, a boxed option on
+   the handoff, a boxed field value, a Bytes.create in the drain loop, a
+   whole-slot copy through a fresh buffer) trips it. *)
+let minor_words_budget = 40.0
 
 let test_parallel_gc_budget () =
   let compiled, mq, workload = parallel_fixture () in
@@ -1919,11 +2083,18 @@ let () =
           Alcotest.test_case "tx path" `Quick test_device_tx_path;
           Alcotest.test_case "ipv6 rss agreement" `Quick test_device_ipv6_rss_agreement;
           Alcotest.test_case "flow marks" `Quick test_device_flow_marks;
+          Alcotest.test_case "inject allocation budget" `Quick
+            test_device_inject_alloc_budget;
+          Alcotest.test_case "IHL overrun, exact buffer" `Quick
+            test_ihl_overrun_exact_buffer;
+          Alcotest.test_case "IHL overrun, pooled slot" `Quick
+            test_ihl_overrun_pooled_slot;
           Alcotest.test_case "corruption flagged e2e" `Quick
             test_corrupted_packets_flagged_end_to_end;
           Alcotest.test_case "bitflip locality" `Quick
             test_completion_bitflip_changes_reads_only_locally;
-        ] );
+        ]
+        @ qsuite [ prop_mutated_frames_never_raise ] );
       ( "mq",
         [
           Alcotest.test_case "flow affinity" `Quick test_mq_flow_affinity;

@@ -378,6 +378,42 @@ let test_pipeline_cost_is_sum () =
 
 (* ------------------------------------------------------------------ *)
 
+(* The codec's flow hash is [Fivetuple.hash_fold] computed on ints; the
+   boxed hash stays the reference. Addresses cover the whole int32 range
+   (the top bit set included), ports and protocols their field widths,
+   plus arbitrary ints for the tagged-word fold. *)
+let prop_flow_hash_equals_hash_fold =
+  let tuple =
+    QCheck.Gen.(
+      map
+        (fun ((src_ip, dst_ip), (src_port, dst_port, proto)) ->
+          Packet.Fivetuple.make ~src_ip ~dst_ip ~src_port ~dst_port ~proto)
+        (pair (pair ui32 ui32)
+           (triple
+              (oneof [ int_bound 65535; int ])
+              (oneof [ int_bound 65535; int ])
+              (oneof [ int_bound 255; int ]))))
+  in
+  QCheck.Test.make ~name:"codec flow hash = Fivetuple.hash_fold" ~count:2000
+    (QCheck.make ~print:(Format.asprintf "%a" Packet.Fivetuple.pp) tuple)
+    (fun (f : Packet.Fivetuple.t) ->
+      Codec.flow_hash ~src_ip:(Int32.to_int f.src_ip) ~dst_ip:(Int32.to_int f.dst_ip)
+        ~src_port:f.src_port ~dst_port:f.dst_port ~proto:f.proto
+      = Packet.Fivetuple.hash_fold f)
+
+(* [core_of] is an identity test: the builtins map to their cores, and a
+   wrapper around a builtin's [compute], or a builtin without a core,
+   does not. *)
+let test_registry_core_of () =
+  List.iter
+    (fun (f : Feature.t) ->
+      check ab (f.semantic ^ " has a core") (f.semantic <> "kvs_key")
+        (Registry.core_of f.compute <> None))
+    Registry.all;
+  check ab "rss core" true (Registry.core_of Registry.rss.compute = Some Codec.Rss);
+  let wrapped env pkt v = Registry.rss.compute env pkt v in
+  check ab "a wrapper has no core" true (Registry.core_of wrapped = None)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -397,6 +433,7 @@ let () =
           Alcotest.test_case "short keys rejected" `Quick test_toeplitz_rejects_short_keys;
         ]
         @ qsuite [ prop_toeplitz_flow_stable; prop_toeplitz_table_equals_bitwise ] );
+      ("codec", qsuite [ prop_flow_hash_equals_hash_fold ]);
       ( "crc32",
         [
           Alcotest.test_case "check vector" `Quick test_crc32_check_vector;
@@ -439,6 +476,7 @@ let () =
           Alcotest.test_case "builtin complete" `Quick test_registry_builtin_complete;
           Alcotest.test_case "register replaces" `Quick test_registry_register_replaces;
           Alcotest.test_case "names sorted" `Quick test_registry_names_sorted;
+          Alcotest.test_case "core_of by identity" `Quick test_registry_core_of;
         ] );
       ( "pipeline",
         [
