@@ -89,6 +89,19 @@ let alpha_arg =
     & info [ "alpha" ] ~docv:"CYCLES_PER_BYTE"
         ~doc:"DMA footprint weight of Eq. 1 (default 2.0).")
 
+(* Run sizes: --domains, --batch and --queues take positive integers,
+   --pkts a non-negative one; anything else is a usage error. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (Printf.sprintf "expected an integer >= %d, got '%s'" lo s)
+  in
+  Arg.conv' (parse, Format.pp_print_int)
+
+let positive_int = int_at_least 1
+let non_negative_int = int_at_least 0
+
 let fail fmt = Printf.ksprintf (fun s -> `Error (false, s)) fmt
 
 (* --- list ---------------------------------------------------------- *)
@@ -459,22 +472,22 @@ let validate_cmd =
 let parallel_cmd =
   let domains_arg =
     Arg.(
-      value & opt int 2
+      value & opt positive_int 2
       & info [ "domains" ] ~docv:"N" ~doc:"Worker domains (one per queue group).")
   in
   let queues_arg =
     Arg.(
-      value & opt int 4
+      value & opt positive_int 4
       & info [ "queues" ] ~docv:"N" ~doc:"Queue count of the multi-queue device.")
   in
   let pkts_arg =
     Arg.(
-      value & opt int 16384
+      value & opt non_negative_int 16384
       & info [ "pkts" ] ~docv:"N" ~doc:"Packets to inject.")
   in
   let batch_arg =
     Arg.(
-      value & opt int 64
+      value & opt positive_int 64
       & info [ "batch" ] ~docv:"N" ~doc:"Harvest burst capacity per queue.")
   in
   let hot_arg =
@@ -571,23 +584,25 @@ let chaos_cmd =
   in
   let queues_arg =
     Arg.(
-      value & opt int 2
+      value & opt positive_int 2
       & info [ "queues" ] ~docv:"N" ~doc:"Queue count of the multi-queue device.")
   in
   let domains_arg =
     Arg.(
-      value & opt int 2
+      value & opt positive_int 2
       & info [ "domains" ] ~docv:"N"
           ~doc:
             "Worker domains. The summary is identical for any value: faults \
              are a per-queue function of the seed.")
   in
   let pkts_arg =
-    Arg.(value & opt int 4096 & info [ "pkts" ] ~docv:"N" ~doc:"Packets to inject.")
+    Arg.(
+      value & opt non_negative_int 4096
+      & info [ "pkts" ] ~docv:"N" ~doc:"Packets to inject.")
   in
   let batch_arg =
     Arg.(
-      value & opt int 64
+      value & opt positive_int 64
       & info [ "batch" ] ~docv:"N" ~doc:"Harvest burst capacity per queue.")
   in
   let tx_arg =
@@ -1928,12 +1943,12 @@ let upgrade_cmd =
   in
   let queues_arg =
     Arg.(
-      value & opt int 4
+      value & opt positive_int 4
       & info [ "queues" ] ~docv:"N" ~doc:"Queue count of the multi-queue device.")
   in
   let domains_arg =
     Arg.(
-      value & opt int 1
+      value & opt positive_int 1
       & info [ "domains" ] ~docv:"N"
           ~doc:
             "Worker domains. 1 (the default) runs the deterministic \
@@ -1942,7 +1957,7 @@ let upgrade_cmd =
   in
   let pkts_arg =
     Arg.(
-      value & opt int 4096
+      value & opt non_negative_int 4096
       & info [ "pkts" ] ~docv:"N" ~doc:"Packets to stream across the swap.")
   in
   let at_arg =
@@ -1954,7 +1969,7 @@ let upgrade_cmd =
   in
   let batch_arg =
     Arg.(
-      value & opt int 32
+      value & opt positive_int 32
       & info [ "batch" ] ~docv:"N" ~doc:"Harvest burst capacity per queue.")
   in
   let seed_arg =

@@ -16,60 +16,6 @@
    byte path runs with no ledger traffic at all, which is the
    configuration the wall-clock measurements use. *)
 
-module Spsc = struct
-  (* Lamport's single-producer/single-consumer bounded queue. The
-     producer alone writes [tail], the consumer alone writes [head];
-     slot contents are published by the seq-cst [Atomic.set] of the
-     index, which is the OCaml 5 message-passing idiom: every plain
-     write before the atomic store is visible after the matching atomic
-     load. Kept as the generic boxed-value ring (and exercised directly
-     by the tests); the datapath itself uses {!Pktring}. *)
-  type 'a t = {
-    slots : 'a option array;
-    mask : int;
-    head : int Atomic.t;  (** consumer index, free-running *)
-    tail : int Atomic.t;  (** producer index, free-running *)
-  }
-
-  let next_pow2 n =
-    let rec go p = if p >= n then p else go (p * 2) in
-    go 1
-
-  let create capacity =
-    if capacity < 1 then invalid_arg "Spsc.create: capacity must be >= 1";
-    let cap = next_pow2 capacity in
-    {
-      slots = Array.make cap None;
-      mask = cap - 1;
-      head = Atomic.make 0;
-      tail = Atomic.make 0;
-    }
-
-  let capacity t = t.mask + 1
-  let length t = Atomic.get t.tail - Atomic.get t.head
-  let is_empty t = length t = 0
-
-  let try_push t v =
-    let tail = Atomic.get t.tail in
-    if tail - Atomic.get t.head > t.mask then false
-    else begin
-      t.slots.(tail land t.mask) <- Some v;
-      Atomic.set t.tail (tail + 1);
-      true
-    end
-
-  let try_pop t =
-    let head = Atomic.get t.head in
-    if Atomic.get t.tail - head <= 0 then None
-    else begin
-      let i = head land t.mask in
-      let v = t.slots.(i) in
-      t.slots.(i) <- None;
-      Atomic.set t.head (head + 1);
-      v
-    end
-end
-
 module Pktring = struct
   (* The datapath handoff ring: a Lamport SPSC ring whose slots are
      preallocated byte buffers (payload at offset 0) plus a length and a
@@ -286,6 +232,20 @@ let spin_limit = 128
 let park_min_s = 2e-6
 let park_max_s = 256e-6
 
+(* The same ladder for the control waits (verdict, quiesce and ack
+   counts). The producer's full-ring wait runs it inline, where its
+   counters stay off the heap. *)
+let wait_until ready =
+  let idle = ref 0 and park = ref park_min_s in
+  while not (ready ()) do
+    if !idle < spin_limit then Domain.cpu_relax ()
+    else begin
+      Unix.sleepf !park;
+      park := Float.min park_max_s (!park *. 2.0)
+    end;
+    incr idle
+  done
+
 (* Preemption-robust busy time from per-chunk timings. Each domain
    clocks contiguous work chunks (a pop/inject run plus its harvest; a
    run of ring pushes) as (seconds, packets). On a machine with fewer
@@ -318,6 +278,19 @@ let robust_busy ~chunk_s ~chunk_n ~nchunks ~extra_s =
     let m = idx.(max 0 (!k - 1)) in
     (chunk_s.(m) /. float_of_int chunk_n.(m) *. float_of_int !total) +. extra_s
   end
+
+(* The epoch flip's install step; the caller has made the datapath dry. *)
+let install ~config ~model ~stack ~queue_ids devices faults consumers =
+  let refused = ref 0 in
+  Array.iteri
+    (fun i q ->
+      (match Device.upgrade devices.(i) ~config (model ()) with
+      | Ok () -> ()
+      | Error _ -> incr refused);
+      Option.iter (fun fqs -> Fault.rebind fqs.(i)) faults;
+      consumers.(i) <- stack q)
+    queue_ids;
+  !refused
 
 let worker ~w ~queue_ids ~devices ~local ~ring ~stop ~batch ~stack ~account
     ~pkts_hint ~per_queue ~delivered ~faults ~swap () =
@@ -495,20 +468,8 @@ let worker ~w ~queue_ids ~devices ~local ~ring ~stop ~batch ~stack ~account
       ignore (Atomic.fetch_and_add ctl.ctl_quiesced 1);
       (* Wait for the verdict — classification, recompile and
          certification run concurrently on the producer domain. *)
-      let idle = ref 0 and park = ref park_min_s in
-      let rec await () =
-        match Atomic.get ctl.ctl_cmd with
-        | Some c -> c
-        | None ->
-            if !idle < spin_limit then Domain.cpu_relax ()
-            else begin
-              Unix.sleepf !park;
-              park := Float.min park_max_s (!park *. 2.0)
-            end;
-            incr idle;
-            await ()
-      in
-      (match await () with
+      wait_until (fun () -> Option.is_some (Atomic.get ctl.ctl_cmd));
+      (match Option.get (Atomic.get ctl.ctl_cmd) with
       | Swap_apply { sc_config; sc_model; sc_stack } ->
           (* Torn-plan oracle: the epoch flip is only legal at a dry
              point — a completion serialised under the old contract must
@@ -521,17 +482,10 @@ let worker ~w ~queue_ids ~devices ~local ~ring ~stop ~batch ~stack ~account
             drain_ring ();
             harvest_all ()
           end;
-          Array.iter
-            (fun d ->
-              match Device.upgrade d ~config:sc_config (sc_model ()) with
-              | Ok () -> ()
-              | Error _ ->
-                  ignore (Atomic.fetch_and_add ctl.ctl_upgrade_errors 1))
-            devices;
-          (match faults with
-          | Some fqs -> Array.iter Fault.rebind fqs
-          | None -> ());
-          Array.iteri (fun i q -> consumers.(i) <- sc_stack q) queue_ids;
+          ignore
+            (Atomic.fetch_and_add ctl.ctl_upgrade_errors
+               (install ~config:sc_config ~model:sc_model ~stack:sc_stack
+                  ~queue_ids devices faults consumers));
           epoch := 1
       | Swap_refuse -> ()
       | Swap_quarantine -> running := false);
@@ -599,13 +553,41 @@ let worker ~w ~queue_ids ~devices ~local ~ring ~stop ~batch ~stack ~account
     rp_minor_words = minor_words;
   }
 
-let run ?(domains = 1) ?(batch = 32) ?(ring_capacity = 1024) ?(collect = false)
-    ?(account = true) ?(pregen = false) ?plan ~mq ~stack ~pkts ~workload () =
-  if domains < 1 then invalid_arg "Parallel.run: domains must be >= 1";
-  if batch < 1 then invalid_arg "Parallel.run: batch must be >= 1";
+let check_sizes fn ~domains ~batch ~pkts =
+  if domains < 1 then invalid_arg (fn ^ ": domains must be >= 1");
+  if batch < 1 then invalid_arg (fn ^ ": batch must be >= 1");
+  if pkts < 0 then invalid_arg (fn ^ ": pkts must be >= 0")
+
+(* Raised in the producer to abandon a wait once any domain has failed:
+   a dead worker never drains its ring, quiesces or acknowledges. *)
+exception Worker_failed
+
+let check_failed failure =
+  match Atomic.get failure with Some _ -> raise Worker_failed | None -> ()
+
+(* The optional epoch boundary: the swap point, the verdict callback and
+   the control cell the workers watch. *)
+type epoch = { at : int; verdict : unit -> swap_cmd; ctl : swap_ctl }
+
+(* The one engine behind {!run} and {!hot_swap}. Without an epoch the
+   producer offers the whole stream. With one it offers [at] packets
+   under the old contract, raises the quiesce flag, computes the verdict
+   (typically classification + recompile + certification) while the
+   workers drain themselves dry, publishes it once every worker stands
+   at a quiescent point, and resumes the stream only after every worker
+   has acknowledged the new epoch. *)
+let engine ~domains ~batch ~ring_capacity ~collect ~account ~pregen ~plan ~mq
+    ~stack ~pkts ~workload epoch =
+  let fn, name =
+    match epoch with
+    | None -> ("Parallel.run", "parallel")
+    | Some _ -> ("Parallel.hot_swap", "hot_swap")
+  in
+  check_sizes fn ~domains ~batch ~pkts;
   let nq = Mq.queues mq in
   let workers = min domains nq in
   let owner q = q mod workers in
+  let at = match epoch with Some ep -> max 0 (min ep.at pkts) | None -> pkts in
   let devices = Array.init nq (Mq.queue mq) in
   Array.iter Device.reset_counters devices;
   (* One fault wrapper per queue, created up front and handed to the
@@ -627,15 +609,17 @@ let run ?(domains = 1) ?(batch = 32) ?(ring_capacity = 1024) ?(collect = false)
         Pktring.create ~capacity:ring_capacity ~slot_size)
   in
   let stop = Atomic.make false in
+  (* The first failure of any domain, with its backtrace. *)
+  let failure = Atomic.make None in
   (* With [~pregen] the workload generation and steering run before the
      clock starts, so the measured region is the drain machinery itself:
      handoff, injection, harvest, consume. *)
   let pre =
     if not pregen then None
     else begin
-      let bufs = Array.make (max 1 pkts) Bytes.empty in
-      let lens = Array.make (max 1 pkts) 0 in
-      let qs = Array.make (max 1 pkts) 0 in
+      let bufs = Array.make pkts Bytes.empty in
+      let lens = Array.make pkts 0 in
+      let qs = Array.make pkts 0 in
       for k = 0 to pkts - 1 do
         let pkt = Packet.Workload.next workload in
         bufs.(k) <- pkt.Packet.Pkt.buf;
@@ -645,6 +629,9 @@ let run ?(domains = 1) ?(batch = 32) ?(ring_capacity = 1024) ?(collect = false)
       Some (bufs, lens, qs)
     end
   in
+  (* Workers record backtraces when the caller does, so a re-raised
+     failure points into the worker. *)
+  let backtraces = Printexc.backtrace_status () in
   let t0 = Unix.gettimeofday () in
   let doms =
     Array.init workers (fun w ->
@@ -658,165 +645,22 @@ let run ?(domains = 1) ?(batch = 32) ?(ring_capacity = 1024) ?(collect = false)
         let wfaults =
           Option.map (fun fqs -> Array.map (fun q -> fqs.(q)) queue_ids) fqs
         in
-        Domain.spawn
-          (worker ~w ~queue_ids ~devices:wdevices ~local ~ring:rings.(w) ~stop
-             ~batch ~stack ~account ~pkts_hint:pkts ~per_queue ~delivered
-             ~faults:wfaults ~swap:None))
+        Domain.spawn (fun () ->
+            Printexc.record_backtrace backtraces;
+            try
+              worker ~w ~queue_ids ~devices:wdevices ~local ~ring:rings.(w)
+                ~stop ~batch ~stack ~account ~pkts_hint:pkts ~per_queue
+                ~delivered ~faults:wfaults
+                ~swap:(Option.map (fun ep -> ep.ctl) epoch)
+                ()
+            with e ->
+              let bt = Printexc.get_raw_backtrace () in
+              ignore (Atomic.compare_and_set failure None (Some (e, bt)));
+              Printexc.raise_with_backtrace e bt))
   in
   (* The steering/injection domain. Chunks of pushes are timed the same
      way worker chunks are (see [robust_busy]); blocking on a full ring
      ends the current chunk so the wait is not billed as work. *)
-  let p_cap = pkts + 2 in
-  let p_chunk_s = Array.make p_cap 0.0 in
-  let p_chunk_n = Array.make p_cap 0 in
-  let p_nchunks = ref 0 in
-  let p_record s n =
-    if n > 0 && !p_nchunks < p_cap then begin
-      p_chunk_s.(!p_nchunks) <- s;
-      p_chunk_n.(!p_nchunks) <- n;
-      incr p_nchunks
-    end
-  in
-  let pushed_in_chunk = ref 0 in
-  let chunk_t0 = ref (Unix.gettimeofday ()) in
-  let end_chunk () =
-    p_record (Unix.gettimeofday () -. !chunk_t0) !pushed_in_chunk;
-    pushed_in_chunk := 0;
-    chunk_t0 := Unix.gettimeofday ()
-  in
-  let p_mw0 = Gc.minor_words () in
-  let push_one buf len q =
-    let ring = rings.(owner q) in
-    if not (Pktring.try_push ring buf ~len ~qid:q) then begin
-      end_chunk ();
-      let idle = ref 0 in
-      let park = ref park_min_s in
-      while not (Pktring.try_push ring buf ~len ~qid:q) do
-        if !idle < spin_limit then Domain.cpu_relax ()
-        else begin
-          Unix.sleepf !park;
-          park := Float.min park_max_s (!park *. 2.0)
-        end;
-        incr idle
-      done;
-      chunk_t0 := Unix.gettimeofday ()
-    end;
-    incr pushed_in_chunk;
-    if !pushed_in_chunk >= 256 then end_chunk ()
-  in
-  (match pre with
-  | Some (bufs, lens, qs) ->
-      for k = 0 to pkts - 1 do
-        push_one bufs.(k) lens.(k) qs.(k)
-      done
-  | None ->
-      for _ = 1 to pkts do
-        let pkt = Packet.Workload.next workload in
-        push_one pkt.Packet.Pkt.buf pkt.Packet.Pkt.len (Mq.steer mq pkt)
-      done);
-  Array.iter Pktring.flush rings;
-  end_chunk ();
-  let p_minor_words = Gc.minor_words () -. p_mw0 in
-  Atomic.set stop true;
-  let reports = Array.map Domain.join doms in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let producer_busy_s =
-    robust_busy ~chunk_s:p_chunk_s ~chunk_n:p_chunk_n ~nchunks:!p_nchunks
-      ~extra_s:0.0
-  in
-  let busy_s = Array.map (fun r -> r.rp_busy_s) reports in
-  let eff_wall_s =
-    Array.fold_left (fun a b -> Float.max a b) producer_busy_s busy_s
-  in
-  let total_pkts = Array.fold_left (fun a r -> a + r.rp_pkts) 0 reports in
-  let minor_words =
-    Array.fold_left (fun a r -> a +. r.rp_minor_words) p_minor_words reports
-  in
-  let stranded = Array.fold_left (fun a r -> a + Pktring.length r) 0 rings in
-  let domain_stats = Array.map (fun r -> r.rp_stats) reports in
-  {
-    pkts = total_pkts;
-    per_queue;
-    stats = Stats.merge ~name:"parallel" (Array.to_list domain_stats);
-    domain_stats;
-    domain_cycles = Array.map (fun r -> r.rp_cycles) reports;
-    wall_s;
-    busy_s;
-    producer_busy_s;
-    eff_wall_s;
-    minor_words_per_pkt =
-      (if total_pkts = 0 then 0.0 else minor_words /. float_of_int total_pkts);
-    stranded;
-    drops = Array.fold_left (fun a d -> a + Device.drops d) 0 devices;
-    sink = Array.fold_left (fun a r -> Int64.add a r.rp_sink) 0L reports;
-    delivered = Option.map (Array.map List.rev) delivered;
-    faults = Option.map (Array.map Fault.counters) fqs;
-  }
-
-(* The live-upgrade engine: {!run}'s machinery with one epoch boundary.
-   The producer offers [at] packets under the old contract, raises the
-   quiesce flag, computes the verdict (the [swap] callback — typically
-   classification + recompile + certification) while the workers drain
-   themselves dry, publishes it once every worker stands at a quiescent
-   point, and resumes the stream only after every worker has
-   acknowledged the new epoch. *)
-let hot_swap ?(domains = 1) ?(batch = 32) ?(ring_capacity = 1024)
-    ?(collect = false) ?(account = true) ?(collect_post = false) ?plan ~mq
-    ~stack ~pkts ~at ~swap ~workload () =
-  if domains < 1 then invalid_arg "Parallel.hot_swap: domains must be >= 1";
-  if batch < 1 then invalid_arg "Parallel.hot_swap: batch must be >= 1";
-  let nq = Mq.queues mq in
-  let workers = min domains nq in
-  let owner q = q mod workers in
-  let at = max 0 (min at pkts) in
-  let devices = Array.init nq (Mq.queue mq) in
-  Array.iter Device.reset_counters devices;
-  let fqs =
-    Option.map
-      (fun plan -> Array.init nq (fun q -> Fault.wrap ~qid:q plan devices.(q)))
-      plan
-  in
-  let per_queue = Array.make nq 0 in
-  let delivered = if collect then Some (Array.make nq []) else None in
-  let ctl =
-    {
-      ctl_quiesce = Atomic.make false;
-      ctl_cmd = Atomic.make None;
-      ctl_quiesced = Atomic.make 0;
-      ctl_acks = Atomic.make 0;
-      ctl_inflight = Atomic.make 0;
-      ctl_pre_pkts = Atomic.make 0;
-      ctl_torn = Atomic.make 0;
-      ctl_upgrade_errors = Atomic.make 0;
-      ctl_post_pairs = (if collect_post then Some (Array.make nq []) else None);
-    }
-  in
-  let slot_size =
-    Array.fold_left (fun a d -> max a (Device.buf_size d)) 64 devices
-  in
-  let rings =
-    Array.init workers (fun _ ->
-        Pktring.create ~capacity:ring_capacity ~slot_size)
-  in
-  let stop = Atomic.make false in
-  let t0 = Unix.gettimeofday () in
-  let doms =
-    Array.init workers (fun w ->
-        let queue_ids =
-          Array.of_list
-            (List.filter (fun q -> owner q = w) (List.init nq Fun.id))
-        in
-        let wdevices = Array.map (fun q -> devices.(q)) queue_ids in
-        let local = Array.make nq (-1) in
-        Array.iteri (fun i q -> local.(q) <- i) queue_ids;
-        let wfaults =
-          Option.map (fun fqs -> Array.map (fun q -> fqs.(q)) queue_ids) fqs
-        in
-        Domain.spawn
-          (worker ~w ~queue_ids ~devices:wdevices ~local ~ring:rings.(w) ~stop
-             ~batch ~stack ~account ~pkts_hint:pkts ~per_queue ~delivered
-             ~faults:wfaults ~swap:(Some ctl)))
-  in
   let p_cap = pkts + 4 in
   let p_chunk_s = Array.make p_cap 0.0 in
   let p_chunk_n = Array.make p_cap 0 in
@@ -843,6 +687,7 @@ let hot_swap ?(domains = 1) ?(batch = 32) ?(ring_capacity = 1024)
       let idle = ref 0 in
       let park = ref park_min_s in
       while not (Pktring.try_push ring buf ~len ~qid:q) do
+        check_failed failure;
         if !idle < spin_limit then Domain.cpu_relax ()
         else begin
           Unix.sleepf !park;
@@ -855,50 +700,89 @@ let hot_swap ?(domains = 1) ?(batch = 32) ?(ring_capacity = 1024)
     incr pushed_in_chunk;
     if !pushed_in_chunk >= 256 then end_chunk ()
   in
-  let push_range n =
-    for _ = 1 to n do
-      let pkt = Packet.Workload.next workload in
-      push_one pkt.Packet.Pkt.buf pkt.Packet.Pkt.len (Mq.steer mq pkt)
-    done;
+  (* Offer packets [lo, hi) of the stream, then publish them. *)
+  let push_range lo hi =
+    (match pre with
+    | Some (bufs, lens, qs) ->
+        for k = lo to hi - 1 do
+          push_one bufs.(k) lens.(k) qs.(k)
+        done
+    | None ->
+        for _ = lo to hi - 1 do
+          let pkt = Packet.Workload.next workload in
+          push_one pkt.Packet.Pkt.buf pkt.Packet.Pkt.len (Mq.steer mq pkt)
+        done);
     Array.iter Pktring.flush rings;
     end_chunk ()
   in
-  let await_counter cell target =
-    let idle = ref 0 and park = ref park_min_s in
-    while Atomic.get cell < target do
-      if !idle < spin_limit then Domain.cpu_relax ()
-      else begin
-        Unix.sleepf !park;
-        park := Float.min park_max_s (!park *. 2.0)
-      end;
-      incr idle
-    done
+  let all_workers cell () =
+    check_failed failure;
+    Atomic.get cell >= workers
   in
-  (* Epoch 0: the pre-swap stream. *)
-  push_range at;
-  let t_swap = Unix.gettimeofday () in
-  Atomic.set ctl.ctl_quiesce true;
-  (* The verdict computes here — on the producer domain, concurrently
-     with the workers draining to their quiescent points. *)
-  let cmd = swap () in
-  await_counter ctl.ctl_quiesced workers;
-  Atomic.set ctl.ctl_cmd (Some cmd);
-  await_counter ctl.ctl_acks workers;
-  let latency_s = Unix.gettimeofday () -. t_swap in
-  (* Epoch 1 (or the rest of the refused stream). The producer pause
-     ends the instant injection restarts; quarantine never resumes, so
-     its pause ends at the verdict. *)
-  let withheld, pause_s =
-    match cmd with
-    | Swap_quarantine -> (pkts - at, Unix.gettimeofday () -. t_swap)
-    | Swap_apply _ | Swap_refuse ->
-        let pause_s = Unix.gettimeofday () -. t_swap in
-        push_range (pkts - at);
-        (0, pause_s)
+  let turn { verdict; ctl; _ } =
+    let t_swap = Unix.gettimeofday () in
+    Atomic.set ctl.ctl_quiesce true;
+    (* The verdict computes here — on the producer domain, concurrently
+       with the workers draining to their quiescent points. *)
+    let cmd = verdict () in
+    wait_until (all_workers ctl.ctl_quiesced);
+    Atomic.set ctl.ctl_cmd (Some cmd);
+    wait_until (all_workers ctl.ctl_acks);
+    let latency_s = Unix.gettimeofday () -. t_swap in
+    (* The producer pause ends the instant injection restarts;
+       quarantine never resumes, so its pause ends at the verdict. *)
+    let pause_s = Unix.gettimeofday () -. t_swap in
+    let action =
+      match cmd with
+      | Swap_apply _ -> Sw_applied
+      | Swap_refuse -> Sw_refused
+      | Swap_quarantine -> Sw_quarantined
+    in
+    if action <> Sw_quarantined then push_range at pkts;
+    (* Every worker has acknowledged, so the counters below are final;
+       the epoch-1 deliveries are filled in after the join. *)
+    {
+      sw_action = action;
+      sw_at = at;
+      sw_inflight = Atomic.get ctl.ctl_inflight;
+      sw_pre_pkts = Atomic.get ctl.ctl_pre_pkts;
+      sw_post_pkts = 0;
+      sw_withheld = (if action = Sw_quarantined then pkts - at else 0);
+      sw_torn = Atomic.get ctl.ctl_torn;
+      sw_upgrade_errors = Atomic.get ctl.ctl_upgrade_errors;
+      sw_latency_s = latency_s;
+      sw_pause_s = pause_s;
+      sw_post_pairs = None;
+    }
+  in
+  let turned =
+    match
+      push_range 0 at;
+      Option.map turn epoch
+    with
+    | turned -> turned
+    | exception Worker_failed -> None
+    | exception e ->
+        (* A raising verdict fails the run like a raising worker. *)
+        let bt = Printexc.get_raw_backtrace () in
+        ignore (Atomic.compare_and_set failure None (Some (e, bt)));
+        None
   in
   let p_minor_words = Gc.minor_words () -. p_mw0 in
   Atomic.set stop true;
-  let reports = Array.map Domain.join doms in
+  (* After a failure, release any worker parked on an unpublished
+     verdict; [stop] retires the rest. *)
+  Option.iter
+    (fun { ctl; _ } ->
+      ignore (Atomic.compare_and_set ctl.ctl_cmd None (Some Swap_quarantine)))
+    epoch;
+  let reports =
+    Array.map (fun d -> try Some (Domain.join d) with _ -> None) doms
+  in
+  (match Atomic.get failure with
+  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> ());
+  let reports = Array.map Option.get reports in
   let wall_s = Unix.gettimeofday () -. t0 in
   let producer_busy_s =
     robust_busy ~chunk_s:p_chunk_s ~chunk_n:p_chunk_n ~nchunks:!p_nchunks
@@ -918,7 +802,7 @@ let hot_swap ?(domains = 1) ?(batch = 32) ?(ring_capacity = 1024)
     {
       pkts = total_pkts;
       per_queue;
-      stats = Stats.merge ~name:"hot_swap" (Array.to_list domain_stats);
+      stats = Stats.merge ~name (Array.to_list domain_stats);
       domain_stats;
       domain_cycles = Array.map (fun r -> r.rp_cycles) reports;
       wall_s;
@@ -935,24 +819,44 @@ let hot_swap ?(domains = 1) ?(batch = 32) ?(ring_capacity = 1024)
       faults = Option.map (Array.map Fault.counters) fqs;
     }
   in
-  let pre = Atomic.get ctl.ctl_pre_pkts in
-  let outcome =
+  match (epoch, turned) with
+  | Some ep, Some sw ->
+      ( result,
+        Some
+          {
+            sw with
+            sw_post_pkts = total_pkts - sw.sw_pre_pkts;
+            sw_post_pairs =
+              Option.map (Array.map List.rev) ep.ctl.ctl_post_pairs;
+          } )
+  | _ -> (result, None)
+
+let run ?(domains = 1) ?(batch = 32) ?(ring_capacity = 1024) ?(collect = false)
+    ?(account = true) ?(pregen = false) ?plan ~mq ~stack ~pkts ~workload () =
+  fst
+    (engine ~domains ~batch ~ring_capacity ~collect ~account ~pregen ~plan ~mq
+       ~stack ~pkts ~workload None)
+
+let hot_swap ?(domains = 1) ?(batch = 32) ?(ring_capacity = 1024)
+    ?(collect = false) ?(account = true) ?(collect_post = false) ?plan ~mq
+    ~stack ~pkts ~at ~swap ~workload () =
+  let ctl =
     {
-      sw_action =
-        (match cmd with
-        | Swap_apply _ -> Sw_applied
-        | Swap_refuse -> Sw_refused
-        | Swap_quarantine -> Sw_quarantined);
-      sw_at = at;
-      sw_inflight = Atomic.get ctl.ctl_inflight;
-      sw_pre_pkts = pre;
-      sw_post_pkts = total_pkts - pre;
-      sw_withheld = withheld;
-      sw_torn = Atomic.get ctl.ctl_torn;
-      sw_upgrade_errors = Atomic.get ctl.ctl_upgrade_errors;
-      sw_latency_s = latency_s;
-      sw_pause_s = pause_s;
-      sw_post_pairs = Option.map (Array.map List.rev) ctl.ctl_post_pairs;
+      ctl_quiesce = Atomic.make false;
+      ctl_cmd = Atomic.make None;
+      ctl_quiesced = Atomic.make 0;
+      ctl_acks = Atomic.make 0;
+      ctl_inflight = Atomic.make 0;
+      ctl_pre_pkts = Atomic.make 0;
+      ctl_torn = Atomic.make 0;
+      ctl_upgrade_errors = Atomic.make 0;
+      ctl_post_pairs =
+        (if collect_post then Some (Array.make (Mq.queues mq) []) else None);
     }
   in
-  (result, outcome)
+  let result, outcome =
+    engine ~domains ~batch ~ring_capacity ~collect ~account ~pregen:false
+      ~plan ~mq ~stack ~pkts ~workload
+      (Some { at; verdict = swap; ctl })
+  in
+  (result, Option.get outcome)

@@ -10,31 +10,14 @@
     over a bounded SPSC byte ring with preallocated slots, cached
     opposite indices and batched index publication ({!Pktring}) — the
     handoff allocates nothing per packet. Per-domain stats shards merge
-    via {!Stats.merge}. *)
+    via {!Stats.merge}.
 
-module Spsc : sig
-  (** Lamport single-producer/single-consumer bounded ring. Exactly one
-      domain may push and exactly one may pop; indices are [Atomic] so
-      slot contents publish across the pair. The generic boxed-value
-      ring; the datapath hands packets over {!Pktring} instead. *)
-
-  type 'a t
-
-  val create : int -> 'a t
-  (** Capacity is rounded up to a power of two.
-      @raise Invalid_argument on capacity < 1. *)
-
-  val capacity : 'a t -> int
-
-  val try_push : 'a t -> 'a -> bool
-  (** False when full (producer only). *)
-
-  val try_pop : 'a t -> 'a option
-  (** None when empty (consumer only). *)
-
-  val length : 'a t -> int
-  val is_empty : 'a t -> bool
-end
+    {!run} and {!hot_swap} are one engine: the same setup, worker
+    spawn, producer push loop, join and result assembly, with
+    {!hot_swap} adding one epoch boundary. A worker that raises ends the
+    run instead of hanging it: the producer abandons its waits, stops
+    every worker, joins every domain and re-raises the first failure
+    with its backtrace. *)
 
 module Pktring : sig
   (** The zero-allocation handoff ring: a Lamport SPSC ring over
@@ -187,7 +170,17 @@ val run :
     [collect = false], [account = true], [pregen = false], no fault
     plan. Device counters are reset on entry.
 
-    @raise Invalid_argument on [domains < 1] or [batch < 1]. *)
+    @raise Invalid_argument on [domains < 1], [batch < 1] or [pkts < 0]
+    ({!check_sizes}).
+    @raise e the first exception a worker raised (a consumer, a device
+    model, the fault layer), once every domain is joined. Workers record
+    backtraces when the caller does, so [e] carries the worker's. *)
+
+val check_sizes : string -> domains:int -> batch:int -> pkts:int -> unit
+(** [check_sizes fn ~domains ~batch ~pkts] is the run-size check of
+    {!run}, {!hot_swap} and {!Upgrade.run}.
+    @raise Invalid_argument ["fn: domains must be >= 1"], and likewise
+    for [batch < 1] and [pkts < 0]. *)
 
 (** {1 Live contract hot-swap}
 
@@ -267,14 +260,33 @@ val hot_swap :
     where a background recompile + certification runs). Once every
     worker has reached its quiescent point the verdict is published
     through one atomic cell; each worker applies it — [Swap_apply]
-    upgrades its devices in place ({!Device.upgrade}), rebinds its fault
-    wrappers ({!Fault.rebind}) and installs the new consumers;
-    [Swap_refuse] continues unchanged; [Swap_quarantine] retires the
-    worker — and acknowledges the new epoch. Only after every
-    acknowledgement does the producer resume the stream (or, under
-    [Swap_quarantine], withhold it). Counters reconcile exactly across
-    the transition: [sw_pre_pkts + sw_post_pkts = pkts - drops -
-    quarantined - withheld] for a fault-free plan, and with faults the
-    per-queue {!Fault.counters} invariants hold as in {!run}.
+    runs {!install} over its queues; [Swap_refuse] continues unchanged;
+    [Swap_quarantine] retires the worker — and acknowledges the new
+    epoch. Only after every acknowledgement does the producer resume
+    the stream (or, under [Swap_quarantine], withhold it). Counters
+    reconcile exactly across the transition: [sw_pre_pkts +
+    sw_post_pkts = pkts - drops - quarantined - withheld] for a
+    fault-free plan, and with faults the per-queue {!Fault.counters}
+    invariants hold as in {!run}.
 
-    @raise Invalid_argument on [domains < 1] or [batch < 1]. *)
+    @raise Invalid_argument as {!run} does.
+    @raise e the first exception a worker (including its {!install}
+    step) or [swap] raised, with its backtrace, once every domain is
+    joined. A failure before the verdict is published releases the
+    waiting workers with [Swap_quarantine]. *)
+
+val install :
+  config:Opendesc_analysis.Context.assignment ->
+  model:(unit -> Nic_models.Model.t) ->
+  stack:(int -> Stack.burst_t) ->
+  queue_ids:int array ->
+  Device.t array ->
+  Fault.t array option ->
+  Stack.burst_t array ->
+  int
+(** The epoch flip's install step for a [Swap_apply] verdict, shared by
+    {!hot_swap}'s workers and {!Upgrade}'s inline engine: for each
+    index [i], upgrade device [i] in place to [model ()] under [config]
+    ({!Device.upgrade}), rebind its fault wrapper ({!Fault.rebind}) and
+    set consumer [i] to [stack queue_ids.(i)]. The caller guarantees the
+    datapath is dry. Returns the number of {!Device.upgrade} refusals. *)

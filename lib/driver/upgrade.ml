@@ -1,8 +1,8 @@
 (* Hitless contract evolution: the control plane over the epoch-based
    hot-swap. Classification and the certificate gate run here; the
    datapath mechanics (quiescent points, in-place device upgrade, fault
-   rebinding) live in Parallel.hot_swap and the sequential interleaved
-   engine below. See docs/UPGRADE.md. *)
+   rebinding) live in Parallel.hot_swap, Parallel.install and the
+   sequential interleaved engine below. See docs/UPGRADE.md. *)
 
 module Ev = Opendesc_analysis.Evolution
 module Certify = Opendesc_analysis.Certify
@@ -225,27 +225,12 @@ let cmd_of_decision d =
 (* ------------------------------------------------------------------ *)
 (* Engines                                                            *)
 
-type summary = {
-  s_inflight : int;
-  s_pre : int;
-  s_post : int;
-  s_withheld : int;
-  s_torn : int;
-  s_upgrade_errors : int;
-  s_drops : int;
-  s_wall_s : float;
-  s_latency_s : float;
-  s_pause_s : float;
-  s_counters : Fault.counters;
-  s_post_pairs : (bytes * bytes) list array option;
-  s_applied : bool;
-}
-
 (* The deterministic engine: one thread of control interleaves
    injection and harvest (a sweep every [batch] injections), so the
    whole run — including how many completions are in flight when the
    swap lands — is a pure function of (seed, plan, at). This is the
-   engine the CLI golden pins byte-for-byte. *)
+   engine the CLI golden pins byte-for-byte. It reports like
+   {!Parallel.hot_swap}, plus the per-queue fault counters. *)
 let run_seq ~mq ~plan ~batch ~pkts ~at ~workload ~collect_post ~stack0
     ~decide_cmd () =
   let nq = Mq.queues mq in
@@ -280,7 +265,6 @@ let run_seq ~mq ~plan ~batch ~pkts ~at ~workload ~collect_post ~stack0
         ignore (Mq.drain_chaos mq fqs bursts ~f:handle)
     done
   in
-  let t0 = Unix.gettimeofday () in
   inject_n at;
   (* Quiesce: flush deferred reorders, measure what is in flight, then
      drain every queue dry — the quiescent point the epoch flip
@@ -295,27 +279,25 @@ let run_seq ~mq ~plan ~batch ~pkts ~at ~workload ~collect_post ~stack0
   let cmd = decide_cmd () in
   let torn = ref 0 in
   let upgrade_errors = ref 0 in
-  let applied = ref false in
-  (match cmd with
-  | Parallel.Swap_apply { sc_config; sc_model; sc_stack } ->
-      (* Torn-plan oracle: the flip must land on a dry datapath. *)
-      Array.iter
-        (fun fq -> if Fault.rx_available fq > 0 then incr torn)
-        fqs;
-      if !torn > 0 then
-        ignore (Mq.drain_chaos_all mq fqs bursts ~f:handle);
-      for q = 0 to nq - 1 do
-        (match Device.upgrade (Mq.queue mq q) ~config:sc_config (sc_model ())
-         with
-        | Ok () -> ()
-        | Error _ -> incr upgrade_errors);
-        Fault.rebind fqs.(q);
-        consumers.(q) <- sc_stack q
-      done;
-      epoch := 1;
-      applied := true
-  | Parallel.Swap_refuse -> ()
-  | Parallel.Swap_quarantine -> ());
+  let action =
+    match cmd with
+    | Parallel.Swap_apply { sc_config; sc_model; sc_stack } ->
+        (* Torn-plan oracle: the flip must land on a dry datapath. *)
+        Array.iter
+          (fun fq -> if Fault.rx_available fq > 0 then incr torn)
+          fqs;
+        if !torn > 0 then
+          ignore (Mq.drain_chaos_all mq fqs bursts ~f:handle);
+        upgrade_errors :=
+          Parallel.install ~config:sc_config ~model:sc_model ~stack:sc_stack
+            ~queue_ids:(Array.init nq Fun.id)
+            (Array.map Fault.device fqs)
+            (Some fqs) consumers;
+        epoch := 1;
+        Parallel.Sw_applied
+    | Parallel.Swap_refuse -> Parallel.Sw_refused
+    | Parallel.Swap_quarantine -> Parallel.Sw_quarantined
+  in
   let latency = Unix.gettimeofday () -. t_swap in
   (* The producer quiesce pause: injection halted from the quiesce
      request until the post-swap stream resumes (for a quarantine,
@@ -331,75 +313,44 @@ let run_seq ~mq ~plan ~batch ~pkts ~at ~workload ~collect_post ~stack0
   in
   Array.iter Fault.flush fqs;
   ignore (Mq.drain_chaos_all mq fqs bursts ~f:handle);
-  let devices = Array.init nq (Mq.queue mq) in
-  {
-    s_inflight = inflight;
-    s_pre = pre;
-    s_post = !delivered - pre;
-    s_withheld = withheld;
-    s_torn = !torn;
-    s_upgrade_errors = !upgrade_errors;
-    s_drops = Array.fold_left (fun a d -> a + Device.drops d) 0 devices;
-    s_wall_s = Unix.gettimeofday () -. t0;
-    s_latency_s = latency;
-    s_pause_s = pause_s;
-    s_counters =
-      Fault.counters_sum (Array.to_list (Array.map Fault.counters fqs));
-    s_post_pairs = Option.map (Array.map List.rev) post_pairs;
-    s_applied = !applied;
-  }
-
-let run_par ~mq ~domains ~plan ~batch ~pkts ~at ~workload ~collect_post
-    ~stack0 ~decide_cmd () =
-  let res, sw =
-    Parallel.hot_swap ~domains ~batch ~collect_post ~plan ~mq ~stack:stack0
-      ~pkts ~at ~swap:decide_cmd ~workload ()
-  in
-  let counters =
-    match res.Parallel.faults with
-    | Some cs -> Fault.counters_sum (Array.to_list cs)
-    | None -> Fault.counters_zero ()
-  in
-  {
-    s_inflight = sw.Parallel.sw_inflight;
-    s_pre = sw.sw_pre_pkts;
-    s_post = sw.sw_post_pkts;
-    s_withheld = sw.sw_withheld;
-    s_torn = sw.sw_torn;
-    s_upgrade_errors = sw.sw_upgrade_errors;
-    s_drops = res.drops;
-    s_wall_s = res.wall_s;
-    s_latency_s = sw.sw_latency_s;
-    s_pause_s = sw.Parallel.sw_pause_s;
-    s_counters = counters;
-    s_post_pairs = sw.sw_post_pairs;
-    s_applied = sw.sw_action = Parallel.Sw_applied;
-  }
+  ( {
+      Parallel.sw_action = action;
+      sw_at = at;
+      sw_inflight = inflight;
+      sw_pre_pkts = pre;
+      sw_post_pkts = !delivered - pre;
+      sw_withheld = withheld;
+      sw_torn = !torn;
+      sw_upgrade_errors = !upgrade_errors;
+      sw_latency_s = latency;
+      sw_pause_s = pause_s;
+      sw_post_pairs = Option.map (Array.map List.rev) post_pairs;
+    },
+    Array.map Fault.counters fqs )
 
 (* ------------------------------------------------------------------ *)
 (* Outcome assembly                                                   *)
 
-let summary_zero () =
+(* A dry run turns no epoch: every datapath figure is zero. *)
+let no_swap =
   {
-    s_inflight = 0;
-    s_pre = 0;
-    s_post = 0;
-    s_withheld = 0;
-    s_torn = 0;
-    s_upgrade_errors = 0;
-    s_drops = 0;
-    s_wall_s = 0.;
-    s_latency_s = 0.;
-    s_pause_s = 0.;
-    s_counters = Fault.counters_zero ();
-    s_post_pairs = None;
-    s_applied = false;
+    Parallel.sw_action = Sw_refused;
+    sw_at = 0;
+    sw_inflight = 0;
+    sw_pre_pkts = 0;
+    sw_post_pkts = 0;
+    sw_withheld = 0;
+    sw_torn = 0;
+    sw_upgrade_errors = 0;
+    sw_latency_s = 0.;
+    sw_pause_s = 0.;
+    sw_post_pairs = None;
   }
 
 let mk_outcome ~(old_spec : Opendesc.Nic_spec.t)
     ~(new_spec : Opendesc.Nic_spec.t) ~intent ~active ~queues ~domains ~pkts
-    ~at ~dry (d : decision) (s : summary) =
-  let c = s.s_counters in
+    ~dry ~drops ~wall_s (d : decision) (c : Fault.counters)
+    (sw : Parallel.swap_outcome) =
   let action =
     match d.dc_verdict with
     | `Apply -> Applied
@@ -419,29 +370,29 @@ let mk_outcome ~(old_spec : Opendesc.Nic_spec.t)
     o_cert = d.dc_cert;
     o_action = action;
     o_dry = dry;
-    o_epoch = (if s.s_applied then 1 else 0);
+    o_epoch = (if sw.sw_action = Sw_applied then 1 else 0);
     o_domains = domains;
     o_queues = queues;
     o_pkts = pkts;
-    o_at = at;
-    o_inflight = s.s_inflight;
-    o_pre_delivered = s.s_pre;
-    o_post_delivered = s.s_post;
+    o_at = sw.sw_at;
+    o_inflight = sw.sw_inflight;
+    o_pre_delivered = sw.sw_pre_pkts;
+    o_post_delivered = sw.sw_post_pkts;
     o_delivered = c.Fault.delivered;
     o_quarantined = c.quarantined;
     o_accepted = c.rx_accepted;
     o_duplicates = c.duplicates;
-    o_withheld = s.s_withheld;
-    o_drops = s.s_drops;
+    o_withheld = sw.sw_withheld;
+    o_drops = drops;
     o_lost = c.rx_accepted + c.duplicates - c.delivered - c.quarantined;
     o_reconciled = Fault.reconciles c;
-    o_torn = s.s_torn;
-    o_upgrade_errors = s.s_upgrade_errors;
-    o_wall_s = s.s_wall_s;
-    o_latency_s = s.s_latency_s;
-    o_pause_s = s.s_pause_s;
+    o_torn = sw.sw_torn;
+    o_upgrade_errors = sw.sw_upgrade_errors;
+    o_wall_s = wall_s;
+    o_latency_s = sw.sw_latency_s;
+    o_pause_s = sw.sw_pause_s;
     o_faults = c;
-    o_post_pairs = s.s_post_pairs;
+    o_post_pairs = sw.sw_post_pairs;
     o_compiled_new = d.dc_compiled;
   }
 
@@ -451,6 +402,7 @@ let mk_outcome ~(old_spec : Opendesc.Nic_spec.t)
 let run ?(queues = 4) ?(domains = 1) ?(batch = 32) ?(pkts = 4096) ?at
     ?(seed = 42L) ?plan ?alpha ?drill ?(collect_post = false) ~intent
     ~(old_spec : Opendesc.Nic_spec.t) ~(new_spec : Opendesc.Nic_spec.t) () =
+  Parallel.check_sizes "Upgrade.run" ~domains ~batch ~pkts;
   let at =
     match at with Some a -> max 0 (min a pkts) | None -> pkts / 2
   in
@@ -479,20 +431,28 @@ let run ?(queues = 4) ?(domains = 1) ?(batch = 32) ?(pkts = 4096) ?at
           in
           let stack0 _ = Hoststacks.opendesc_batched ~compiled:compiled_old in
           let workload = Packet.Workload.make ~seed Packet.Workload.Imix in
-          let s =
-            if domains <= 1 then
+          let t0 = Unix.gettimeofday () in
+          let sw, counters =
+            if domains = 1 then
               run_seq ~mq ~plan:fplan ~batch ~pkts ~at ~workload
                 ~collect_post ~stack0 ~decide_cmd ()
             else
-              run_par ~mq ~domains ~plan:fplan ~batch ~pkts ~at ~workload
-                ~collect_post ~stack0 ~decide_cmd ()
+              let r, sw =
+                Parallel.hot_swap ~domains ~batch ~collect_post ~plan:fplan
+                  ~mq ~stack:stack0 ~pkts ~at ~swap:decide_cmd ~workload ()
+              in
+              (sw, Option.get r.faults)
           in
-          let d =
-            match !decision with Some d -> d | None -> assert false
+          let wall_s = Unix.gettimeofday () -. t0 in
+          let devices = Array.init queues (Mq.queue mq) in
+          let drops =
+            Array.fold_left (fun a d -> a + Device.drops d) 0 devices
           in
           Ok
             (mk_outcome ~old_spec ~new_spec ~intent ~active ~queues ~domains
-               ~pkts ~at ~dry:false d s))
+               ~pkts ~dry:false ~drops ~wall_s (Option.get !decision)
+               (Fault.counters_sum (Array.to_list counters))
+               sw))
 
 let dry_run ?alpha ?drill ~intent ~(old_spec : Opendesc.Nic_spec.t)
     ~(new_spec : Opendesc.Nic_spec.t) () =
@@ -504,24 +464,11 @@ let dry_run ?alpha ?drill ~intent ~(old_spec : Opendesc.Nic_spec.t)
       let d = decide ?alpha ?drill ~intent ~old_spec ~new_spec ~active () in
       Ok
         (mk_outcome ~old_spec ~new_spec ~intent ~active ~queues:0 ~domains:0
-           ~pkts:0 ~at:0 ~dry:true d (summary_zero ()))
+           ~pkts:0 ~dry:true ~drops:0 ~wall_s:0. d (Fault.counters_zero ())
+           no_swap)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                          *)
-
-let esc s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 let to_json (o : outcome) =
   let b = Buffer.create 512 in
@@ -531,7 +478,10 @@ let to_json (o : outcome) =
     Buffer.add_string b "\":";
     f ()
   in
-  let str s = Buffer.add_string b ("\"" ^ esc s ^ "\"") in
+  let str s =
+    Buffer.add_string b
+      ("\"" ^ Opendesc_analysis.Diagnostic.json_escape s ^ "\"")
+  in
   let int i = Buffer.add_string b (string_of_int i) in
   let bool v = Buffer.add_string b (if v then "true" else "false") in
   Buffer.add_string b "{\"schema\":\"opendesc-upgrade-2\"";

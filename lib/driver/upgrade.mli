@@ -33,9 +33,15 @@
     rev A's contract) is correctly judged stale for rev B's hash.
 
     Two engines produce the same {!outcome}: a single-threaded
-    interleaved engine ([domains = 1], deterministic to the byte for a
-    given seed — what the CLI golden pins) and the domain-parallel
-    epoch engine ({!Parallel.hot_swap}) for [domains > 1]. *)
+    interleaved engine ([domains = 1]) and the domain-parallel epoch
+    engine ({!Parallel.hot_swap}) for [domains > 1]. Both report a
+    {!Parallel.swap_outcome} and flip the epoch with the same
+    {!Parallel.install} step. The inline engine stays for two reasons.
+    The CLI golden pins [inflight] and [pre_delivered], which depend on
+    where harvests fall relative to the swap: fixed in the inline loop,
+    a matter of scheduling across domains in {!Parallel.hot_swap} even
+    at one worker. And the [upgrade_chaos] benchmark times
+    [run ~domains:1] on the calling domain. *)
 
 (** Certificate-gate failure drills (the [certify --inject] lineage):
     force the Recompile protocol into each refusal mode without needing
@@ -165,7 +171,12 @@ val run :
     to {!Parallel.hot_swap}. Defaults: [queues = 4], [batch = 32],
     [pkts = 4096], [seed = 42]. Errors are pre-flight only (rev A
     fails to compile, device creation fails); every post-flight
-    condition is an {!outcome}. *)
+    condition is an {!outcome}.
+
+    @raise Invalid_argument on [domains < 1], [batch < 1] or [pkts < 0]
+    ({!Parallel.check_sizes}), before either engine starts.
+    @raise e what {!Parallel.hot_swap} raises when a worker or the
+    verdict fails. *)
 
 val dry_run :
   ?alpha:float ->

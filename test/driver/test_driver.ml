@@ -948,46 +948,7 @@ let test_mq_drain_batched_arity () =
       ignore (Mq.drain_batched mq (Array.sub bursts 0 1) ~f:(fun _ _ -> ())))
 
 (* ------------------------------------------------------------------ *)
-(* Parallel: SPSC ring, sharded-stats merge, differential equivalence *)
-
-let test_spsc_fifo_and_bounds () =
-  let r = Parallel.Spsc.create 5 in
-  check ai "capacity rounds to pow2" 8 (Parallel.Spsc.capacity r);
-  for i = 0 to 7 do
-    check ab "push" true (Parallel.Spsc.try_push r i)
-  done;
-  check ab "full rejects" false (Parallel.Spsc.try_push r 99);
-  check ai "length" 8 (Parallel.Spsc.length r);
-  for i = 0 to 7 do
-    check Alcotest.(option int) "fifo pop" (Some i) (Parallel.Spsc.try_pop r)
-  done;
-  check Alcotest.(option int) "empty pop" None (Parallel.Spsc.try_pop r);
-  check ab "empty" true (Parallel.Spsc.is_empty r)
-
-let test_spsc_cross_domain () =
-  (* One producer domain, the main domain consuming: every value arrives
-     exactly once, in order, through a ring much smaller than the stream. *)
-  let r = Parallel.Spsc.create 16 in
-  let n = 10_000 in
-  let producer =
-    Domain.spawn (fun () ->
-        for i = 1 to n do
-          while not (Parallel.Spsc.try_push r i) do
-            Domain.cpu_relax ()
-          done
-        done)
-  in
-  let got = ref 0 and expect = ref 1 in
-  while !got < n do
-    match Parallel.Spsc.try_pop r with
-    | Some v ->
-        check ai "in order" !expect v;
-        incr expect;
-        incr got
-    | None -> Domain.cpu_relax ()
-  done;
-  Domain.join producer;
-  check ab "drained" true (Parallel.Spsc.is_empty r)
+(* Parallel: sharded-stats merge, differential equivalence *)
 
 let test_stats_merge () =
   let shard name pkts cycles comp =
@@ -1228,6 +1189,172 @@ let test_parallel_gc_budget () =
     (r.Parallel.minor_words_per_pkt <= minor_words_budget);
   check ab "hot path skips the cost model" true
     (Array.for_all (fun c -> c = 0.0) r.Parallel.domain_cycles)
+
+let test_parallel_sizes_validated () =
+  let compiled, mq, workload = parallel_fixture () in
+  Alcotest.check_raises "negative pkts"
+    (Invalid_argument "Parallel.run: pkts must be >= 0") (fun () ->
+      ignore
+        (Parallel.run ~mq:(mq ())
+           ~stack:(fun _ -> Hoststacks.opendesc_batched ~compiled)
+           ~pkts:(-1) ~workload:(workload ()) ()))
+
+(* ------------------------------------------------------------------ *)
+(* Failure containment: a worker or verdict that raises ends the run
+   with its exception, at every domain count, instead of leaving the
+   producer waiting on a dead worker. *)
+
+exception Injected of string
+
+(* A regression back to the hang must fail the test, not stall the
+   suite: [f] runs on its own domain and must raise [expect] within
+   [watchdog_s]. *)
+let watchdog_s = 30.0
+
+let raises_within name expect f =
+  let outcome = Atomic.make None in
+  let d =
+    Domain.spawn (fun () ->
+        Atomic.set outcome
+          (Some (match f () with () -> None | exception e -> Some e)))
+  in
+  let deadline = Unix.gettimeofday () +. watchdog_s in
+  let rec await () =
+    match Atomic.get outcome with
+    | Some raised ->
+        Domain.join d;
+        raised
+    | None when Unix.gettimeofday () > deadline ->
+        Alcotest.failf "%s: no return within %.0f s" name watchdog_s
+    | None ->
+        Unix.sleepf 0.01;
+        await ()
+  in
+  match await () with
+  | Some e when e = expect -> ()
+  | Some e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e)
+  | None -> Alcotest.failf "%s: returned without raising" name
+
+(* The batched consumer, except that queue 1's raises on its fifth
+   burst. *)
+let consumer_failing_on_q1 ~compiled q =
+  let base = Hoststacks.opendesc_batched ~compiled in
+  if q <> 1 then base
+  else
+    let bursts = ref 0 in
+    {
+      base with
+      Stack.bt_consume =
+        (fun sink env b ->
+          incr bursts;
+          if !bursts > 4 then raise (Injected "consumer");
+          base.Stack.bt_consume sink env b);
+    }
+
+(* Small handoff rings, so the producer blocks on the failed worker's
+   ring well before the end of the stream. *)
+let failing_runs ~label expect run =
+  List.iter
+    (fun domains ->
+      raises_within (Printf.sprintf "%s at %d domains" label domains) expect
+        (fun () -> run ~domains ~ring_capacity:64))
+    [ 1; 2; 4 ]
+
+let test_failure_consumer_run () =
+  let compiled, mq, workload = parallel_fixture () in
+  failing_runs ~label:"run" (Injected "consumer")
+    (fun ~domains ~ring_capacity ->
+      ignore
+        (Parallel.run ~domains ~ring_capacity ~mq:(mq ())
+           ~stack:(consumer_failing_on_q1 ~compiled)
+           ~pkts:4096 ~workload:(workload ()) ()))
+
+(* The re-raised failure keeps the worker's backtrace: it starts at the
+   consumer's raise, not at the engine's re-raise. *)
+let test_failure_keeps_backtrace () =
+  let compiled, mq, workload = parallel_fixture () in
+  raises_within "run at 2 domains" (Injected "consumer") (fun () ->
+      Printexc.record_backtrace true;
+      try
+        ignore
+          (Parallel.run ~domains:2 ~ring_capacity:64 ~mq:(mq ())
+             ~stack:(consumer_failing_on_q1 ~compiled)
+             ~pkts:4096 ~workload:(workload ()) ())
+      with Injected _ as e ->
+        let raised_in =
+          match Printexc.backtrace_slots (Printexc.get_raw_backtrace ()) with
+          | Some slots ->
+              Option.map
+                (fun l -> l.Printexc.filename)
+                (Printexc.Slot.location slots.(0))
+          | None -> None
+        in
+        check
+          Alcotest.(option string)
+          "raised in the consumer" (Some "test/driver/test_driver.ml")
+          raised_in;
+        raise e)
+
+let hot_swap_failing ~mq ~workload ~stack ~swap expect label =
+  failing_runs ~label expect (fun ~domains ~ring_capacity ->
+      ignore
+        (Parallel.hot_swap ~domains ~ring_capacity ~mq:(mq ()) ~stack
+           ~pkts:4096 ~at:3000 ~swap ~workload:(workload ()) ()))
+
+let test_failure_consumer_hot_swap () =
+  let compiled, mq, workload = parallel_fixture () in
+  hot_swap_failing ~mq ~workload
+    ~stack:(consumer_failing_on_q1 ~compiled)
+    ~swap:(fun () -> Parallel.Swap_refuse)
+    (Injected "consumer") "hot_swap before the swap point"
+
+let test_failure_install_hot_swap () =
+  let compiled, mq, workload = parallel_fixture () in
+  let swap () =
+    Parallel.Swap_apply
+      {
+        sc_config = compiled.Opendesc.Compile.config;
+        sc_model = (fun () -> raise (Injected "install"));
+        sc_stack = (fun _ -> Hoststacks.opendesc_batched ~compiled);
+      }
+  in
+  hot_swap_failing ~mq ~workload
+    ~stack:(fun _ -> Hoststacks.opendesc_batched ~compiled)
+    ~swap (Injected "install") "hot_swap install"
+
+let test_failure_verdict_hot_swap () =
+  let compiled, mq, workload = parallel_fixture () in
+  hot_swap_failing ~mq ~workload
+    ~stack:(fun _ -> Hoststacks.opendesc_batched ~compiled)
+    ~swap:(fun () -> raise (Injected "verdict"))
+    (Injected "verdict") "hot_swap verdict"
+
+(* A device whose staged rss producer raises: the failure starts inside
+   the device model, on the worker that injects. *)
+let test_failure_device_model_run () =
+  let honest = Nic_models.Mlx5.model () in
+  let raising =
+    {
+      honest with
+      Nic_models.Model.stage =
+        (fun f ->
+          let produce = honest.stage f in
+          if f.Opendesc.Path.l_semantic = Some "rss" then fun _ _ _ ->
+            raise (Injected "device model")
+          else produce);
+    }
+  in
+  let compiled, _, workload = parallel_fixture () in
+  failing_runs ~label:"run" (Injected "device model")
+    (fun ~domains ~ring_capacity ->
+      let mq =
+        Mq.create_exn ~queue_depth:1024
+          ~configs:(Array.make 4 compiled.config) (fun () -> raising)
+      in
+      ignore
+        (Parallel.run ~domains ~ring_capacity ~mq
+           ~stack:(fun _ -> Hoststacks.opendesc_batched ~compiled)
+           ~pkts:4096 ~workload:(workload ()) ()))
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection: the chaos layer and its recovery path *)
@@ -1927,6 +2054,20 @@ let test_upgrade_breaking_quarantines () =
           check ab "reconciled" true o.Upgrade.o_reconciled)
     [ 1; 2 ]
 
+let test_upgrade_sizes_validated () =
+  let old_spec = rev_a () and new_spec = rev_b () in
+  let run ?batch ?domains () =
+    ignore
+      (Upgrade.run ?batch ?domains ~intent:upgrade_intent ~old_spec ~new_spec
+         ())
+  in
+  Alcotest.check_raises "zero batch"
+    (Invalid_argument "Upgrade.run: batch must be >= 1") (fun () ->
+      run ~batch:0 ());
+  Alcotest.check_raises "zero domains"
+    (Invalid_argument "Upgrade.run: domains must be >= 1") (fun () ->
+      run ~domains:0 ())
+
 (* The deployment filter: the same A -> B bump is globally Breaking
    (ip_checksum vanishes from the legacy path) yet Recompile for an RSS
    consumer on path 1 — and Breaking again for a deployment that
@@ -2123,8 +2264,6 @@ let () =
         ] );
       ( "parallel",
         [
-          Alcotest.test_case "spsc fifo+bounds" `Quick test_spsc_fifo_and_bounds;
-          Alcotest.test_case "spsc cross-domain" `Quick test_spsc_cross_domain;
           Alcotest.test_case "stats merge" `Quick test_stats_merge;
           Alcotest.test_case "matches sequential" `Quick
             test_parallel_matches_sequential;
@@ -2136,6 +2275,20 @@ let () =
             test_pktring_cross_domain;
           Alcotest.test_case "stats merge idle" `Quick test_stats_merge_idle;
           Alcotest.test_case "gc budget" `Quick test_parallel_gc_budget;
+          Alcotest.test_case "sizes validated" `Quick
+            test_parallel_sizes_validated;
+          Alcotest.test_case "raising consumer: run" `Quick
+            test_failure_consumer_run;
+          Alcotest.test_case "failure keeps backtrace" `Quick
+            test_failure_keeps_backtrace;
+          Alcotest.test_case "raising consumer: hot_swap" `Quick
+            test_failure_consumer_hot_swap;
+          Alcotest.test_case "raising install: hot_swap" `Quick
+            test_failure_install_hot_swap;
+          Alcotest.test_case "raising verdict: hot_swap" `Quick
+            test_failure_verdict_hot_swap;
+          Alcotest.test_case "raising device model: run" `Quick
+            test_failure_device_model_run;
         ]
         @ qsuite [ prop_hot_path_byte_identical ] );
       ( "fault",
@@ -2170,6 +2323,8 @@ let () =
             test_upgrade_breaking_quarantines;
           Alcotest.test_case "effective class scoping" `Quick
             test_upgrade_effective_class_scoping;
+          Alcotest.test_case "sizes validated" `Quick
+            test_upgrade_sizes_validated;
         ]
         @ qsuite [ prop_upgrade_random_timing_never_tears ] );
       ("properties", qsuite [ prop_dma_accounting ]);
