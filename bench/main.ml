@@ -744,108 +744,6 @@ let compile_cache () =
        cold_ns warm_ns speedup (speedup >= 10.0) s.hits s.misses)
 
 (* ================================================================== *)
-(* feasibility_pruning: memoized, symbolically-pruned path enumeration
-   vs the brute-force configuration product that Eq. 1 used to search. *)
-
-(* Five context fields (512 configurations), only one of which steers the
-   deparser: the taint projection collapses the walk to 4 runs. *)
-let pruning_stress_source =
-  {|
-header stress_ctx_t {
-  bit<2> fmt;
-  bit<2> k0;
-  bit<2> k1;
-  bit<2> k2;
-  bit<1> k3;
-}
-
-header stress_tx_desc_t {
-  @semantic("buf_addr") bit<64> addr;
-  bit<16> length;
-  bit<16> flags;
-}
-
-header fmt0_t { @semantic("pkt_len")     bit<16> len;  bit<16> rsvd; }
-header fmt1_t { @semantic("rss")         bit<32> hash; }
-header fmt2_t { @semantic("vlan")        bit<16> vlan; bit<16> rsvd; }
-header fmt3_t { @semantic("ip_checksum") bit<16> csum; bit<16> rsvd; }
-
-struct stress_meta_t { fmt0_t a; fmt1_t b; fmt2_t c; fmt3_t d; }
-
-parser StressDescParser(desc_in d, in stress_ctx_t h2c_ctx,
-                        out stress_tx_desc_t desc_hdr) {
-  state start {
-    d.extract(desc_hdr);
-    transition accept;
-  }
-}
-
-@cmpt_deparser @cmpt_slot(4)
-control StressCmptDeparser(cmpt_out o, in stress_ctx_t ctx,
-                           in stress_tx_desc_t desc_hdr,
-                           in stress_meta_t pipe_meta) {
-  apply {
-    if (ctx.fmt == 0) { o.emit(pipe_meta.a); }
-    else { if (ctx.fmt == 1) { o.emit(pipe_meta.b); }
-    else { if (ctx.fmt == 2) { o.emit(pipe_meta.c); }
-    else { o.emit(pipe_meta.d); } } }
-  }
-}
-|}
-
-let feasibility_pruning () =
-  Bench_util.section
-    "FEASIBILITY_PRUNING. Memoized path enumeration vs configuration product";
-  let spec =
-    Opendesc.Nic_spec.load_exn ~name:"stress"
-      ~kind:Opendesc.Nic_spec.Fixed_function pruning_stress_source
-  in
-  let tenv = spec.tenv and ctrl = spec.deparser in
-  let product_ns =
-    ns_per_call (fun () -> Opendesc.Path.enumerate_product tenv ctrl)
-  in
-  let pruned_ns = ns_per_call (fun () -> Opendesc.Path.enumerate tenv ctrl) in
-  let speedup = product_ns /. pruned_ns in
-  let identical =
-    match
-      ( Opendesc.Path.enumerate_product tenv ctrl,
-        Opendesc.Path.enumerate tenv ctrl )
-    with
-    | Ok a, Ok b -> Stdlib.compare a b = 0
-    | _ -> false
-  in
-  let pr = spec.pruning in
-  let qdma =
-    let models = Nic_models.Catalog.all () in
-    (Option.get (Nic_models.Catalog.find "qdma-programmable" models)).spec
-      .pruning
-  in
-  Printf.printf "configurations   : %10d\n" pr.Opendesc.Path.pr_configs;
-  Printf.printf "deparser runs    : %10d (memoized on influencing fields)\n"
-    pr.pr_runs;
-  Printf.printf "product          : %10.0f ns/enumeration\n" product_ns;
-  Printf.printf "pruned           : %10.0f ns/enumeration\n" pruned_ns;
-  Printf.printf "speedup          : %10.1fx (acceptance: >= 2x)  %s\n" speedup
-    (if speedup >= 2.0 then "ok" else "BELOW TARGET");
-  Printf.printf
-    "qdma census      : %d syntactic leaves, %d feasible, %d proved \
-     infeasible\n"
-    qdma.pr_syntactic qdma.pr_feasible qdma.pr_pruned;
-  acceptance "feasibility_pruning identical paths" identical;
-  acceptance "feasibility_pruning >= 2x speedup" (speedup >= 2.0);
-  acceptance "feasibility_pruning qdma prunes >= 1 leaf" (qdma.pr_pruned >= 1);
-  record_json "feasibility_pruning"
-    (Printf.sprintf
-       "{\n    \"nic\": %S,\n    \"configs\": %d,\n    \"runs\": %d,\n    \
-        \"product_ns_per_enum\": %.0f,\n    \"pruned_ns_per_enum\": %.0f,\n    \
-        \"speedup\": %.1f,\n    \"meets_2x\": %b,\n    \"identical_paths\": \
-        %b,\n    \"qdma_syntactic\": %d,\n    \"qdma_feasible\": %d,\n    \
-        \"qdma_pruned\": %d\n  }"
-       spec.nic_name pr.pr_configs pr.pr_runs product_ns pruned_ns speedup
-       (speedup >= 2.0) identical qdma.pr_syntactic qdma.pr_feasible
-       qdma.pr_pruned)
-
-(* ================================================================== *)
 (* parallel_sweep: the domain-parallel datapath — speedup vs domains. *)
 
 let parallel_domains = [ 1; 2; 4 ]
@@ -1374,7 +1272,6 @@ let experiments =
     ("micro", micro);
     ("batch_sweep", batch_sweep);
     ("compile_cache", compile_cache);
-    ("feasibility_pruning", feasibility_pruning);
     ("parallel_sweep", parallel_sweep);
     ("chaos_sweep", chaos_sweep);
     ("live_upgrade", live_upgrade);
@@ -1388,7 +1285,6 @@ let quick_set =
     "f1";
     "batch_sweep";
     "compile_cache";
-    "feasibility_pruning";
     "parallel_sweep";
     "chaos_sweep";
     "live_upgrade";

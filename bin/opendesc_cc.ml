@@ -143,11 +143,15 @@ let paths_cmd =
     | Error e -> fail "%s" e
     | Ok spec ->
         Format.printf "%a@." Opendesc.Report.paths spec;
-        let pr = spec.pruning in
+        let cat = spec.catalogue in
+        let leaves = List.length cat.cat_sym.sx_leaves
+        and pruned = cat.cat_sym.sx_pruned in
         Format.printf
           "feasibility: %d syntactic leaves, %d feasible, %d proved \
            infeasible; %d configurations covered by %d deparser runs@."
-          pr.pr_syntactic pr.pr_feasible pr.pr_pruned pr.pr_configs pr.pr_runs;
+          leaves (leaves - pruned) pruned
+          (List.length cat.cat_assignments)
+          (List.length cat.cat_runs);
         (match spec.tx_formats with
         | [] -> ()
         | fs ->

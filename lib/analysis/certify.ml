@@ -120,8 +120,7 @@ type plan = {
 }
 
 type contract = {
-  cf_tenv : P4.Typecheck.t;
-  cf_deparser : P4.Typecheck.control_def;
+  cf_catalogue : Engine.catalogue;
   cf_registry : Registry_view.t;
   cf_line_offset : int;
 }
@@ -140,246 +139,234 @@ type certificate = {
 let range_string (lo, hi) = Printf.sprintf "[%Lu, %Lu]" lo hi
 
 let check (cf : contract) (plan : plan) : (certificate, D.t list) result =
-  match Engine.catalogue cf.cf_tenv cf.cf_deparser with
-  | Error msg ->
-      Error
-        [
-          D.make ~code:"OD021" ~severity:D.Error
-            "cannot certify %s: deparser IR unavailable (%s)" plan.pl_nic msg;
-        ]
-  | Ok cat ->
-      let diags = ref [] in
-      let add d = diags := d :: !diags in
-      let obligations = ref 0 in
-      let discharge () = incr obligations in
-      (* Feasible layouts only, numbered like the compiler's paths so
-         "path #k" in messages matches the CLI's path listing. *)
-      let catalogue = Engine.feasible_groups cat in
-      let config = Format.asprintf "%a" Context.pp plan.pl_config in
-      (* Every feasible layout the plan's configuration selects — several
-         when runtime-data branches fork (each must agree with the plan,
-         or a fixed-offset read can observe unwritten bytes). *)
-      let chosen =
-        List.filter
-          (fun (g : Engine.group) -> List.mem plan.pl_config g.Engine.g_assigns)
-          catalogue
-      in
-      (* Intent coverage: Eq. 1 must leave no required semantic behind —
-         hardware-bound or scheduled as a shim, never silently dropped. *)
-      List.iter
-        (fun (s, _) ->
-          if
-            List.mem_assoc s plan.pl_hw
-            || List.exists (fun sh -> sh.sh_semantic = s) plan.pl_shims
-          then discharge ()
-          else
-            add
-              (D.make ~span:cf.cf_deparser.P4.Typecheck.ct_span ~code:"OD022"
-                 ~severity:D.Error
-                 "required semantic %S is neither read from hardware nor \
-                  scheduled as a SoftNIC shim"
-                 s))
-        plan.pl_intent;
-      if chosen = [] then
+  let diags = ref [] in
+  let add d = diags := d :: !diags in
+  let obligations = ref 0 in
+  let discharge () = incr obligations in
+  (* The compiler's paths: feasible layouts, numbered so "path #k" in
+     messages matches the CLI's path listing. *)
+  let catalogue = Engine.feasible_groups cf.cf_catalogue in
+  let span = cf.cf_catalogue.Engine.cat_ctrl.P4.Typecheck.ct_span in
+  let config = Format.asprintf "%a" Context.pp plan.pl_config in
+  (* Every feasible layout the plan's configuration selects — several
+     when runtime-data branches fork (each must agree with the plan,
+     or a fixed-offset read can observe unwritten bytes). *)
+  let chosen =
+    List.filter
+      (fun (g : Engine.group) -> List.mem plan.pl_config g.Engine.g_assigns)
+      catalogue
+  in
+  (* Intent coverage: Eq. 1 must leave no required semantic behind —
+     hardware-bound or scheduled as a shim, never silently dropped. *)
+  List.iter
+    (fun (s, _) ->
+      if
+        List.mem_assoc s plan.pl_hw
+        || List.exists (fun sh -> sh.sh_semantic = s) plan.pl_shims
+      then discharge ()
+      else
         add
-          (D.make ~span:cf.cf_deparser.P4.Typecheck.ct_span ~code:"OD023"
-             ~severity:D.Error
-             "plan for path #%d: configuration %s selects no feasible \
-              completion run"
-             plan.pl_path_index config);
-      let check_accessor ~what ~run ~group_index
-          (ap : accessor_plan) (af : Engine.afield) =
-        if ap.ap_bits <> af.af_bits then
-          add
-            (D.make ~span:af.af_span ~code:"OD021" ~severity:D.Error
-               "accessor for %s claims %d bits but the deparser writes %d \
-                bits under %s"
-               what ap.ap_bits af.af_bits config);
-        let expected =
-          if af.af_bits > 64 then None
-          else Some (af.af_bit_off, af.af_bit_off + af.af_bits)
-        in
-        let actual = footprint ap.ap_steps in
-        (if actual = expected then discharge ()
-         else
-           match actual with
-           | None ->
+          (D.make ~span ~code:"OD022" ~severity:D.Error
+             "required semantic %S is neither read from hardware nor \
+              scheduled as a SoftNIC shim"
+             s))
+    plan.pl_intent;
+  if chosen = [] then
+    add
+      (D.make ~span ~code:"OD023" ~severity:D.Error
+         "plan for path #%d: configuration %s selects no feasible \
+          completion run"
+         plan.pl_path_index config);
+  let check_accessor ~what ~run ~group_index
+      (ap : accessor_plan) (af : Engine.afield) =
+    if ap.ap_bits <> af.af_bits then
+      add
+        (D.make ~span:af.af_span ~code:"OD021" ~severity:D.Error
+           "accessor for %s claims %d bits but the deparser writes %d \
+            bits under %s"
+           what ap.ap_bits af.af_bits config);
+    let expected =
+      if af.af_bits > 64 then None
+      else Some (af.af_bit_off, af.af_bit_off + af.af_bits)
+    in
+    let actual = footprint ap.ap_steps in
+    (if actual = expected then discharge ()
+     else
+       match actual with
+       | None ->
+           add
+             (D.make ~span:af.af_span ~code:"OD021" ~severity:D.Error
+                "accessor for %s reads no completion bytes but the \
+                 deparser writes the field at bits [%d, %d) under %s"
+                what af.af_bit_off
+                (af.af_bit_off + af.af_bits)
+                config)
+       | Some (alo, ahi) -> (
+           let other =
+             List.find_opt
+               (fun (g : Engine.group) ->
+                 g.Engine.g_index <> group_index
+                 && List.exists
+                      (fun (gaf : Engine.afield) ->
+                        gaf.Engine.af_bit_off = alo
+                        && gaf.Engine.af_bit_off + gaf.Engine.af_bits = ahi
+                        && (gaf.Engine.af_semantic = ap.ap_semantic
+                           || gaf.Engine.af_name = ap.ap_name))
+                      (Engine.fields_of_run g.Engine.g_run))
+               catalogue
+           in
+           match other with
+           | Some g ->
                add
-                 (D.make ~span:af.af_span ~code:"OD021" ~severity:D.Error
-                    "accessor for %s reads no completion bytes but the \
-                     deparser writes the field at bits [%d, %d) under %s"
-                    what af.af_bit_off
+                 (D.make ~span:af.af_span ~code:"OD023" ~severity:D.Error
+                    "accessor for %s reads bits [%d, %d) — path #%d's \
+                     placement, not path #%d's [%d, %d) selected by %s"
+                    what alo ahi g.Engine.g_index group_index af.af_bit_off
                     (af.af_bit_off + af.af_bits)
                     config)
-           | Some (alo, ahi) -> (
-               let other =
-                 List.find_opt
-                   (fun (g : Engine.group) ->
-                     g.Engine.g_index <> group_index
-                     && List.exists
-                          (fun (gaf : Engine.afield) ->
-                            gaf.Engine.af_bit_off = alo
-                            && gaf.Engine.af_bit_off + gaf.Engine.af_bits = ahi
-                            && (gaf.Engine.af_semantic = ap.ap_semantic
-                               || gaf.Engine.af_name = ap.ap_name))
-                          (Engine.fields_of_run g.Engine.g_run))
-                   catalogue
-               in
-               match other with
-               | Some g ->
-                   add
-                     (D.make ~span:af.af_span ~code:"OD023" ~severity:D.Error
-                        "accessor for %s reads bits [%d, %d) — path #%d's \
-                         placement, not path #%d's [%d, %d) selected by %s"
-                        what alo ahi g.Engine.g_index group_index af.af_bit_off
-                        (af.af_bit_off + af.af_bits)
-                        config)
-               | None ->
-                   if ahi > run.Dep_ir.r_total_bits then
-                     add
-                       (D.make ~span:af.af_span ~code:"OD023" ~severity:D.Error
-                          "accessor for %s reads bits [%d, %d), past the %dB \
-                           completion emitted under %s (Size(p) = %d bits)"
-                          what alo ahi
-                          (run.Dep_ir.r_total_bits / 8)
-                          config run.Dep_ir.r_total_bits)
-                   else
-                     add
-                       (D.make ~span:af.af_span ~code:"OD021" ~severity:D.Error
-                          "accessor for %s reads bits [%d, %d) but the \
-                           deparser writes the field at bits [%d, %d) under %s"
-                          what alo ahi af.af_bit_off
-                          (af.af_bit_off + af.af_bits)
-                          config)));
-        (* Value agreement both directions: the chain's abstraction must
-           coincide with the contract's (any bit<w> value) on interval
-           and known bits — inclusion each way. *)
-        let expected_v =
-          if af.af_bits > 64 then Absdom.const 0L else Absdom.of_width af.af_bits
-        in
-        let actual_v = sym_value ap.ap_steps in
-        if agree actual_v expected_v then discharge ()
-        else
-          add
-            (D.make ~span:af.af_span ~code:"OD021" ~severity:D.Error
-               "accessor for %s evaluates to %s but the deparser contract \
-                admits %s under %s"
-               what
-               (Absdom.to_string actual_v)
-               (Absdom.to_string expected_v)
-               config);
-        (* The range the compiler stamped on the accessor (registry-
-           clamped, the OD011 contract) must be reproducible from the
-           contract alone. *)
-        let claimed_exp =
-          if af.af_bits > 64 then (0L, 0L)
-          else
-            let eff =
-              match ap.ap_semantic with
-              | Some s -> (
-                  match cf.cf_registry.Registry_view.width s with
-                  | Some r when r < af.af_bits -> r
-                  | _ -> af.af_bits)
-              | None -> af.af_bits
-            in
-            match Absdom.(range (of_width eff)) with
-            | Some r -> r
-            | None -> (0L, 0L)
-        in
-        if ap.ap_range = claimed_exp then discharge ()
-        else
-          add
-            (D.make ~span:af.af_span ~code:"OD021" ~severity:D.Error
-               "accessor for %s claims certified range %s but the contract \
-                yields %s"
-               what
-               (range_string ap.ap_range)
-               (range_string claimed_exp))
-      in
-      List.iter
-        (fun (g : Engine.group) ->
-          let run = g.Engine.g_run and group_index = g.Engine.g_index in
-          let afs = Engine.fields_of_run run in
-          if run.Dep_ir.r_total_bits <> plan.pl_size_bytes * 8 then
-            add
-              (D.make ~span:cf.cf_deparser.P4.Typecheck.ct_span ~code:"OD023"
-                 ~severity:D.Error
-                 "plan certified for path #%d (%dB) but configuration %s \
-                  selects path #%d, a %dB completion"
-                 plan.pl_path_index plan.pl_size_bytes config group_index
-                 (run.Dep_ir.r_total_bits / 8))
-          else discharge ();
-          List.iter
-            (fun (s, ap) ->
-              match
-                List.find_opt
-                  (fun (af : Engine.afield) -> af.Engine.af_semantic = Some s)
-                  afs
-              with
-              | None ->
-                  add
-                    (D.make ~span:cf.cf_deparser.P4.Typecheck.ct_span
-                       ~code:"OD022" ~severity:D.Error
-                       "plan claims %S hardware-provided but the completion \
-                        emitted under %s does not carry it"
-                       s config)
-              | Some af ->
-                  check_accessor
-                    ~what:(Printf.sprintf "semantic %S" s)
-                    ~run ~group_index ap af)
-            plan.pl_hw;
-          if List.length plan.pl_fields <> List.length afs then
-            add
-              (D.make ~span:cf.cf_deparser.P4.Typecheck.ct_span ~code:"OD023"
-                 ~severity:D.Error
-                 "plan lists %d field accessors but the completion emitted \
-                  under %s has %d fields"
-                 (List.length plan.pl_fields)
-                 config (List.length afs))
-          else
-            List.iter2
-              (fun ap (af : Engine.afield) ->
-                if
-                  ap.ap_name <> af.Engine.af_name
-                  || ap.ap_header <> af.Engine.af_header
-                then
-                  add
-                    (D.make ~span:af.Engine.af_span ~code:"OD023"
-                       ~severity:D.Error
-                       "plan's field accessor %s.%s does not correspond to \
-                        %s.%s emitted under %s"
-                       ap.ap_header ap.ap_name af.Engine.af_header
-                       af.Engine.af_name config)
-                else
-                  check_accessor
-                    ~what:(Printf.sprintf "field %s.%s" ap.ap_header ap.ap_name)
-                    ~run ~group_index ap af)
-              plan.pl_fields afs)
-        chosen;
-      if !diags = [] && chosen <> [] then
-        Ok
-          {
-            c_nic = plan.pl_nic;
-            c_contract = plan.pl_contract;
-            c_intent = plan.pl_intent;
-            c_path_index = plan.pl_path_index;
-            c_size_bytes = plan.pl_size_bytes;
-            c_reads =
-              List.map
-                (fun ap ->
-                  ( ap.ap_header ^ "." ^ ap.ap_name,
-                    match Absdom.range (sym_value ap.ap_steps) with
-                    | Some r -> r
-                    | None -> (0L, 0L) ))
-                plan.pl_fields;
-            c_shims = List.map (fun sh -> sh.sh_semantic) plan.pl_shims;
-            c_obligations = !obligations;
-          }
+           | None ->
+               if ahi > run.Dep_ir.r_total_bits then
+                 add
+                   (D.make ~span:af.af_span ~code:"OD023" ~severity:D.Error
+                      "accessor for %s reads bits [%d, %d), past the %dB \
+                       completion emitted under %s (Size(p) = %d bits)"
+                      what alo ahi
+                      (run.Dep_ir.r_total_bits / 8)
+                      config run.Dep_ir.r_total_bits)
+               else
+                 add
+                   (D.make ~span:af.af_span ~code:"OD021" ~severity:D.Error
+                      "accessor for %s reads bits [%d, %d) but the \
+                       deparser writes the field at bits [%d, %d) under %s"
+                      what alo ahi af.af_bit_off
+                      (af.af_bit_off + af.af_bits)
+                      config)));
+    (* Value agreement both directions: the chain's abstraction must
+       coincide with the contract's (any bit<w> value) on interval
+       and known bits — inclusion each way. *)
+    let expected_v =
+      if af.af_bits > 64 then Absdom.const 0L else Absdom.of_width af.af_bits
+    in
+    let actual_v = sym_value ap.ap_steps in
+    if agree actual_v expected_v then discharge ()
+    else
+      add
+        (D.make ~span:af.af_span ~code:"OD021" ~severity:D.Error
+           "accessor for %s evaluates to %s but the deparser contract \
+            admits %s under %s"
+           what
+           (Absdom.to_string actual_v)
+           (Absdom.to_string expected_v)
+           config);
+    (* The range the compiler stamped on the accessor (registry-
+       clamped, the OD011 contract) must be reproducible from the
+       contract alone. *)
+    let claimed_exp =
+      if af.af_bits > 64 then (0L, 0L)
       else
-        Error
-          (List.rev !diags
-          |> List.map (D.relocate ~lines:cf.cf_line_offset)
-          |> List.sort_uniq D.compare)
+        let eff =
+          match ap.ap_semantic with
+          | Some s -> (
+              match cf.cf_registry.Registry_view.width s with
+              | Some r when r < af.af_bits -> r
+              | _ -> af.af_bits)
+          | None -> af.af_bits
+        in
+        match Absdom.(range (of_width eff)) with
+        | Some r -> r
+        | None -> (0L, 0L)
+    in
+    if ap.ap_range = claimed_exp then discharge ()
+    else
+      add
+        (D.make ~span:af.af_span ~code:"OD021" ~severity:D.Error
+           "accessor for %s claims certified range %s but the contract \
+            yields %s"
+           what
+           (range_string ap.ap_range)
+           (range_string claimed_exp))
+  in
+  List.iter
+    (fun (g : Engine.group) ->
+      let run = g.Engine.g_run and group_index = g.Engine.g_index in
+      let afs = Engine.fields_of_run run in
+      if run.Dep_ir.r_total_bits <> plan.pl_size_bytes * 8 then
+        add
+          (D.make ~span ~code:"OD023" ~severity:D.Error
+             "plan certified for path #%d (%dB) but configuration %s \
+              selects path #%d, a %dB completion"
+             plan.pl_path_index plan.pl_size_bytes config group_index
+             (run.Dep_ir.r_total_bits / 8))
+      else discharge ();
+      List.iter
+        (fun (s, ap) ->
+          match
+            List.find_opt
+              (fun (af : Engine.afield) -> af.Engine.af_semantic = Some s)
+              afs
+          with
+          | None ->
+              add
+                (D.make ~span ~code:"OD022" ~severity:D.Error
+                   "plan claims %S hardware-provided but the completion \
+                    emitted under %s does not carry it"
+                   s config)
+          | Some af ->
+              check_accessor
+                ~what:(Printf.sprintf "semantic %S" s)
+                ~run ~group_index ap af)
+        plan.pl_hw;
+      if List.length plan.pl_fields <> List.length afs then
+        add
+          (D.make ~span ~code:"OD023" ~severity:D.Error
+             "plan lists %d field accessors but the completion emitted \
+              under %s has %d fields"
+             (List.length plan.pl_fields)
+             config (List.length afs))
+      else
+        List.iter2
+          (fun ap (af : Engine.afield) ->
+            if
+              ap.ap_name <> af.Engine.af_name
+              || ap.ap_header <> af.Engine.af_header
+            then
+              add
+                (D.make ~span:af.Engine.af_span ~code:"OD023"
+                   ~severity:D.Error
+                   "plan's field accessor %s.%s does not correspond to \
+                    %s.%s emitted under %s"
+                   ap.ap_header ap.ap_name af.Engine.af_header
+                   af.Engine.af_name config)
+            else
+              check_accessor
+                ~what:(Printf.sprintf "field %s.%s" ap.ap_header ap.ap_name)
+                ~run ~group_index ap af)
+          plan.pl_fields afs)
+    chosen;
+  if !diags = [] && chosen <> [] then
+    Ok
+      {
+        c_nic = plan.pl_nic;
+        c_contract = plan.pl_contract;
+        c_intent = plan.pl_intent;
+        c_path_index = plan.pl_path_index;
+        c_size_bytes = plan.pl_size_bytes;
+        c_reads =
+          List.map
+            (fun ap ->
+              ( ap.ap_header ^ "." ^ ap.ap_name,
+                match Absdom.range (sym_value ap.ap_steps) with
+                | Some r -> r
+                | None -> (0L, 0L) ))
+            plan.pl_fields;
+        c_shims = List.map (fun sh -> sh.sh_semantic) plan.pl_shims;
+        c_obligations = !obligations;
+      }
+  else
+    Error
+      (List.rev !diags
+      |> List.map (D.relocate ~lines:cf.cf_line_offset)
+      |> List.sort_uniq D.compare)
 
 let short_hash h = if String.length h > 12 then String.sub h 0 12 else h
 

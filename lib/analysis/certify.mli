@@ -81,8 +81,9 @@ type plan = {
 
 (** The deparser contract a plan is validated against. *)
 type contract = {
-  cf_tenv : P4.Typecheck.t;
-  cf_deparser : P4.Typecheck.control_def;
+  cf_catalogue : Engine.catalogue;
+      (** the loaded spec's catalogue; its {!Engine.feasible_groups} are
+          the paths plans are numbered by *)
   cf_registry : Registry_view.t;
   cf_line_offset : int;  (** prelude lines to subtract from spans *)
 }

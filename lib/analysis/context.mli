@@ -11,9 +11,11 @@
     - wider fields must carry a [@values(v1, v2, ...)] annotation listing
       the configurations the firmware actually supports.
 
-    The compiler ([Opendesc.Path], [Opendesc.Descparser]), the analysis
-    engine and the driver all enumerate configurations through this one
-    module, so they agree on which configurations exist. *)
+    The completion-path catalogue ({!Engine.catalogue}, which
+    [Opendesc.Path] views), the TX walk ({!Tx_ir}, behind
+    [Opendesc.Descparser]) and the driver all enumerate configurations
+    through this one module, so they agree on which configurations
+    exist. *)
 
 type assignment = (string * int64) list
 (** Context field name → value, in field declaration order. *)

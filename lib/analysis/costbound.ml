@@ -245,7 +245,7 @@ let analyze ?(table = default_table) ?budget ?baseline
     (cf : Certify.contract) (plan : Certify.plan) : report =
   let diags = ref [] in
   let add d = diags := d :: !diags in
-  let span = cf.Certify.cf_deparser.P4.Typecheck.ct_span in
+  let span = cf.Certify.cf_catalogue.Engine.cat_ctrl.P4.Typecheck.ct_span in
   let shim_cycles =
     List.fold_left
       (fun a (s : Certify.shim_plan) -> a +. s.Certify.sh_cost)
@@ -292,21 +292,13 @@ let analyze ?(table = default_table) ?budget ?baseline
            (bound /. (if old > 0.0 then old else 1.0)))
   | _ -> ());
   let paths =
-    match Engine.catalogue cf.Certify.cf_tenv cf.Certify.cf_deparser with
-    | Error msg ->
-        add
-          (D.make ~code:"OD028" ~severity:D.Error
-             "cannot bound %s: deparser IR unavailable (%s)"
-             plan.Certify.pl_nic msg);
-        []
-    | Ok cat ->
-        List.map
-          (fun (g : Engine.group) ->
-            path_cost_of ~table ~registry:cf.Certify.cf_registry
-              ~intent:plan.Certify.pl_intent g.Engine.g_index
-              (Engine.fields_of_run g.Engine.g_run)
-              g.Engine.g_run.Dep_ir.r_total_bits)
-          (Engine.feasible_groups cat)
+    List.map
+      (fun (g : Engine.group) ->
+        path_cost_of ~table ~registry:cf.Certify.cf_registry
+          ~intent:plan.Certify.pl_intent g.Engine.g_index
+          (Engine.fields_of_run g.Engine.g_run)
+          g.Engine.g_run.Dep_ir.r_total_bits)
+      (Engine.feasible_groups cf.Certify.cf_catalogue)
   in
   List.iter
     (fun pc ->

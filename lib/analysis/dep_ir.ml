@@ -3,9 +3,12 @@
    encounter order the compiler's CFG uses, so diagnostics and path
    indices line up with `opendesc_cc paths`/`cfg` output.
 
-   Unlike Path.enumerate — which refuses undecidable branches — the
-   interpreter here forks on them, so the analysis still produces runs
-   (marked inexact) for descriptions the compiler would reject. *)
+   This is the one deparser walk: Engine.catalogue runs it under every
+   context assignment, and the compiler's completion paths
+   (Path.of_catalogue) are a view of that catalogue. The interpreter
+   forks on undecidable branches, recording the first one a run forked
+   on, so the analysis still produces runs for descriptions the compiler
+   rejects (Nic_spec.load refuses any forked run). *)
 
 type emit = {
   e_id : int;  (** site number, pre-order *)
@@ -119,20 +122,20 @@ let of_control tenv (ctrl : P4.Typecheck.control_def) : (t, string) result =
 type exec_emit = {
   x_emit : emit;
   x_bit_off : int;  (** absolute offset of this header in the completion *)
-  x_decided : bool;  (** false when reached under a forked (undecidable) branch *)
 }
 
 type run = {
   r_emits : exec_emit list;
   r_total_bits : int;
-  r_exact : bool;  (** no undecidable branch was forked along this run *)
+  r_forked : P4.Ast.expr option;
+      (** the first undecidable branch forked along this run, if any *)
 }
 
 type state = {
   locals : (string list * P4.Eval.value) list;
   bits : int;
   emits : exec_emit list;  (* reversed *)
-  exact : bool;
+  forked : P4.Ast.expr option;
   stopped : bool;
 }
 
@@ -160,9 +163,7 @@ let run ~consts ~ctx_env t : run list =
             {
               st with
               bits = st.bits + em.e_header.h_bits;
-              emits =
-                { x_emit = em; x_bit_off = st.bits; x_decided = st.exact }
-                :: st.emits;
+              emits = { x_emit = em; x_bit_off = st.bits } :: st.emits;
             };
           ]
       | NIf { i_cond; i_then; i_else; _ } -> (
@@ -170,7 +171,10 @@ let run ~consts ~ctx_env t : run list =
           | Some true -> exec_nodes [ st ] i_then
           | Some false -> exec_nodes [ st ] i_else
           | None ->
-              let st = { st with exact = false } in
+              let st =
+                if Option.is_none st.forked then { st with forked = Some i_cond }
+                else st
+              in
               if allow_fork then
                 exec_nodes [ st ] i_then @ exec_nodes [ st ] i_else
               else exec_nodes [ st ] i_then)
@@ -189,8 +193,8 @@ let run ~consts ~ctx_env t : run list =
       | NOther -> [ st ]
   in
   let init =
-    { locals = []; bits = 0; emits = []; exact = true; stopped = false }
+    { locals = []; bits = 0; emits = []; forked = None; stopped = false }
   in
   exec_nodes [ init ] t.ir_nodes
   |> List.map (fun st ->
-         { r_emits = List.rev st.emits; r_total_bits = st.bits; r_exact = st.exact })
+         { r_emits = List.rev st.emits; r_total_bits = st.bits; r_forked = st.forked })

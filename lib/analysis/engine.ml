@@ -1,15 +1,5 @@
 module D = Diagnostic
 
-type input = {
-  in_tenv : P4.Typecheck.t;
-  in_deparser : P4.Typecheck.control_def option;
-      (** pass the resolved deparser, or [None] to locate it *)
-  in_desc_parser : P4.Typecheck.parser_def option;
-  in_registry : Registry_view.t;
-  in_intent : (string * int) list option;  (** requested (semantic, width) *)
-  in_line_offset : int;  (** prelude lines to subtract from spans *)
-}
-
 (* One field of a concrete completion layout, as the codegen pass sees
    it. Kept independent of the opendesc Path type so the bounds check is
    unit-testable against hand-built layouts. *)
@@ -84,8 +74,8 @@ let locate_deparser tenv =
 
 (* ------------------------------------------------------------------ *)
 (* The completion-path catalogue: the deparser IR run under every
-   context assignment, grouped into distinct emit sequences. Every pass
-   below, Certify and Costbound read this one result. *)
+   context assignment, grouped by emit site. Every pass below, the
+   compiler's paths, Certify and Costbound read this one result. *)
 
 type group = {
   g_index : int;
@@ -101,9 +91,19 @@ type catalogue = {
   cat_ctx : (P4.Typecheck.cparam * P4.Typecheck.header_def) option;
   cat_ctx_error : string option;
   cat_assignments : Context.assignment list;
-  cat_runs : (Context.assignment * group) list;
+  cat_runs : (Context.assignment * Dep_ir.run * group) list;
   cat_sym : Symexec.result;
   cat_groups : group list;
+}
+
+type input = {
+  in_tenv : P4.Typecheck.t;
+  in_catalogue : catalogue option;
+      (** the loaded spec's catalogue, or [None] to locate and build it *)
+  in_desc_parser : P4.Typecheck.parser_def option;
+  in_registry : Registry_view.t;
+  in_intent : (string * int) list option;  (** requested (semantic, width) *)
+  in_line_offset : int;  (** prelude lines to subtract from spans *)
 }
 
 let run_key (r : Dep_ir.run) =
@@ -166,15 +166,36 @@ let catalogue tenv (ctrl : P4.Typecheck.control_def) =
           cat_assignments = assignments;
           cat_runs =
             List.map
-              (fun (a, k, _) -> (a, List.find (fun g -> g.g_key = k) groups))
+              (fun (a, k, r) -> (a, r, List.find (fun g -> g.g_key = k) groups))
               runs;
           cat_sym = sym;
           cat_groups = groups;
         }
 
+(* Two emit sites of one header (say, in both arms of a branch) emit the
+   same layout, so the compiler's paths merge groups by the emitted
+   expressions, not by site. *)
 let feasible_groups cat =
-  List.filter (fun g -> g.g_feasible) cat.cat_groups
-  |> List.mapi (fun i g -> { g with g_index = i })
+  let emitted r =
+    List.map (fun (x : Dep_ir.exec_emit) -> x.Dep_ir.x_emit.Dep_ir.e_arg) r.Dep_ir.r_emits
+  in
+  (* (emitted expressions, first group, its assignments newest first),
+     newest first *)
+  let found = ref [] in
+  List.iter
+    (fun (a, r, g) ->
+      if g.g_feasible then
+        let e = emitted r in
+        match List.find_opt (fun (e', _, _) -> e' = e) !found with
+        | Some (_, _, assigns) ->
+            (* a forked configuration may land here twice *)
+            if not (Context.equal (List.hd !assigns) a) then
+              assigns := a :: !assigns
+        | None -> found := (e, g, ref [ a ]) :: !found)
+    cat.cat_runs;
+  List.rev !found
+  |> List.mapi (fun i (_, g, assigns) ->
+         { g with g_index = i; g_assigns = List.rev !assigns })
 
 (* An intent description has no deparser by design; anything else
    without one is a malformed interface. *)
@@ -187,30 +208,27 @@ let intent_only tenv =
 
 let prepare add (inp : input) : catalogue option =
   let tenv = inp.in_tenv in
-  let ctrl =
-    match inp.in_deparser with
-    | Some c -> Some c
+  let cat =
+    match inp.in_catalogue with
+    | Some cat -> Some cat
     | None -> (
         match locate_deparser tenv with
-        | Ok c -> Some c
         | Error msg ->
             if not (intent_only tenv) then
               add (D.make ~code:"OD002" ~severity:D.Error "%s" msg);
-            None)
+            None
+        | Ok ctrl -> (
+            match catalogue tenv ctrl with
+            | Error msg ->
+                add (D.make ~span:ctrl.ct_span ~code:"OD002" ~severity:D.Error "%s" msg);
+                None
+            | Ok cat -> Some cat))
   in
-  match ctrl with
-  | None -> None
-  | Some ctrl -> (
-      match catalogue tenv ctrl with
-      | Error msg ->
-          add (D.make ~span:ctrl.ct_span ~code:"OD002" ~severity:D.Error "%s" msg);
-          None
-      | Ok cat ->
-          (match (cat.cat_ctx, cat.cat_ctx_error) with
-          | Some (_, h), Some msg ->
-              add (D.make ~span:h.h_span ~code:"OD002" ~severity:D.Error "%s" msg)
-          | _ -> ());
-          Some cat)
+  (match cat with
+  | Some { cat_ctx = Some (_, h); cat_ctx_error = Some msg; _ } ->
+      add (D.make ~span:h.h_span ~code:"OD002" ~severity:D.Error "%s" msg)
+  | _ -> ());
+  cat
 
 (* ------------------------------------------------------------------ *)
 (* Pass 1: layout safety. *)
@@ -460,7 +478,7 @@ let certification_pass add cat =
     (fun a ->
       let runs =
         List.filter_map
-          (fun (a', g) -> if a' = a && g.g_feasible then Some g.g_run else None)
+          (fun (a', r, g) -> if a' = a && g.g_feasible then Some r else None)
           cat.cat_runs
       in
       if List.length runs > 1 then
@@ -627,7 +645,7 @@ let contract_pass add (inp : input) cat (tx_formats : Tx_ir.fmt list) =
     (P4.Typecheck.headers tenv);
   (* OD013: dominated paths — same Prov means the same Eq. 1 coverage for
      every intent, so the larger layout (or, on a size tie, the higher
-     index) can never be selected. *)
+     index) can never be selected. Numbered like the compiler's paths. *)
   (match cat with
   | None -> ()
   | Some cat ->
@@ -640,7 +658,7 @@ let contract_pass add (inp : input) cat (tx_formats : Tx_ir.fmt list) =
                   run_semantics g.g_run,
                   g.g_run.Dep_ir.r_total_bits / 8 )
             else None)
-          cat.cat_groups
+          (feasible_groups cat)
       in
       List.iter
         (fun (ia, prov_a, sz_a) ->
@@ -804,7 +822,7 @@ let analyze_program ~registry ?intent ?(line_offset = 0) tenv =
   analyze
     {
       in_tenv = tenv;
-      in_deparser = None;
+      in_catalogue = None;
       in_desc_parser = desc_parser;
       in_registry = registry;
       in_intent = intent;

@@ -17,21 +17,6 @@
     The engine depends only on the [p4] library; the semantic registry
     is abstracted behind {!Registry_view.t}. *)
 
-type input = {
-  in_tenv : P4.Typecheck.t;
-  in_deparser : P4.Typecheck.control_def option;
-      (** the resolved completion deparser, or [None] to locate it (an
-          unlocatable deparser yields OD002 unless the program declares
-          an intent header, which has none by design) *)
-  in_desc_parser : P4.Typecheck.parser_def option;
-  in_registry : Registry_view.t;
-  in_intent : (string * int) list option;
-      (** requested [(semantic, width)] pairs to cross-check (OD015) *)
-  in_line_offset : int;
-      (** prelude lines to subtract from every span; diagnostics landing
-          inside the prelude lose their location *)
-}
-
 (** One field of a concrete completion layout as the codegen pass sees
     it: absolute bit offset within the completion record. *)
 type afield = {
@@ -55,16 +40,20 @@ val locate_deparser :
 
 (** {2 The completion-path catalogue}
 
-    The deparser's completion paths, built once: the {!Dep_ir} run under
-    every context assignment, grouped into distinct emit sequences, with
-    one {!Symexec} walk deciding which are feasible. The analysis passes,
-    {!Certify} and {!Costbound} all read this one result. *)
+    The deparser's completion paths, built once per loaded spec
+    ([Opendesc.Nic_spec.load] keeps it): the {!Dep_ir} run under every
+    context assignment, grouped by emit site, with one {!Symexec} walk
+    deciding which groups are feasible. The analysis passes, the
+    compiler's paths ([Opendesc.Path.of_catalogue]), {!Certify} and
+    {!Costbound} all read this one result. *)
 
-(** One distinct emit sequence. *)
+(** One distinct sequence of emit sites. The analysis passes report per
+    emit site, so they read these; the compiler's paths are
+    {!feasible_groups}. *)
 type group = {
   g_index : int;
-      (** encounter order over the assignments — among feasible groups
-          (see {!feasible_groups}) the compiler's [p_index] *)
+      (** encounter order over the assignments; renumbered by
+          {!feasible_groups} *)
   g_key : int list;  (** emit site ids, in order *)
   g_run : Dep_ir.run;  (** the first run with this emit sequence *)
   g_assigns : Context.assignment list;
@@ -80,9 +69,10 @@ type catalogue = {
       (** why the context space could not be enumerated; the runs then
           cover only the empty assignment *)
   cat_assignments : Context.assignment list;
-  cat_runs : (Context.assignment * group) list;
-      (** every run, as its group, with the configuration that produced
-          it — several per configuration when undecidable branches fork *)
+  cat_runs : (Context.assignment * Dep_ir.run * group) list;
+      (** every run, with the configuration that produced it and its
+          group — several per configuration when undecidable branches
+          fork *)
   cat_sym : Symexec.result;
   cat_groups : group list;  (** in encounter order *)
 }
@@ -90,11 +80,29 @@ type catalogue = {
 val catalogue :
   P4.Typecheck.t -> P4.Typecheck.control_def -> (catalogue, string) result
 (** [Error] when the deparser IR cannot be built (no [cmpt_out]
-    parameter, an emit of a non-header). *)
+    parameter, an emit of a non-header, even in a dead branch). *)
 
 val feasible_groups : catalogue -> group list
-(** The feasible groups, renumbered from 0 in encounter order — the
-    numbering of the compiler's completion paths. *)
+(** The compiler's completion paths: the feasible runs of [cat_runs],
+    regrouped by emitted expression sequence, numbered from 0 in
+    first-encounter order, with assignments in enumeration order. A
+    merged group keeps its first member's [g_key] and [g_run]. OD013,
+    {!Certify} and {!Costbound} number paths by this. *)
+
+type input = {
+  in_tenv : P4.Typecheck.t;
+  in_catalogue : catalogue option;
+      (** the loaded spec's catalogue, or [None] to locate the deparser
+          and build it (an unlocatable deparser yields OD002 unless the
+          program declares an intent header, which has none by design) *)
+  in_desc_parser : P4.Typecheck.parser_def option;
+  in_registry : Registry_view.t;
+  in_intent : (string * int) list option;
+      (** requested [(semantic, width)] pairs to cross-check (OD015) *)
+  in_line_offset : int;
+      (** prelude lines to subtract from every span; diagnostics landing
+          inside the prelude lose their location *)
+}
 
 val analyze : input -> Diagnostic.t list
 (** Run all passes. The result is deduplicated, relocated by

@@ -7,8 +7,8 @@
     branch taken, so a leaf whose path condition collapses to bottom is
     {e proved} unreachable — under every configuration and every value
     of the runtime descriptor bytes. The engine turns these proofs into
-    OD018/OD019 diagnostics, and [Opendesc.Path] uses the feasible mask
-    to prune the Eq. 1 search space. *)
+    OD018/OD019 diagnostics, and {!Engine.catalogue} keeps only feasible
+    groups as the compiler's paths, pruning the Eq. 1 search space. *)
 
 type env = { e_base : string list -> Absdom.t; e_over : (string list * Absdom.t) list }
 

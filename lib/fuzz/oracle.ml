@@ -127,24 +127,14 @@ let value_str = function
 let vectors_per_assignment = 3
 
 let check_symexec rng (spec : Nic_spec.t) =
-  let ctrl = spec.deparser in
-  let* ir =
-    match Ir.of_control spec.tenv ctrl with
-    | Ok ir -> Ok ir
-    | Error m -> fail "symexec" "IR construction failed: %s" m
-  in
+  let cat = spec.catalogue in
+  let ctrl = cat.cat_ctrl and ir = cat.cat_ir and sym = cat.cat_sym in
   let consts = P4.Typecheck.const_env spec.tenv in
   let base = Sx.base_env ~consts ~ctx:spec.ctx ~params:ctrl.ct_params () in
-  let sym = Sx.exec ~base ir in
   let ctx_name =
     match spec.ctx with Some (p, _) -> p.P4.Typecheck.c_name | None -> "ctx"
   in
-  let assignments =
-    match spec.ctx with
-    | None -> [ [] ]
-    | Some (_, h) -> (
-        match Opendesc_analysis.Context.enumerate h with Ok a -> a | Error _ -> [ [] ])
-  in
+  let assignments = cat.cat_assignments in
   let runtime =
     List.concat_map
       (fun (p : P4.Typecheck.cparam) ->

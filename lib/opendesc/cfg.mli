@@ -7,9 +7,9 @@
     root-to-leaf walk is a {e completion path}.
 
     The graph is used for reporting and for the Figure-6 reproduction;
-    the authoritative path enumeration (which also prunes infeasible
-    predicate combinations) is {!Path.enumerate}, which executes the body
-    under every context assignment. *)
+    the authoritative paths (which also prune infeasible predicate
+    combinations) are {!Path.of_catalogue}'s, from a catalogue that
+    executes the body under every context assignment. *)
 
 type vertex = {
   v_id : int;
@@ -57,8 +57,8 @@ val build : P4.Typecheck.t -> P4.Typecheck.control_def -> t
 val walks : t -> (string list * vertex list) list
 (** All complete walks: (predicate labels taken, vertices visited),
     including pending negative labels at early terminations. Does not
-    check predicate feasibility across labels (that pruning is
-    {!Path.enumerate}'s job). *)
+    check predicate feasibility across labels (the catalogue behind
+    {!Path.of_catalogue} does). *)
 
 val to_dot : t -> string
 (** Graphviz rendering (the left-hand side of Figure 6). *)

@@ -13,7 +13,7 @@ type t = {
   deparser : P4.Typecheck.control_def;
   ctx : (P4.Typecheck.cparam * P4.Typecheck.header_def) option;
   paths : Path.t list;
-  pruning : Path.pruning;
+  catalogue : Opendesc_analysis.Engine.catalogue;
   desc_parser : P4.Typecheck.parser_def option;
   tx_formats : Descparser.t list;
   notes : string;
@@ -35,9 +35,12 @@ let load ~name ~kind ?deparser ?(notes = "") p4_source =
       match find_deparser tenv ~requested:deparser with
       | Error e -> Error (Printf.sprintf "%s: %s" name e)
       | Ok dep -> (
-          match Path.enumerate_pruned tenv dep with
+          match
+            Result.bind (Opendesc_analysis.Engine.catalogue tenv dep) (fun cat ->
+                Result.map (fun paths -> (cat, paths)) (Path.of_catalogue cat))
+          with
           | Error e -> Error (Printf.sprintf "%s: %s" name e)
-          | Ok (paths, pruning) -> (
+          | Ok (catalogue, paths) -> (
               let desc_parser =
                 List.find_opt Opendesc_analysis.Tx_ir.is_desc_parser
                   (P4.Typecheck.parsers tenv)
@@ -57,9 +60,9 @@ let load ~name ~kind ?deparser ?(notes = "") p4_source =
                       p4_source;
                       tenv;
                       deparser = dep;
-                      ctx = Opendesc_analysis.Context.find_param dep;
+                      ctx = catalogue.cat_ctx;
                       paths;
-                      pruning;
+                      catalogue;
                       desc_parser;
                       tx_formats;
                       notes;
@@ -91,7 +94,7 @@ let analyze ?registry ?intent t =
   Opendesc_analysis.Engine.analyze
     {
       Opendesc_analysis.Engine.in_tenv = t.tenv;
-      in_deparser = Some t.deparser;
+      in_catalogue = Some t.catalogue;
       in_desc_parser = t.desc_parser;
       in_registry = registry_view registry;
       in_intent = intent;

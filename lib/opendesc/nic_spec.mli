@@ -21,9 +21,14 @@ type t = {
   tenv : P4.Typecheck.t;
   deparser : P4.Typecheck.control_def;
   ctx : (P4.Typecheck.cparam * P4.Typecheck.header_def) option;
-  paths : Path.t list;  (** RX completion paths *)
-  pruning : Path.pruning;
-      (** symbolic feasibility census of the deparser's decision tree *)
+  paths : Path.t list;  (** RX completion paths, a view of [catalogue] *)
+  catalogue : Opendesc_analysis.Engine.catalogue;
+      (** the deparser's one walk, built eagerly by {!load} (specs are
+          shared across domains, so no [Lazy.t]) and read by {!analyze},
+          [Compile.contract], certification and the cost bound. The
+          feasibility census of [opendesc_cc paths] reads it too:
+          syntactic leaves and proved-infeasible ones from [cat_sym],
+          configurations from [cat_assignments], runs from [cat_runs]. *)
   desc_parser : P4.Typecheck.parser_def option;
   tx_formats : Descparser.t list;  (** TX descriptor formats *)
   notes : string;

@@ -1,12 +1,12 @@
 (** Completion paths: concrete metadata layouts a NIC may emit (§4 step 2).
 
-    A completion path is characterised by the emit sequence the deparser
-    performs under one context configuration. We enumerate paths by
-    executing the deparser body under {e every} assignment of the context
-    fields ({!Opendesc_analysis.Context.enumerate}) — unlike a syntactic
-    root-to-leaf walk of the CFG this prunes infeasible predicate
-    combinations for free, and
-    it yields, per path, the exact set of configurations that select it
+    A completion path is one distinct emitted sequence: the headers the
+    deparser emits, in order, under some context configuration. Paths
+    are not walked here. They are a view of the spec's one
+    {!Opendesc_analysis.Engine.catalogue}, which runs the deparser under
+    {e every} assignment of the context fields: its
+    {!Opendesc_analysis.Engine.feasible_groups}, one per distinct emitted
+    sequence, each with the exact set of configurations that select it
     (which is what the driver later programs over the control channel).
 
     Per path we compute the paper's characterisation:
@@ -50,37 +50,11 @@ val layout_of_emits : (string * P4.Typecheck.header_def) list -> layout
 (** Concatenate headers into an absolute field layout.
     @raise Exec_error when the total is not byte-aligned. *)
 
-(** How the symbolic engine reduced the enumeration work. *)
-type pruning = {
-  pr_syntactic : int;  (** root-to-leaf completion paths in the decision tree *)
-  pr_feasible : int;  (** leaves with a satisfiable path condition *)
-  pr_pruned : int;  (** leaves proved unreachable by abstract interpretation *)
-  pr_runs : int;  (** concrete deparser executions actually performed *)
-  pr_configs : int;  (** context configurations covered by those runs *)
-}
-
-val enumerate :
-  P4.Typecheck.t -> P4.Typecheck.control_def -> (t list, string) result
-(** All distinct completion paths of a deparser. Errors when: the control
-    lacks a [cmpt_out] parameter; a branch condition is not decidable
-    from the context; an emitted expression is not a byte-aligned header;
-    or the context space is unbounded.
-
-    The walk is memoized on the branch-influencing context fields (a
-    taint closure through locals), so the number of concrete executions
-    is the size of the projected configuration space, not the full
-    product — the result is identical to {!enumerate_product}. *)
-
-val enumerate_pruned :
-  P4.Typecheck.t ->
-  P4.Typecheck.control_def ->
-  (t list * pruning, string) result
-(** {!enumerate} plus the symbolic pruning census. *)
-
-val enumerate_product :
-  P4.Typecheck.t -> P4.Typecheck.control_def -> (t list, string) result
-(** Reference enumeration: one concrete execution per configuration in
-    the full cartesian product (the pre-pruning implementation). Kept for
-    differential testing and the bench's speedup measurement. *)
+val of_catalogue : Opendesc_analysis.Engine.catalogue -> (t list, string) result
+(** The catalogue's feasible groups as completion paths, with the same
+    index and configurations. Errors when: the context space cannot be
+    enumerated; a run forked on a branch not decidable from the context;
+    or a path's layout is not byte-aligned. (An emit of a non-header
+    already fails {!Opendesc_analysis.Engine.catalogue}.) *)
 
 val pp : Format.formatter -> t -> unit

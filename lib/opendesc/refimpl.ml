@@ -237,7 +237,7 @@ let interpret sem =
              P4.Interp.run_parser store parser ~packet:pkt.buf ~len:pkt.len
                ~param:"pkt"
            with P4.Interp.Runtime_error _ -> ());
-          (try P4.Interp.run_control store control
+          (try ignore (P4.Interp.run_control store control)
            with P4.Interp.Runtime_error _ -> ());
           match P4.Interp.get_int store [ "result" ] with
           | Some v -> v

@@ -187,6 +187,7 @@ let run_parser store (pd : Typecheck.parser_def) ~packet ~len ~param =
 
 let run_control store (cd : Typecheck.control_def) =
   let scope = Typecheck.scope_of_control store.tenv cd in
+  let emits = ref [] in
   let rec exec_block stmts = List.iter exec_stmt stmts
   and exec_stmt (s : Ast.stmt) =
     match s with
@@ -200,6 +201,8 @@ let run_control store (cd : Typecheck.control_def) =
         | Some p, "setValid" -> Hashtbl.replace store.valid p ()
         | Some p, "setInvalid" -> Hashtbl.remove store.valid p
         | _ -> ())
+    | Ast.SCall (Ast.ECall (Ast.EMember (_, meth), _, [ arg ])) when meth.name = "emit" ->
+        emits := arg :: !emits
     | Ast.SCall _ -> ()
     | Ast.SVar (_, name, init) ->
         Hashtbl.replace store.vals [ name.name ]
@@ -209,4 +212,5 @@ let run_control store (cd : Typecheck.control_def) =
     | Ast.SReturn _ -> raise Stop
     | Ast.SEmpty -> ()
   in
-  try exec_block cd.ct_body with Stop -> ()
+  (try exec_block cd.ct_body with Stop -> ());
+  List.rev !emits

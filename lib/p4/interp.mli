@@ -36,11 +36,11 @@ val run_parser :
     the parser parameter bound to [packet] (usually ["pkt"]).
     @raise Runtime_error on unknown states or non-concrete selects. *)
 
-val run_control : store -> Typecheck.control_def -> unit
+val run_control : store -> Typecheck.control_def -> Ast.expr list
 (** Execute a control's apply body: assignments, conditionals,
     header [setValid]/[setInvalid], local variables. Conditions must
-    evaluate concretely. Calls other than header validity methods are
-    ignored.
+    evaluate concretely. Returns the argument of every one-argument
+    [emit] call executed, in order; other calls are ignored.
     @raise Runtime_error when a condition cannot be decided. *)
 
 val max_parser_steps : int

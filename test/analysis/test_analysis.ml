@@ -314,8 +314,8 @@ let test_intent_source_lints_without_deparser () =
   assert_code ~severity:Dg.Warning "OD010" (analyze bad)
 
 (* The shared catalogue is the compiler's path list: for every catalogue
-   model its feasible groups are Path.enumerate's paths, in order, with
-   the same index, size, provided semantics and selecting configurations
+   model its feasible groups are the spec's paths, in order, with the
+   same index, size, provided semantics and selecting configurations
    (OD013's and Certify's "path #k" rest on this). The TX walk likewise
    partitions the context space: every configuration selects exactly one
    descriptor format. *)
@@ -326,16 +326,8 @@ let test_engine_paths_match_compiler () =
     (fun (m : Nic_models.Model.t) ->
       let spec = m.spec in
       let name = spec.nic_name in
-      let paths =
-        match Opendesc.Path.enumerate spec.tenv spec.deparser with
-        | Ok ps -> ps
-        | Error e -> Alcotest.failf "%s: Path.enumerate: %s" name e
-      in
-      let groups =
-        match Engine.catalogue spec.tenv spec.deparser with
-        | Ok cat -> Engine.feasible_groups cat
-        | Error e -> Alcotest.failf "%s: Engine.catalogue: %s" name e
-      in
+      let paths = spec.paths in
+      let groups = Engine.feasible_groups spec.catalogue in
       check ai (name ^ ": feasible groups = paths") (List.length paths)
         (List.length groups);
       List.iter2
@@ -1050,6 +1042,47 @@ let test_costbound_pristine_plans () =
            r.Cb.r_paths))
     [ legacy; newer; mlx5 ]
 
+(* Two emit sites of one header (mode 0 and modes 2-3) are one compiler
+   path. Lint and the cost report must number paths as the compiler
+   does: no OD013 between the two sites, and one cost entry per path. *)
+let dup_sites_source =
+  {|
+header ctx_t { bit<2> mode; }
+header h_t { @semantic("rss") bit<32> hash; }
+header l_t { @semantic("pkt_len") bit<16> len; bit<16> rsvd; }
+struct meta_t { h_t h; l_t l; }
+control Dep(cmpt_out o, in ctx_t ctx, in meta_t m) {
+  apply {
+    if (ctx.mode == 0) { o.emit(m.h); }
+    else { if (ctx.mode == 1) { o.emit(m.l); } else { o.emit(m.h); } }
+  }
+}
+|}
+
+let test_one_path_numbering () =
+  let spec = load_spec "dup_sites" dup_sites_source in
+  check ai "two compiler paths" 2 (List.length spec.paths);
+  check ab "no OD013" false (has "OD013" (Opendesc.Nic_spec.analyze spec));
+  let compiled =
+    Opendesc.Compile.run_exn ~intent:(Opendesc.Intent.make [ ("rss", 32) ]) spec
+  in
+  let r =
+    Cb.analyze (Opendesc.Compile.contract compiled)
+      (Opendesc.Compile.to_plan compiled)
+  in
+  check
+    Alcotest.(list (pair int int))
+    "one cost entry per path, same index and size"
+    (List.map (fun (p : Opendesc.Path.t) -> (p.p_index, Opendesc.Path.size p)) spec.paths)
+    (List.map (fun (pc : Cb.path_cost) -> (pc.pc_index, pc.pc_size_bytes)) r.r_paths)
+
+(* Certification and the cost bound read the catalogue the spec was
+   loaded with; they build none of their own. *)
+let test_contract_shares_catalogue () =
+  let spec, compiled = compile_for_certify "shared" newer in
+  check ab "contract catalogue is the spec's" true
+    ((Opendesc.Compile.contract compiled).cf_catalogue == spec.catalogue)
+
 (* ------------------------------------------------------------------ *)
 (* Diagnostic plumbing. *)
 
@@ -1178,12 +1211,16 @@ let () =
             test_od024_stale_certificate;
           Alcotest.test_case "evolution demands certificate" `Quick
             test_evolution_recompile_certificate;
+          Alcotest.test_case "contract shares the spec's catalogue" `Quick
+            test_contract_shares_catalogue;
           QCheck_alcotest.to_alcotest test_certificate_ranges;
         ] );
       ( "cost bounds",
         [
           Alcotest.test_case "pristine plans are cost-clean" `Quick
             test_costbound_pristine_plans;
+          Alcotest.test_case "paths numbered like the compiler" `Quick
+            test_one_path_numbering;
           Alcotest.test_case "OD025 over budget" `Quick test_od025_over_budget;
           Alcotest.test_case "OD026 cost regression" `Quick
             test_od026_cost_regression;

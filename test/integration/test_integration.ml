@@ -222,29 +222,22 @@ let test_nic_diff_report_renders () =
   check ab "mentions recompilation" true (contains s "recompilation")
 
 (* ------------------------------------------------------------------ *)
-(* Symbolic pruning: the memoized, feasibility-pruned enumeration must be
-   observationally identical to the brute-force configuration product. *)
-
-let test_memoized_enumeration_identical () =
-  List.iter
-    (fun (m : Nic_models.Model.t) ->
-      let spec = m.spec in
-      match Path.enumerate_product spec.tenv spec.deparser with
-      | Error e -> Alcotest.failf "%s: %s" spec.nic_name e
-      | Ok product ->
-          check ab (spec.nic_name ^ ": identical paths") true
-            (Stdlib.compare product spec.paths = 0))
-    (Nic_models.Catalog.all ())
-
+(* The feasibility census of `opendesc_cc paths`, read off the spec's
+   catalogue: qdma's decision tree has a leaf the symbolic walk proves
+   unreachable, and the deparser runs once per configuration. *)
 let test_qdma_pruning_census () =
   let models = Nic_models.Catalog.all () in
   let m = Option.get (Nic_models.Catalog.find "qdma-programmable" models) in
-  let p = m.spec.pruning in
-  check ab "at least one leaf proved infeasible" true (p.Path.pr_pruned >= 1);
-  check ai "census adds up" p.Path.pr_syntactic
-    (p.Path.pr_feasible + p.Path.pr_pruned);
-  check ab "memoization never runs more than the product" true
-    (p.Path.pr_runs <= p.Path.pr_configs)
+  let cat = m.spec.catalogue in
+  let sx = cat.cat_sym in
+  check ab "at least one leaf proved infeasible" true (sx.sx_pruned >= 1);
+  check ai "census adds up" sx.sx_pruned
+    (List.length
+       (List.filter
+          (fun (l : Opendesc_analysis.Symexec.leaf) -> not l.lf_feasible)
+          sx.sx_leaves));
+  check ai "one run per configuration" (List.length cat.cat_assignments)
+    (List.length cat.cat_runs)
 
 let test_accessor_certified_ranges () =
   (* Synthesized accessors carry the value range proved by the domain. *)
@@ -500,8 +493,6 @@ let () =
         ] );
       ( "pruning",
         [
-          Alcotest.test_case "memoized = product" `Quick
-            test_memoized_enumeration_identical;
           Alcotest.test_case "qdma census" `Quick test_qdma_pruning_census;
           Alcotest.test_case "certified ranges" `Quick
             test_accessor_certified_ranges;

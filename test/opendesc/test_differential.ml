@@ -814,6 +814,95 @@ let test_semantics_oracle (m : Nic_models.Model.t) () =
     m.spec.paths
 
 (* ------------------------------------------------------------------ *)
+(* Completion paths against an independent executable semantics: P4.Interp
+   runs the deparser under every configuration, sharing no code with the
+   catalogue's Dep_ir walk. Its emits, grouped by emitted sequence in
+   first-encounter order, must be the spec's paths: the same emits,
+   layout, Prov and configurations, in the same order. *)
+
+let check_paths_against_interp (spec : Nic_spec.t) =
+  let scope = P4.Typecheck.scope_of_control spec.tenv spec.deparser in
+  let assignments, set_ctx =
+    match spec.ctx with
+    | None -> ([ [] ], fun _ _ -> ())
+    | Some (p, h) ->
+        let width f =
+          (List.find (fun (fd : P4.Typecheck.field) -> fd.f_name = f) h.h_fields)
+            .f_bits
+        in
+        ( Result.get_ok (Opendesc_analysis.Context.enumerate h),
+          fun store a ->
+            List.iter
+              (fun (f, v) -> P4.Interp.set_int store [ p.c_name; f ] ~width:(width f) v)
+              a )
+  in
+  let emits_of a =
+    let store = P4.Interp.create spec.tenv in
+    set_ctx store a;
+    List.map
+      (fun arg ->
+        match P4.Typecheck.type_of_expr spec.tenv scope arg with
+        | P4.Typecheck.RHeader h -> (P4.Pretty.expr_to_string arg, h)
+        | _ -> Alcotest.failf "%s: emit of a non-header" spec.nic_name)
+      (P4.Interp.run_control store spec.deparser)
+  in
+  (* (emitted sequence, its configurations newest first), newest first *)
+  let groups =
+    List.fold_left
+      (fun acc a ->
+        let e = emits_of a in
+        let names = List.map fst e in
+        match List.find_opt (fun (e', _) -> List.map fst e' = names) acc with
+        | Some (_, assigns) ->
+            assigns := a :: !assigns;
+            acc
+        | None -> (e, ref [ a ]) :: acc)
+      [] assignments
+    |> List.rev
+  in
+  check ai (spec.nic_name ^ ": path count") (List.length groups) (List.length spec.paths);
+  List.iteri
+    (fun i ((emits, assigns), (p : Path.t)) ->
+      let what = Printf.sprintf "%s path #%d" spec.nic_name i in
+      let header_names =
+        List.map (fun (e, (h : P4.Typecheck.header_def)) -> (e, h.h_name))
+      in
+      check Alcotest.(list (pair string string)) (what ^ ": emits") (header_names emits)
+        (header_names p.p_emits);
+      check Alcotest.bool (what ^ ": layout") true
+        (Stdlib.compare (Path.layout_of_emits emits) p.p_layout = 0);
+      check Alcotest.(list string) (what ^ ": Prov")
+        (List.concat_map
+           (fun (_, (h : P4.Typecheck.header_def)) ->
+             List.filter_map (fun (f : P4.Typecheck.field) -> f.f_semantic) h.h_fields)
+           emits
+        |> List.sort_uniq String.compare)
+        p.p_prov;
+      check Alcotest.bool (what ^ ": configurations") true
+        (List.equal Opendesc_analysis.Context.equal (List.rev !assigns) p.p_assignments))
+    (List.combine groups spec.paths)
+
+let test_paths_oracle_catalog () =
+  List.iter
+    (fun (m : Nic_models.Model.t) -> check_paths_against_interp m.spec)
+    (Nic_models.Catalog.all ())
+
+let test_paths_oracle_firmware () =
+  List.iter
+    (fun name -> check_paths_against_interp (firmware name).spec)
+    [ "e1000_rev_a.p4"; "e1000_rev_b.p4"; "e1000_rev_broken.p4" ]
+
+let test_paths_oracle_generated () =
+  for index = 0 to 299 do
+    let name = Printf.sprintf "fz%04d" index in
+    let seed = Opendesc_fuzz.Gen.spec_seed ~seed:7L ~index in
+    let sp = Opendesc_fuzz.Gen.generate ~seed ~name () in
+    check_paths_against_interp
+      (Nic_spec.load_exn ~name ~kind:Nic_spec.Fully_programmable
+         (Opendesc_fuzz.Spec.render sp))
+  done
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let per_nic name f =
@@ -840,4 +929,10 @@ let () =
           test_semantics_oracle m);
       ( "synthesis: across a firmware upgrade",
         [ Alcotest.test_case "e1000 rev A -> rev B" `Quick test_upgrade_synthesis ] );
+      ( "paths: interp oracle",
+        [
+          Alcotest.test_case "catalog" `Quick test_paths_oracle_catalog;
+          Alcotest.test_case "firmware fixtures" `Quick test_paths_oracle_firmware;
+          Alcotest.test_case "300 seed-7 specs" `Quick test_paths_oracle_generated;
+        ] );
     ]

@@ -231,6 +231,11 @@ let test_cfg_dot_output () =
 (* ------------------------------------------------------------------ *)
 (* Path enumeration *)
 
+(* A control's completion paths: the view of its catalogue that
+   [Nic_spec.load] keeps. *)
+let paths_of tenv c =
+  Result.bind (Opendesc_analysis.Engine.catalogue tenv c) Path.of_catalogue
+
 let test_paths_e1000 () =
   let nic = e1000 () in
   check ai "two paths" 2 (List.length nic.paths);
@@ -275,7 +280,7 @@ control C(cmpt_out o, in ctx_t ctx, in h_t m) {
   in
   let tenv = Prelude.check src in
   let c = Option.get (P4.Typecheck.find_control tenv "C") in
-  match Path.enumerate tenv c with
+  match paths_of tenv c with
   | Ok [ p ] -> check ai "all four configs" 4 (List.length p.p_assignments)
   | Ok ps -> Alcotest.failf "expected one path, got %d" (List.length ps)
   | Error e -> Alcotest.fail e
@@ -297,7 +302,7 @@ control C(cmpt_out o, in ctx_t ctx, in m_t m) {
   in
   let tenv = Prelude.check src in
   let c = Option.get (P4.Typecheck.find_control tenv "C") in
-  match Path.enumerate tenv c with
+  match paths_of tenv c with
   | Ok paths ->
       check ai "two paths" 2 (List.length paths);
       let big = List.find (fun p -> Path.provides p "vlan") paths in
@@ -318,7 +323,7 @@ control C(cmpt_out o, in ctx_t ctx, in h_t m) {
   in
   let tenv = Prelude.check src in
   let c = Option.get (P4.Typecheck.find_control tenv "C") in
-  match Path.enumerate tenv c with
+  match paths_of tenv c with
   | Error e -> check ab "mentions decidable" true (contains e "decidable")
   | Ok _ -> Alcotest.fail "expected rejection"
 
@@ -338,7 +343,7 @@ control C(cmpt_out o, in ctx_t ctx, in h_t m) {
   in
   let tenv = Prelude.check src in
   let c = Option.get (P4.Typecheck.find_control tenv "C") in
-  match Path.enumerate tenv c with
+  match paths_of tenv c with
   | Ok paths -> check ai "empty + rss paths" 2 (List.length paths)
   | Error e -> Alcotest.fail e
 
@@ -354,11 +359,62 @@ control C(cmpt_out o, in ctx_t ctx, in h_t m) {
   in
   let tenv = Prelude.check src in
   let c = Option.get (P4.Typecheck.find_control tenv "C") in
-  match Path.enumerate tenv c with
+  match paths_of tenv c with
   | Ok paths ->
       let empty = List.find (fun p -> p.Path.p_emits = []) paths in
       check ai "zero bytes" 0 (Path.size empty)
   | Error e -> Alcotest.fail e
+
+(* [Nic_spec.load] refuses a description whose completion paths are not
+   well defined: too many configurations to enumerate, a completion that
+   is not whole bytes, or an emit of something that is not a header. *)
+let load_error src =
+  match Nic_spec.load ~name:"bad" ~kind:Nic_spec.Fixed_function src with
+  | Ok _ -> Alcotest.fail "expected load to fail"
+  | Error e -> e
+
+let test_load_rejects_context_over_cap () =
+  let fields = List.init 11 (Printf.sprintf "bit<1> k%d;") in
+  let e =
+    load_error
+      (Printf.sprintf
+         {|
+header ctx_t { %s }
+header h_t { @semantic("rss") bit<32> v; }
+control C(cmpt_out o, in ctx_t ctx, in h_t m) {
+  apply { if (ctx.k0 == 1) { o.emit(m); } }
+}
+|}
+         (String.concat " " fields))
+  in
+  check ab "names the configuration count" true (contains e "2048 configurations")
+
+let test_load_rejects_unaligned_completion () =
+  let e =
+    load_error
+      {|
+header ctx_t { bit<1> en; }
+header h_t { @semantic("pkt_len") bit<12> len; }
+control C(cmpt_out o, in ctx_t ctx, in h_t m) {
+  apply { if (ctx.en == 1) { o.emit(m); } }
+}
+|}
+  in
+  check ab "mentions byte alignment" true (contains e "byte-aligned")
+
+let test_load_rejects_non_header_emit () =
+  let e =
+    load_error
+      {|
+header ctx_t { bit<1> en; }
+header h_t { @semantic("rss") bit<32> v; }
+struct m_t { h_t h; bit<8> flags; }
+control C(cmpt_out o, in ctx_t ctx, in m_t m) {
+  apply { o.emit(m.h); if (ctx.en == 1) { o.emit(m.flags); } }
+}
+|}
+  in
+  check ab "mentions the non-header" true (contains e "non-header m.flags")
 
 (* ------------------------------------------------------------------ *)
 (* Descriptor parser (TX) *)
@@ -601,7 +657,7 @@ control C(cmpt_out o, in ctx_t ctx, in m_t m) {
   in
   let tenv = Prelude.check src in
   let c = Option.get (P4.Typecheck.find_control tenv "C") in
-  let paths = Result.get_ok (Path.enumerate tenv c) in
+  let paths = Result.get_ok (paths_of tenv c) in
   let intent = Intent.make [ ("rss", 32); ("pkt_len", 16) ] in
   let chosen_with alpha =
     match Select.choose ~alpha (registry ()) intent paths with
@@ -889,6 +945,12 @@ let () =
           Alcotest.test_case "local derived conditions" `Quick
             test_paths_local_derived_conditions;
           Alcotest.test_case "empty completion" `Quick test_paths_empty_completion_allowed;
+          Alcotest.test_case "load rejects context over cap" `Quick
+            test_load_rejects_context_over_cap;
+          Alcotest.test_case "load rejects unaligned completion" `Quick
+            test_load_rejects_unaligned_completion;
+          Alcotest.test_case "load rejects non-header emit" `Quick
+            test_load_rejects_non_header_emit;
         ] );
       ( "descparser",
         [

@@ -47,7 +47,7 @@ let interp_setup packet =
   let parser = Option.get (P4.Typecheck.find_parser tenv "TestParser") in
   let control = Option.get (P4.Typecheck.find_control tenv "TestControl") in
   P4.Interp.run_parser store parser ~packet ~len:(Bytes.length packet) ~param:"pkt";
-  P4.Interp.run_control store control;
+  ignore (P4.Interp.run_control store control);
   store
 
 let test_interp_extract_and_select () =
@@ -497,7 +497,9 @@ let prop_random_deparser_invariants =
           if not roundtrip then false
           else
           let ctrl = Option.get (P4.Typecheck.find_control tenv "FuzzDeparser") in
-          match Path.enumerate tenv ctrl with
+          match
+            Result.bind (Opendesc_analysis.Engine.catalogue tenv ctrl) Path.of_catalogue
+          with
           | Error _ -> false
           | Ok paths ->
               let ctx_header =
