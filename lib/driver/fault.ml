@@ -174,10 +174,14 @@ type t = {
   dev : Device.t;
   plan : plan;
   rng : Packet.Rng.t;
+  roll_at : float array;
+      (** cumulative thresholds of the plan's nonzero RX rates, in
+          {!kinds} order *)
+  roll_kind : kind option array;  (** the kind each threshold picks *)
   mutable checker : Validate.checker;
   mutable target_fields : Opendesc.Path.lfield array;
-  quarantine : Ring.t;
-  q_scratch : bytes;  (** reusable quarantine-harvest buffer *)
+  quarantine : Ring.t;  (** records as length-prefixed frames *)
+  scratch : bytes;  (** one completion record, for faulted packets *)
   c : counters;
   mutable inject_seq : int;
   mutable stashed : Packet.Pkt.t option;
@@ -190,18 +194,39 @@ type t = {
 let mix_seed seed qid =
   Int64.add seed (Int64.mul (Int64.of_int (qid + 1)) 0x9E3779B97F4A7C15L)
 
+(* The RX kinds a roll can pick, with their rates, in the order the
+   thresholds accumulate. *)
+let rx_rates p =
+  [
+    (Flip, p.flip_rate);
+    (Semantic, p.semantic_rate);
+    (Torn, p.torn_rate);
+    (Duplicate, p.duplicate_rate);
+    (Reorder, p.reorder_rate);
+    (Stale, p.stale_rate);
+    (Stuck, p.stuck_rate);
+  ]
+
 let wrap ?(qid = 0) ?(quarantine_depth = 1024) plan dev =
   let checker = Validate.checker_of_device dev in
+  let rated = Array.of_list (List.filter (fun (_, r) -> r > 0.0) (rx_rates plan)) in
+  let acc = ref 0.0 in
+  let slot_size = Ring.slot_size (Device.cmpt_ring dev) in
   {
     dev;
     plan;
     rng = Packet.Rng.create (mix_seed plan.seed qid);
+    roll_at =
+      Array.map
+        (fun (_, r) ->
+          acc := !acc +. r;
+          !acc)
+        rated;
+    roll_kind = Array.map (fun (k, _) -> Some k) rated;
     checker;
     target_fields = Array.of_list (Validate.checker_fields checker);
-    quarantine =
-      Ring.create ~slots:quarantine_depth
-        ~slot_size:(Ring.slot_size (Device.cmpt_ring dev));
-    q_scratch = Bytes.create (Ring.slot_size (Device.cmpt_ring dev));
+    quarantine = Ring.create ~slots:quarantine_depth ~slot_size:(slot_size + 2);
+    scratch = Bytes.create slot_size;
     c = counters_zero ();
     inject_seq = 0;
     stashed = None;
@@ -230,59 +255,77 @@ let count t k =
   t.c.injected <- t.c.injected + 1;
   t.c.by_kind.(kind_index k) <- t.c.by_kind.(kind_index k) + 1
 
-(* The completion slot the device just wrote. *)
-let last_cmpt_region t =
+(* A faulted packet's completion goes through the one scratch record:
+   [load_slot] copies the active layout's bytes of a completion slot into
+   it, [store_slot] writes them back (uncounted: the counted DMA write is
+   the one that went wrong). Past the layout the scratch holds stale
+   bytes, which no checker read and no mutation reaches. *)
+let load_slot t ~off =
+  Bytes.blit (Dma.mem (Ring.dma (Device.cmpt_ring t.dev))) off t.scratch 0 (layout_size t)
+
+let store_slot t ~off =
+  Dma.corrupt (Ring.dma (Device.cmpt_ring t.dev)) ~off t.scratch ~pos:0 ~len:(layout_size t)
+
+(* The offset of the completion slot the device just wrote. *)
+let last_off t =
   let ring = Device.cmpt_ring t.dev in
-  (Ring.dma ring, Ring.slot_offset ring (Ring.prod_index ring - 1), layout_size t)
+  Ring.slot_offset ring (Ring.prod_index ring - 1)
 
 (* Ground truth: does the (possibly mutated) completion still honour the
    contract for its packet? Uses the same checker as the recovery path,
    so injection-time classification and harvest-time detection agree by
    construction. *)
 let classify_last t pkt =
-  let dma, off, size = last_cmpt_region t in
-  let cmpt = Bytes.sub (Dma.mem dma) off size in
-  match Validate.check_desc t.checker ~pkt ~cmpt with
+  load_slot t ~off:(last_off t);
+  match Validate.check_desc t.checker ~pkt ~cmpt:t.scratch with
   | Some _ -> t.c.contract_violating <- t.c.contract_violating + 1
   | None -> ()
 
-(* Mutate the just-written completion slot in place (uncounted: the
-   counted DMA write is the one that went wrong). *)
-let mutate_last t f =
-  let dma, off, size = last_cmpt_region t in
-  let buf = Bytes.sub (Dma.mem dma) off size in
-  f buf;
-  Dma.corrupt dma ~off buf ~pos:0 ~len:size
-
-let apply_flip t buf =
+let apply_flip t buf ~size =
   let nbits = 1 + Packet.Rng.int t.rng 3 in
   for _ = 1 to nbits do
-    let bit = Packet.Rng.int t.rng (Bytes.length buf * 8) in
+    let bit = Packet.Rng.int t.rng (size * 8) in
     let b = Char.code (Bytes.get buf (bit / 8)) in
     Bytes.set buf (bit / 8) (Char.chr (b lxor (1 lsl (bit mod 8))))
   done
 
-let apply_semantic t buf =
-  if Array.length t.target_fields = 0 then apply_flip t buf
+(* XOR a nonzero mask of at most 30 bits into one checked field's low
+   bits. Fields are MSB-first, so value bit [j] sits at stream bit
+   [l_bit_off + l_bits - 1 - j]; flipping those bits in place writes the
+   bytes a read, an XOR and a write of the field would. *)
+let apply_semantic t buf ~size =
+  if Array.length t.target_fields = 0 then apply_flip t buf ~size
   else begin
     let f = Packet.Rng.choice t.rng t.target_fields in
     let bits = f.Opendesc.Path.l_bits in
     let mbits = min bits 30 in
-    let mask = Int64.of_int (1 + Packet.Rng.int t.rng ((1 lsl mbits) - 1)) in
-    let old =
-      Opendesc.Accessor.reader ~bit_off:f.Opendesc.Path.l_bit_off ~bits buf
-    in
-    Opendesc.Accessor.writer ~bit_off:f.Opendesc.Path.l_bit_off ~bits buf
-      (Int64.logxor old mask)
+    let mask = 1 + Packet.Rng.int t.rng ((1 lsl mbits) - 1) in
+    let last = f.Opendesc.Path.l_bit_off + bits - 1 in
+    for j = 0 to mbits - 1 do
+      if mask land (1 lsl j) <> 0 then begin
+        let bit = last - j in
+        Bytes.set_uint8 buf (bit / 8)
+          (Bytes.get_uint8 buf (bit / 8) lxor (0x80 lsr (bit mod 8)))
+      end
+    done
   end
 
-let apply_torn t buf =
-  let size = Bytes.length buf in
-  if size > 1 then begin
-    let keep = 1 + Packet.Rng.int t.rng (size - 1) in
-    let garbage = Packet.Rng.bytes t.rng (size - keep) in
-    Bytes.blit garbage 0 buf keep (size - keep)
-  end
+(* The tail past a random cut is garbage, one draw per byte in order. *)
+let apply_torn t buf ~size =
+  if size > 1 then
+    for i = 1 + Packet.Rng.int t.rng (size - 1) to size - 1 do
+      Bytes.set buf i (Packet.Rng.byte t.rng)
+    done
+
+(* Mutate the just-written completion slot in place. *)
+let mutate_last t k =
+  let off = last_off t and size = layout_size t in
+  load_slot t ~off;
+  (match k with
+  | Flip -> apply_flip t t.scratch ~size
+  | Semantic -> apply_semantic t t.scratch ~size
+  | _ -> apply_torn t t.scratch ~size);
+  store_slot t ~off
 
 let inject_plain t pkt =
   let ok = Device.rx_inject t.dev pkt in
@@ -305,6 +348,10 @@ let duplicate_last t =
   end
   else false
 
+(* One draw per eligible injection, even when every rate is 0 (the TX
+   doorbell rolls share the stream); the first threshold above it picks
+   the kind, the one a walk summing the rates in [rx_rates] order would
+   pick. *)
 let roll t =
   let p = t.plan in
   let eligible =
@@ -313,23 +360,12 @@ let roll t =
   if not eligible then None
   else begin
     let u = Packet.Rng.float t.rng in
-    let pick = ref None and acc = ref 0.0 in
-    List.iter
-      (fun (k, rate) ->
-        if !pick = None && rate > 0.0 then begin
-          acc := !acc +. rate;
-          if u < !acc then pick := Some k
-        end)
-      [
-        (Flip, p.flip_rate);
-        (Semantic, p.semantic_rate);
-        (Torn, p.torn_rate);
-        (Duplicate, p.duplicate_rate);
-        (Reorder, p.reorder_rate);
-        (Stale, p.stale_rate);
-        (Stuck, p.stuck_rate);
-      ];
-    !pick
+    let at = t.roll_at in
+    let i = ref 0 in
+    while !i < Array.length at && not (u < Array.unsafe_get at !i) do
+      incr i
+    done;
+    if !i < Array.length at then t.roll_kind.(!i) else None
   end
 
 let inject_one t pkt =
@@ -339,11 +375,7 @@ let inject_one t pkt =
       let ok = inject_plain t pkt in
       if ok then begin
         count t k;
-        mutate_last t
-          (match k with
-          | Flip -> apply_flip t
-          | Semantic -> apply_semantic t
-          | _ -> apply_torn t);
+        mutate_last t k;
         classify_last t pkt
       end;
       ok
@@ -353,12 +385,11 @@ let inject_one t pkt =
          lap's record as if the producer index wrapped spuriously. *)
       let ring = Device.cmpt_ring t.dev in
       let off = Ring.slot_offset ring (Ring.prod_index ring) in
-      let size = layout_size t in
-      let stale = Bytes.sub (Dma.mem (Ring.dma ring)) off size in
+      load_slot t ~off;
       let ok = inject_plain t pkt in
       if ok then begin
         count t Stale;
-        Dma.corrupt (Ring.dma ring) ~off stale ~pos:0 ~len:size;
+        store_slot t ~off;
         classify_last t pkt
       end;
       ok
@@ -430,7 +461,11 @@ let harvest ?(max_kicks = default_max_kicks) t (b : Device.burst) =
       | Some _ ->
           t.c.detected <- t.c.detected + 1;
           t.c.quarantined <- t.c.quarantined + 1;
-          if not (Ring.produce_host t.quarantine cmpt) then
+          (* Kept at its harvest-time length: a record quarantined
+             before an upgrade comes back at the size it was harvested
+             at, whatever layout is active when it is read. *)
+          let len = b.Device.bs_cmpt_lens.(i) in
+          if not (Ring.produce_frame t.quarantine cmpt ~len) then
             t.c.quarantine_drops <- t.c.quarantine_drops + 1
       | None ->
           t.c.delivered <- t.c.delivered + 1;
@@ -454,10 +489,7 @@ let harvest ?(max_kicks = default_max_kicks) t (b : Device.burst) =
 
 let quarantined t = Ring.available t.quarantine
 
-let quarantine_consume t =
-  if Ring.consume_host_into t.quarantine t.q_scratch then
-    Some (Bytes.sub t.q_scratch 0 (layout_size t))
-  else None
+let quarantine_consume t = Ring.consume_frame t.quarantine
 
 let tx_post_batch t descs =
   let n = Device.tx_post_batch t.dev descs in

@@ -161,8 +161,10 @@ val quarantined : t -> int
 (** Records currently waiting in the quarantine ring. *)
 
 val quarantine_consume : t -> bytes option
-(** Pop one quarantined completion record (trimmed to the active layout
-    size) for post-mortem inspection. *)
+(** Pop one quarantined completion record for post-mortem inspection, at
+    the length it was harvested at: the size of the layout active at
+    harvest, even when a {!Device.upgrade} has since activated a layout
+    of another size. *)
 
 (** {1 Transmit} *)
 

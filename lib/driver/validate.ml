@@ -22,17 +22,29 @@ let nondeterministic = [ "timestamp"; "wire_timestamp" ]
    the register and disagree with the device by construction. *)
 let stateful = [ "flow_pkts" ]
 
+(* A checked field's reference value: a builtin's int core, picked by
+   identity with [Registry.core_of], or the feature's own boxed
+   [compute] (custom registries, [kvs_key]). *)
+type reference =
+  | Core of Softnic.Codec.sem
+  | Compute of (Softnic.Feature.env -> Packet.Pkt.t -> Packet.Pkt.view -> int64)
+
 (* One checked field, staged once per path as {!Device} stages its
-   synthesis plan: the reference [compute], the field's reader and its
-   mask are looked up and built here, not per packet. *)
+   encoder: the reference, the read shape and the mask are resolved
+   here, not per packet. *)
 type check = {
   c_field : Opendesc.Path.lfield;
-  c_compute : Softnic.Feature.env -> Packet.Pkt.t -> Packet.Pkt.view -> int64;
-  c_read : bytes -> int64;
+  c_ref : reference;
+  c_shape : Opendesc.Accessor.shape;
   c_mask : int64;
 }
 
-type checker = { ck_env : Softnic.Feature.env; ck_checks : check array }
+type checker = {
+  ck_env : Softnic.Feature.env;
+  ck_checks : check array;
+  ck_ipsum : bool;  (** some core needs the IPv4 header sum *)
+  ck_l4sum : bool;  (** some core needs the L4 sum *)
+}
 
 let checker_of_path ~env ~softnic (path : Opendesc.Path.t) =
   let checks =
@@ -47,15 +59,26 @@ let checker_of_path ~env ~softnic (path : Opendesc.Path.t) =
               (fun (feature : Softnic.Feature.t) ->
                 {
                   c_field = f;
-                  c_compute = feature.compute;
-                  c_read = Opendesc.Accessor.reader_fn ~bit_off:f.l_bit_off ~bits:f.l_bits;
+                  c_ref =
+                    (match Softnic.Registry.core_of feature.compute with
+                    | Some sem -> Core sem
+                    | None -> Compute feature.compute);
+                  c_shape = Opendesc.Accessor.shape ~bit_off:f.l_bit_off ~bits:f.l_bits;
                   c_mask = Packet.Bitops.mask f.l_bits;
                 })
               (Softnic.Registry.find softnic sem)
         | _ -> None)
       path.p_layout.fields
   in
-  { ck_env = env; ck_checks = Array.of_list checks }
+  let needs fact =
+    List.exists (fun c -> match c.c_ref with Core sem -> fact sem | Compute _ -> false) checks
+  in
+  {
+    ck_env = env;
+    ck_checks = Array.of_list checks;
+    ck_ipsum = needs Softnic.Codec.needs_ipsum;
+    ck_l4sum = needs Softnic.Codec.needs_l4sum;
+  }
 
 let checker_of_device device =
   checker_of_path ~env:(Device.env device)
@@ -66,19 +89,46 @@ let checker_fields ck = Array.to_list (Array.map (fun c -> c.c_field) ck.ck_chec
 let checker_semantics ck =
   List.map (fun (f : Opendesc.Path.lfield) -> Option.get f.l_semantic) (checker_fields ck)
 
+(* Does one field hold its reference value? The read is [Bytes] loads
+   here, as in the batched decoder (a call into [Accessor] would return
+   a boxed int64), and the compare is on all 64 bits, so a flipped bit
+   63 is caught. A buffer too short for an [In_word] load takes the bit
+   walk, as [Accessor.reader_fn] does. *)
+let holds env pkt view ~ipsum ~l4sum cmpt c =
+  let expected =
+    match c.c_ref with
+    | Core sem -> Int64.of_int (Softnic.Codec.value sem env pkt view ~ipsum ~l4sum)
+    | Compute compute -> compute env pkt view
+  in
+  let got =
+    match c.c_shape with
+    | Opendesc.Accessor.Blob -> 0L
+    | Byte o -> Int64.of_int (Bytes.get_uint8 cmpt o)
+    | Be16 o -> Int64.of_int (Bytes.get_uint16_be cmpt o)
+    | Be32 o -> Int64.of_int (Int32.to_int (Bytes.get_int32_be cmpt o) land 0xFFFFFFFF)
+    | Be64 o -> Bytes.get_int64_be cmpt o
+    | In_word { word; shift; mask } when Bytes.length cmpt >= word + 8 ->
+        Int64.logand (Int64.shift_right_logical (Bytes.get_int64_be cmpt word) shift) mask
+    | In_word _ | Walk ->
+        Packet.Bitops.get_bits cmpt ~bit_off:c.c_field.l_bit_off ~width:c.c_field.l_bits
+  in
+  Int64.logand expected c.c_mask = got
+
+(* One parse per packet, and each shared sum once, only when a core
+   needs it; then the fields in layout order up to the first mismatch. *)
 let check_desc ck ~pkt ~cmpt =
   let view = Packet.Pkt.parse pkt in
+  let ipsum = if ck.ck_ipsum then Softnic.Codec.ipv4_sum pkt view else -1 in
+  let l4sum = if ck.ck_l4sum then Softnic.Codec.l4_sum pkt view else -1 in
   let checks = ck.ck_checks in
   let i = ref 0 in
   while
     !i < Array.length checks
-    &&
-    let c = Array.unsafe_get checks !i in
-    Int64.equal (Int64.logand (c.c_compute ck.ck_env pkt view) c.c_mask) (c.c_read cmpt)
+    && holds ck.ck_env pkt view ~ipsum ~l4sum cmpt (Array.unsafe_get checks !i)
   do
     incr i
   done;
-  if !i = Array.length checks then None else Some (Option.get checks.(!i).c_field.l_semantic)
+  if !i = Array.length checks then None else checks.(!i).c_field.l_semantic
 
 let probe_workloads seed =
   Packet.Workload.

@@ -58,8 +58,17 @@ val checker_of_path :
     reference: present in [softnic], at most 64 bits, and neither
     nondeterministic (timestamps) nor stateful (register-file offloads
     like [flow_pkts], whose recomputation would advance the register).
-    Staged once per path: each checked field's reference [compute],
-    reader and mask are built here, so {!check_desc} only walks them. *)
+
+    Staged once per path, as {!Device} stages its encoder. For each
+    checked field it records:
+    - the reference: the {!Softnic.Codec} int core when
+      {!Softnic.Registry.core_of} finds one behind the feature's
+      [compute] (a builtin), otherwise that boxed [compute] ([kvs_key],
+      custom registries);
+    - the field's {!Opendesc.Accessor.shape} and mask.
+
+    It also records whether any core needs the IPv4 header sum or the
+    L4 sum, so {!check_desc} computes each at most once per packet. *)
 
 val checker_of_device : Device.t -> checker
 (** {!checker_of_path} over the device's active path, sharing the
@@ -76,6 +85,11 @@ val check_desc : checker -> pkt:Packet.Pkt.t -> cmpt:bytes -> string option
 (** [Some semantic] names the first field whose completion value differs
     from the reference recomputation on [pkt]; [None] means the
     descriptor honours the contract. Pure for the device: no counters
-    advance, no state mutates. Each field's reader returns only that
+    advance, no state mutates. Each field's read returns only that
     field's bits, so [cmpt] may be longer than the layout (a burst
-    buffer) and gives the same verdict as the record trimmed to it. *)
+    buffer) and gives the same verdict as the record trimmed to it.
+
+    Per packet: one {!Packet.Pkt.parse}, each shared sum at most once,
+    and [Bytes] loads compared with the core's value, so a path whose
+    references are all cores boxes nothing. Each compare covers all of a
+    field's bits, so a flip of bit 63 of a 64-bit field is caught. *)

@@ -1477,6 +1477,61 @@ let test_fault_semantic_all_quarantined () =
   | Some r -> check ab "record non-empty" true (Bytes.length r > 0)
   | None -> Alcotest.fail "expected a quarantined record")
 
+(* A spec with no context and one completion path, whose record holds
+   [fields]. *)
+let inline_spec ~name fields =
+  Opendesc.Nic_spec.load_exn ~name ~kind:Opendesc.Nic_spec.Fixed_function
+    (Printf.sprintf
+       {|
+header k_ctx_t { }
+header k_tx_t { @semantic("buf_addr") bit<64> addr; bit<16> length; bit<16> flags; }
+header k_cmpt_t {%s}
+struct k_meta_t { k_cmpt_t c; }
+parser KDP(desc_in d, in k_ctx_t h2c_ctx, out k_tx_t desc_hdr) {
+  state start { d.extract(desc_hdr); transition accept; }
+}
+@cmpt_deparser
+control KCD(cmpt_out o, in k_ctx_t ctx, in k_tx_t d, in k_meta_t m) {
+  apply { o.emit(m.c); }
+}
+|}
+       fields)
+
+let only_config (spec : Opendesc.Nic_spec.t) =
+  List.hd (List.hd spec.paths).Opendesc.Path.p_assignments
+
+(* A record quarantined under a 16-byte layout comes back at 16 bytes
+   after an upgrade to an 8-byte layout, not trimmed to the new one. *)
+let test_fault_quarantine_keeps_length () =
+  let rss_len_pad ~name pad =
+    inline_spec ~name
+      (Printf.sprintf
+         {| @semantic("rss") bit<32> hash; @semantic("pkt_len") bit<16> length; bit<%d> pad; |}
+         pad)
+  in
+  let wide = rss_len_pad ~name:"q16" 80 in
+  let narrow = rss_len_pad ~name:"q8" 16 in
+  let device =
+    Device.create_exn ~queue_depth:8 ~config:(only_config wide) (Nic_models.Model.make wide)
+  in
+  check ai "16-byte layout" 16 (Opendesc.Path.size (Device.active_path device));
+  let fq = Fault.wrap { (Fault.zero_plan 5L) with Fault.semantic_rate = 1.0 } device in
+  let w = Packet.Workload.make ~seed:5L Packet.Workload.Min_size in
+  check ab "injected" true (Fault.rx_inject fq (Packet.Workload.next w));
+  let burst = Device.burst_create ~capacity:4 device in
+  check ai "nothing delivered" 0 (Fault.harvest fq burst);
+  check ai "one quarantined" 1 (Fault.quarantined fq);
+  let harvested = Bytes.sub burst.Device.bs_cmpts.(0) 0 burst.Device.bs_cmpt_lens.(0) in
+  check ai "harvested at 16 bytes" 16 (Bytes.length harvested);
+  (match Device.upgrade device ~config:(only_config narrow) (Nic_models.Model.make narrow) with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  Fault.rebind fq;
+  check ai "8-byte layout active" 8 (Opendesc.Path.size (Device.active_path device));
+  match Fault.quarantine_consume fq with
+  | Some r -> check ab "the 16 harvested bytes" true (Bytes.equal harvested r)
+  | None -> Alcotest.fail "expected a quarantined record"
+
 let test_fault_duplicate_counts () =
   let device = fault_device () in
   let plan = { (Fault.zero_plan 17L) with Fault.duplicate_rate = 1.0 } in
@@ -1528,7 +1583,7 @@ let test_fault_reorder_preserves_multiset () =
 (* The contract checker as it was before it was staged: fields filtered
    per path, then per packet a list walk that builds each field's reader
    and mask as it goes. Kept as the reference for the staged checker. *)
-let list_walk_fields (path : Opendesc.Path.t) =
+let list_walk_fields softnic (path : Opendesc.Path.t) =
   List.filter_map
     (fun (f : Opendesc.Path.lfield) ->
       match f.l_semantic with
@@ -1552,10 +1607,52 @@ let list_walk_check env fields ~pkt ~cmpt =
   in
   go fields
 
-(* Every catalog path, packet kind and corruption the fault layer makes
-   (bit flip, one checked field, torn tail): the staged checker gives
-   the list walk's verdict, on the trimmed completion and on the
-   full-size burst buffer whose tail past the layout is junk. *)
+(* Checked fields the catalog has no path for, one spec each. The first
+   checks ip_checksum, csum_ok and l4_checksum together (they share two
+   sums). The second has 63- and 64-bit fields of every read shape, with
+   int cores and kvs_key: Be64 at bytes 0 and 8, a 63-bit field inside
+   the aligned word at byte 16 and a 64-bit bit walk; its last field's
+   aligned word runs past the 36-byte record, so it is read by the bit
+   walk too. *)
+let checker_specs =
+  [
+    ( "csum3",
+      {|
+  @semantic("ip_checksum") bit<16> ipc;
+  @semantic("csum_ok") bit<1> ok;
+  bit<15> pad;
+  @semantic("l4_checksum") bit<16> l4c;
+  @semantic("pkt_len") bit<16> length;
+|} );
+    ( "wide",
+      {|
+  @semantic("kvs_key") bit<64> key;
+  @semantic("rss") bit<64> hash;
+  bit<1> pad0;
+  @semantic("flow_id") bit<63> fid;
+  bit<4> pad1;
+  @semantic("ip_id") bit<64> id;
+  @semantic("pkt_len") bit<16> length;
+  bit<12> pad2;
+|} );
+  ]
+
+(* The builtins behind wrappers: [Registry.core_of] finds no core, so
+   every field is checked through its boxed [compute]. *)
+let wrapped_registry () =
+  let r = Softnic.Registry.empty () in
+  List.iter
+    (fun (f : Softnic.Feature.t) ->
+      Softnic.Registry.register r { f with compute = (fun env pkt v -> f.compute env pkt v) })
+    Softnic.Registry.all;
+  r
+
+(* Every catalog path and the specs above, every packet kind, the
+   builtin registry or its wrapped copy, and every corruption the fault
+   layer makes (bit flip, one checked field, torn tail) plus a flip of
+   bit 63 of a 64-bit checked field: the staged checker gives the list
+   walk's verdict, on the trimmed completion and on the full-size burst
+   buffer whose tail past the layout is junk. *)
 let prop_checker_matches_list_walk =
   let profiles =
     Packet.Workload.
@@ -1569,14 +1666,18 @@ let prop_checker_matches_list_walk =
              (fun (p : Opendesc.Path.t) ->
                match p.p_assignments with c :: _ -> Some (m, c) | [] -> None)
              m.spec.paths)
-         (Nic_models.Catalog.all ()))
+         (Nic_models.Catalog.all ()
+         @ List.map
+             (fun (name, fields) -> Nic_models.Model.make (inline_spec ~name fields))
+             checker_specs))
   in
-  QCheck.Test.make ~name:"staged contract checker = list walk" ~count:200
-    QCheck.(quad small_nat (int_bound 5) (int_bound 3) int)
-    (fun (sel, kind, corruption, seed) ->
+  QCheck.Test.make ~name:"staged contract checker = list walk" ~count:300
+    QCheck.(pair (quad small_nat (int_bound 5) (int_bound 4) int) bool)
+    (fun ((sel, kind, corruption, seed), wrapped) ->
       let paths = Lazy.force paths in
       let model, config = List.nth paths (sel mod List.length paths) in
       let device = Device.create_exn ~queue_depth:4 ~config model in
+      let softnic = if wrapped then wrapped_registry () else Softnic.Registry.builtin () in
       let rng = Random.State.make [| seed |] in
       let pkt =
         Packet.Workload.next
@@ -1588,7 +1689,7 @@ let prop_checker_matches_list_walk =
       assert (Device.rx_inject device pkt);
       assert (Device.rx_consume_batch device b = 1);
       let size = b.Device.bs_cmpt_lens.(0) in
-      let fields = list_walk_fields (Device.active_path device) in
+      let fields = list_walk_fields softnic (Device.active_path device) in
       let flip bit =
         let c = Char.code (Bytes.get full (bit / 8)) in
         Bytes.set full (bit / 8) (Char.chr (c lxor (1 lsl (bit mod 8))))
@@ -1604,12 +1705,25 @@ let prop_checker_matches_list_walk =
           let old = Opendesc.Accessor.reader ~bit_off:f.l_bit_off ~bits:f.l_bits full in
           Opendesc.Accessor.writer ~bit_off:f.l_bit_off ~bits:f.l_bits full
             (Int64.logxor old (Int64.of_int mask))
+      | 4 -> (
+          match List.filter (fun ((f : Opendesc.Path.lfield), _) -> f.l_bits = 64) fields with
+          | [] -> ()
+          | wide ->
+              (* bit 63 is the field's first bit: fields are MSB-first *)
+              let (f : Opendesc.Path.lfield), _ =
+                List.nth wide (Random.State.int rng (List.length wide))
+              in
+              let c = Char.code (Bytes.get full (f.l_bit_off / 8)) in
+              Bytes.set full (f.l_bit_off / 8)
+                (Char.chr (c lxor (0x80 lsr (f.l_bit_off mod 8)))))
       | _ ->
           for i = Random.State.int rng size to size - 1 do
             Bytes.set full i (Char.chr (Random.State.int rng 256))
           done);
       let trimmed = Bytes.sub full 0 size in
-      let ck = Validate.checker_of_device device in
+      let ck =
+        Validate.checker_of_path ~env:(Device.env device) ~softnic (Device.active_path device)
+      in
       let expected = list_walk_check (Device.env device) fields ~pkt ~cmpt:trimmed in
       List.map fst fields = Validate.checker_fields ck
       && Validate.check_desc ck ~pkt ~cmpt:trimmed = expected
@@ -1825,6 +1939,52 @@ let rev_a () = load_rev "e1000_rev_a.p4"
 let rev_b () = load_rev "e1000_rev_b.p4"
 let rev_broken () = load_rev "e1000_rev_broken.p4"
 let upgrade_intent = Opendesc.Intent.make [ ("rss", 32); ("pkt_len", 16) ]
+
+(* Regression: the chaos recovery path allocates per packet, not per
+   checked field or per fault draw. e1000 rev A under rss,pkt_len on 4
+   queues, 4,096 IMIX packets under the default plan in 32-packet
+   bursts: [Fault.rx_inject] + [Fault.harvest] allocate about 42 minor
+   words/pkt. The device's [Pkt.t] and view are 16 of them, the
+   harvested [Pkt.t] and the checker's view another 16, and the roll's
+   draw boxes an int64 and a float. Boxing each checked field's values,
+   or building a list and a closure per roll, would cost about 80
+   more. *)
+let chaos_words_budget = 50.0
+
+let test_fault_chaos_alloc_budget () =
+  let spec = rev_a () in
+  let compiled = Opendesc.Cache.run_exn ~intent:upgrade_intent spec in
+  let mq =
+    Mq.create_exn
+      ~configs:(Array.make 4 compiled.Opendesc.Compile.config)
+      (fun () -> Nic_models.Model.make spec)
+  in
+  let fqs = Mq.wrap_chaos ~plan:(Fault.default_plan 7L) mq in
+  let bursts = Mq.bursts ~capacity:32 mq in
+  let n = 4096 and warm = 1024 and burst = 32 in
+  let pkts = Packet.Workload.batch (Packet.Workload.make ~seed:7L Packet.Workload.Imix) n in
+  let qs = Array.map (Mq.steer mq) pkts in
+  let run lo hi =
+    for b = 0 to ((hi - lo) / burst) - 1 do
+      for i = lo + (b * burst) to lo + (b * burst) + burst - 1 do
+        ignore (Fault.rx_inject fqs.(qs.(i)) pkts.(i))
+      done;
+      for q = 0 to Array.length fqs - 1 do
+        ignore (Fault.harvest fqs.(q) bursts.(q))
+      done
+    done
+  in
+  run 0 warm;
+  let before = Gc.minor_words () in
+  run warm n;
+  let words = (Gc.minor_words () -. before) /. float_of_int (n - warm) in
+  Array.iteri (fun q fq -> ignore (chaos_drain fq bursts.(q) ~f:(fun _ -> ()))) fqs;
+  let c = Fault.counters_sum (Array.to_list (Array.map Fault.counters fqs)) in
+  check ab "faults injected" true (c.Fault.injected > 0);
+  check ab "reconciles" true (Fault.reconciles c);
+  check ab
+    (Printf.sprintf "minor words/pkt %.1f within budget %.0f" words chaos_words_budget)
+    true (words <= chaos_words_budget)
 
 (* The zero-packet-loss acceptance harness: e1000 A -> B under seeded
    chaos at 1, 2 and 4 domains. Every accepted packet is either
@@ -2304,6 +2464,10 @@ let () =
             test_fault_reorder_preserves_multiset;
           Alcotest.test_case "stats merge fault counters" `Quick
             test_stats_merge_fault_counters;
+          Alcotest.test_case "quarantine keeps record length" `Quick
+            test_fault_quarantine_keeps_length;
+          Alcotest.test_case "chaos allocation budget" `Quick
+            test_fault_chaos_alloc_budget;
         ]
         @ qsuite
             [
