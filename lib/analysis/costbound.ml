@@ -357,9 +357,6 @@ let mutation_name = function
   | Dominated_config -> "dominated-config"
   | Unbounded_walk -> "unbounded-walk"
 
-let mutation_of_string s =
-  List.find_opt (fun m -> mutation_name m = s) mutations
-
 let expected_codes = function
   | Over_budget -> [ "OD025" ]
   | Cost_regression -> [ "OD026" ]

@@ -128,7 +128,6 @@ type mutation = Over_budget | Cost_regression | Dominated_config | Unbounded_wal
 
 val mutations : mutation list
 val mutation_name : mutation -> string
-val mutation_of_string : string -> mutation option
 
 val expected_codes : mutation -> string list
 (** Codes at least one of which must fire when the drill is injected. *)
