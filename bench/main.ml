@@ -764,7 +764,7 @@ let parallel_domains = [ 1; 2; 4 ]
    is still reported, informationally. *)
 
 let hot_reps = 3
-let minor_words_budget = 60.0
+let minor_words_budget = 2.0
 
 type parallel_point = {
   pp_domains : int;

@@ -10,6 +10,7 @@ type t = {
   tx_ring : Ring.t;
   tx_scratch : bytes;  (** reusable TX descriptor-fetch buffer *)
   inj_cmpt : bytes;  (** reusable RX completion-record buffer *)
+  inj_view : Packet.Pkt.view;  (** the last injected frame's parse *)
   buf_size : int;
   mutable tx_format : Opendesc.Descparser.t option;
   mutable tx_addr : (bytes -> int64) option;
@@ -107,6 +108,7 @@ let create ?(queue_depth = 512) ?(buf_size = 2048) ~config (model : Nic_models.M
           tx_ring;
           tx_scratch = Bytes.create (Ring.slot_size tx_ring);
           inj_cmpt = Bytes.create (Ring.slot_size cmpt_ring);
+          inj_view = Packet.Pkt.view ();
           buf_size;
           tx_format;
           tx_addr = Option.bind tx_format addr_reader;
@@ -190,19 +192,27 @@ let buf_size t = t.buf_size
 
 (* The pooled injection primitive: the payload lives in the first [len]
    bytes of [buf] (which may be a reusable scratch buffer longer than the
-   packet). The frame goes straight into the packet ring's slot and the
-   path's encoder writes the completion into the preallocated
-   [inj_cmpt], so injecting a packet allocates only the [Pkt.t] wrapper
-   and its parsed view, plus whatever a boxed producer returns. *)
+   packet). The frame goes straight into the packet ring's slot, is
+   parsed into the device's one view, and the path's encoder writes the
+   completion from [buf] into the preallocated [inj_cmpt]. Injecting a
+   packet allocates nothing, unless the encoder holds a boxed producer.
+   A bad length is refused before either ring moves, so the two rings
+   never fall out of step. A frame longer than [buf_size] is a counted
+   drop whose bytes are never read, so [buf] may hold it truncated (as
+   [Parallel.Pktring] stages an oversize frame). *)
 let rx_inject_raw t buf ~len =
+  if len < 0 || (len > Bytes.length buf && len <= t.buf_size) then
+    invalid_arg
+      (Printf.sprintf "Device.rx_inject_raw: frame length %d outside the %d-byte buffer"
+         len (Bytes.length buf));
   if len > t.buf_size || Ring.is_full t.pkt_ring || Ring.is_full t.cmpt_ring then begin
     t.drops <- t.drops + 1;
     false
   end
   else begin
     let ok1 = Ring.produce_frame t.pkt_ring buf ~len in
-    let pkt = Packet.Pkt.sub buf ~len in
-    Softnic.Codec.encode t.encoder t.env pkt (Packet.Pkt.parse pkt) t.inj_cmpt;
+    Packet.Pkt.parse_into t.inj_view buf ~len;
+    Softnic.Codec.encode t.encoder t.env buf ~len t.inj_view t.inj_cmpt;
     let ok2 =
       Ring.produce_dev t.cmpt_ring t.inj_cmpt
         ~len:(Softnic.Codec.size_bytes t.encoder)

@@ -105,9 +105,15 @@ val rx_inject_raw : t -> bytes -> len:int -> bool
 (** Like {!rx_inject}, but the packet is the first [len] bytes of a
     caller-owned buffer (which may be a reusable scratch longer than the
     packet, so the producer loop never slices). The frame is written
-    once, straight into the packet ring's slot ([len + 2] bytes of DMA);
-    the completion is built in a preallocated buffer — the pooled fast
-    path's injection primitive. Requires [len <= Bytes.length buf]. *)
+    once, straight into the packet ring's slot ([len + 2] bytes of DMA),
+    parsed into the device's own view ({!Packet.Pkt.parse_into}) and
+    encoded from the buffer into a preallocated completion record — the
+    pooled fast path's injection primitive, which allocates nothing per
+    packet unless the active path has a boxed producer. A frame longer
+    than [buf_size] is dropped (counted) unread, so [buf] may hold it
+    truncated.
+    @raise Invalid_argument when [len < 0], or when [len <= buf_size]
+    and the frame runs past [buf]; neither ring nor any counter moves. *)
 
 val rx_available : t -> int
 

@@ -277,7 +277,10 @@ let last_off t =
    construction. *)
 let classify_last t pkt =
   load_slot t ~off:(last_off t);
-  match Validate.check_desc t.checker ~pkt ~cmpt:t.scratch with
+  match
+    Validate.check_desc t.checker pkt.Packet.Pkt.buf ~len:pkt.Packet.Pkt.len
+      ~cmpt:t.scratch
+  with
   | Some _ -> t.c.contract_violating <- t.c.contract_violating + 1
   | None -> ()
 
@@ -453,11 +456,12 @@ let harvest ?(max_kicks = default_max_kicks) t (b : Device.burst) =
     let n = Device.rx_consume_batch t.dev b in
     let kept = ref 0 in
     for i = 0 to n - 1 do
-      let pkt = Packet.Pkt.sub b.Device.bs_pkts.(i) ~len:b.Device.bs_lens.(i) in
       (* Validated in place: the checker reads only layout fields, so
          the burst buffer's tail past the layout does not matter. *)
       let cmpt = b.Device.bs_cmpts.(i) in
-      match Validate.check_desc t.checker ~pkt ~cmpt with
+      match
+        Validate.check_desc t.checker b.Device.bs_pkts.(i) ~len:b.Device.bs_lens.(i) ~cmpt
+      with
       | Some _ ->
           t.c.detected <- t.c.detected + 1;
           t.c.quarantined <- t.c.quarantined + 1;

@@ -200,6 +200,10 @@ let opendesc ~(compiled : Opendesc.Compile.t) =
    feature's own [compute] (custom registries, [kvs_key]). *)
 type shim = Core of Softnic.Codec.sem | Compute of Softnic.Feature.t
 
+(* Stand-ins for the view and the packet when no shim will read them. *)
+let no_view = Packet.Pkt.view ()
+let no_pkt = Packet.Pkt.create Bytes.empty
+
 (* Burst-at-a-time generated runtime: one ring advance, one refill, one
    doorbell and one contiguous completion-array load for the whole
    harvest, then the same constant-time accessor reads / software shims
@@ -247,6 +251,7 @@ let opendesc_batched ~(compiled : Opendesc.Compile.t) =
   in
   let need_ipsum = needs Softnic.Codec.needs_ipsum in
   let need_l4sum = needs Softnic.Codec.needs_l4sum in
+  let need_pkt = Array.exists (function Compute _ -> true | Core _ -> false) shims in
   let consume sink env (b : Device.burst) =
     let n = b.Device.bs_count in
     if n = 0 then 0L
@@ -286,9 +291,12 @@ let opendesc_batched ~(compiled : Opendesc.Compile.t) =
              (a call into [Accessor] would return a boxed int64); the sum
              is order-free, and shims keep their binding order, so
              stateful ones tick as on the accounting path. Shims parse
-             once per packet (one [Pkt.t] + one [view] record) and share
-             the checksum facts. *)
+             each packet into one view per call and share the checksum
+             facts; a [Pkt.t] is built only for a boxed [compute]. The
+             view is not kept in the closure: one stack may serve
+             several queues, on several domains at once. *)
           let acc = ref 0L in
+          let view = if nshim > 0 then Packet.Pkt.view () else no_view in
           for i = 0 to n - 1 do
             let cmpt = b.Device.bs_cmpts.(i) in
             for j = 0 to Array.length shapes - 1 do
@@ -308,18 +316,20 @@ let opendesc_batched ~(compiled : Opendesc.Compile.t) =
                   | In_word _ | Walk -> hw.(j).a_get cmpt)
             done;
             if nshim > 0 then begin
-              let pkt =
-                Packet.Pkt.sub b.Device.bs_pkts.(i) ~len:b.Device.bs_lens.(i)
+              let buf = b.Device.bs_pkts.(i) and len = b.Device.bs_lens.(i) in
+              Packet.Pkt.parse_into view buf ~len;
+              let ipsum =
+                if need_ipsum then Softnic.Codec.ipv4_sum buf ~len view else -1
               in
-              let view = Packet.Pkt.parse pkt in
-              let ipsum = if need_ipsum then Softnic.Codec.ipv4_sum pkt view else -1 in
-              let l4sum = if need_l4sum then Softnic.Codec.l4_sum pkt view else -1 in
+              let l4sum = if need_l4sum then Softnic.Codec.l4_sum buf ~len view else -1 in
+              let pkt = if need_pkt then { Packet.Pkt.buf; len } else no_pkt in
               for j = 0 to nshim - 1 do
                 match Array.unsafe_get shims j with
                 | Core sem ->
                     acc :=
                       Int64.add !acc
-                        (Int64.of_int (Softnic.Codec.value sem env pkt view ~ipsum ~l4sum))
+                        (Int64.of_int
+                           (Softnic.Codec.value sem env buf ~len view ~ipsum ~l4sum))
                 | Compute f -> acc := Int64.add !acc (f.compute env pkt view)
               done
             end

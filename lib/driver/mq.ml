@@ -1,4 +1,8 @@
-type t = { devices : Device.t array; key : Softnic.Toeplitz.key }
+type t = {
+  devices : Device.t array;
+  key : Softnic.Toeplitz.key;
+  view : Packet.Pkt.view;  (** steering's parse of the last packet *)
+}
 
 let create ?queue_depth ~configs model =
   if Array.length configs = 0 then Error "mq: at least one queue required"
@@ -15,7 +19,7 @@ let create ?queue_depth ~configs model =
     | Ok devices ->
         (* All queue devices were created with the same default feature
            environment key; steering shares it. *)
-        Ok { devices; key = (Device.env devices.(0)).rss_key }
+        Ok { devices; key = (Device.env devices.(0)).rss_key; view = Packet.Pkt.view () }
   end
 
 let create_exn ?queue_depth ~configs model =
@@ -26,12 +30,12 @@ let create_exn ?queue_depth ~configs model =
 let queues t = Array.length t.devices
 let queue t i = t.devices.(i)
 
-let steer ?view t pkt =
-  let view = match view with Some v -> v | None -> Packet.Pkt.parse pkt in
-  let hash = Softnic.Toeplitz.hash_pkt_int t.key pkt view in
+let steer t (pkt : Packet.Pkt.t) =
+  Packet.Pkt.parse_into t.view pkt.buf ~len:pkt.len;
+  let hash = Softnic.Toeplitz.hash_pkt_int t.key pkt.buf t.view in
   if hash = 0 then 0 else (hash land 0x7FFFFFFF) mod Array.length t.devices
 
-let rx_inject ?view t pkt = Device.rx_inject t.devices.(steer ?view t pkt) pkt
+let rx_inject t pkt = Device.rx_inject t.devices.(steer t pkt) pkt
 
 (* Kept for existing callers only: steering is the hash itself (one
    table lookup per input byte), so there is nothing to cache. *)
@@ -72,9 +76,9 @@ let check_arity ~who t (arr : 'a array) ~what =
       (Printf.sprintf "%s: %d %s for %d queues" who (Array.length arr) what
          (Array.length t.devices))
 
-let rx_inject_chaos ?view t fqs pkt =
+let rx_inject_chaos t fqs pkt =
   check_arity ~who:"Mq.rx_inject_chaos" t fqs ~what:"fault queues";
-  Fault.rx_inject fqs.(steer ?view t pkt) pkt
+  Fault.rx_inject fqs.(steer t pkt) pkt
 
 let drain_chaos t fqs bursts ~f =
   check_arity ~who:"Mq.drain_chaos" t fqs ~what:"fault queues";

@@ -30,15 +30,17 @@ val queue : t -> int -> Device.t
 (** The underlying device of one queue (drain it with
     {!Device.rx_consume}). *)
 
-val steer : ?view:Packet.Pkt.view -> t -> Packet.Pkt.t -> int
+val steer : t -> Packet.Pkt.t -> int
 (** The queue the steering function selects (Toeplitz over the flow,
     modulo queue count; 0 for unhashable frames). Every packet is
     hashed: the hash is a pure function of the flow, so a flow's packets
-    always pick the same queue without a flow table. Pass [?view] when
-    the caller already holds the parsed view to skip the re-parse. *)
+    always pick the same queue without a flow table. The packet is
+    parsed into one view the [t] owns, so steering allocates nothing;
+    one domain at a time may steer on a [t] (in {!Parallel}, the
+    producer domain). *)
 
-val rx_inject : ?view:Packet.Pkt.view -> t -> Packet.Pkt.t -> bool
-(** Inject via the steering function ([?view] as in {!steer}). *)
+val rx_inject : t -> Packet.Pkt.t -> bool
+(** Inject via the steering function. *)
 
 type steer_cache
 (** Stateless. Steering hashes every packet: {!steer} is one Toeplitz
@@ -80,8 +82,7 @@ val wrap_chaos : ?quarantine_depth:int -> plan:Fault.plan -> t -> Fault.t array
 (** One fault wrapper per queue, seeded with the queue id (see
     {!Fault.wrap}). *)
 
-val rx_inject_chaos :
-  ?view:Packet.Pkt.view -> t -> Fault.t array -> Packet.Pkt.t -> bool
+val rx_inject_chaos : t -> Fault.t array -> Packet.Pkt.t -> bool
 (** Steer (exactly as {!rx_inject}) and inject through the queue's fault
     wrapper.
     @raise Invalid_argument on a wrapper-array/queue-count mismatch. *)

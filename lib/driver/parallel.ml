@@ -299,7 +299,8 @@ let worker ~w ~queue_ids ~devices ~local ~ring ~stop ~batch ~stack ~account
   let sink_acct = if account then Cost.ledger ledger else Cost.null in
   let bursts = Array.map (fun d -> Device.burst_create ~capacity:batch d) devices in
   let consumers = Array.map stack queue_ids in
-  let hist : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  (* Bursts by size: a harvest returns at most [batch] packets. *)
+  let hist = Array.make (batch + 1) 0 in
   let nbursts = ref 0 in
   let consumed = ref 0 in
   let sink = ref 0L in
@@ -343,45 +344,43 @@ let worker ~w ~queue_ids ~devices ~local ~ring ~stop ~batch ~stack ~account
   in
   let epoch = ref 0 in
   let swapped = ref false in
-  (* One harvest sweep over the owned queues; returns packets taken. *)
+  (* One harvest sweep over the owned queues; returns packets taken. A
+     [for] loop, not [Array.iteri]: a closure per sweep would allocate. *)
   let sweep () =
     let total = ref 0 in
-    Array.iteri
-      (fun i d ->
-        ignore d;
-        let b = bursts.(i) in
-        let n = take i b in
-        if n > 0 then begin
-          incr nbursts;
-          Hashtbl.replace hist n
-            (1 + Option.value ~default:0 (Hashtbl.find_opt hist n));
-          sink := Int64.add !sink (consumers.(i).Stack.bt_consume sink_acct env b);
-          let q = queue_ids.(i) in
-          per_queue.(q) <- per_queue.(q) + n;
-          (match delivered with
-          | Some arr ->
-              for j = 0 to n - 1 do
-                arr.(q) <-
-                  Bytes.sub b.Device.bs_pkts.(j) 0 b.Device.bs_lens.(j) :: arr.(q)
-              done
-          | None -> ());
-          (match swap with
-          | Some ctl when !epoch = 1 -> (
-              match ctl.ctl_post_pairs with
-              | Some arr ->
-                  for j = 0 to n - 1 do
-                    arr.(q) <-
-                      ( Bytes.sub b.Device.bs_pkts.(j) 0 b.Device.bs_lens.(j),
-                        Bytes.sub b.Device.bs_cmpts.(j) 0 b.Device.bs_cmpt_lens.(j)
-                      )
-                      :: arr.(q)
-                  done
-              | None -> ())
-          | _ -> ());
-          consumed := !consumed + n;
-          total := !total + n
-        end)
-      devices;
+    for i = 0 to Array.length devices - 1 do
+      let b = bursts.(i) in
+      let n = take i b in
+      if n > 0 then begin
+        incr nbursts;
+        hist.(n) <- hist.(n) + 1;
+        sink := Int64.add !sink (consumers.(i).Stack.bt_consume sink_acct env b);
+        let q = queue_ids.(i) in
+        per_queue.(q) <- per_queue.(q) + n;
+        (match delivered with
+        | Some arr ->
+            for j = 0 to n - 1 do
+              arr.(q) <-
+                Bytes.sub b.Device.bs_pkts.(j) 0 b.Device.bs_lens.(j) :: arr.(q)
+            done
+        | None -> ());
+        (match swap with
+        | Some ctl when !epoch = 1 -> (
+            match ctl.ctl_post_pairs with
+            | Some arr ->
+                for j = 0 to n - 1 do
+                  arr.(q) <-
+                    ( Bytes.sub b.Device.bs_pkts.(j) 0 b.Device.bs_lens.(j),
+                      Bytes.sub b.Device.bs_cmpts.(j) 0 b.Device.bs_cmpt_lens.(j)
+                    )
+                    :: arr.(q)
+                done
+            | None -> ())
+        | _ -> ());
+        consumed := !consumed + n;
+        total := !total + n
+      end
+    done;
     !total
   in
   let harvest_all () =
@@ -531,7 +530,10 @@ let worker ~w ~queue_ids ~devices ~local ~ring ~stop ~batch ~stack ~account
       ~name:(Printf.sprintf "domain%d" w)
       ~pkts:!consumed ~ledger ~dma_bytes:dma ~drops
     |> Stats.with_bursts ~bursts:!nbursts
-         ~burst_hist:(Hashtbl.fold (fun k v acc -> (k, v) :: acc) hist [])
+         ~burst_hist:
+           (List.filter
+              (fun (_, c) -> c > 0)
+              (List.init (batch + 1) (fun n -> (n, hist.(n)))))
     |> Stats.with_idle ~spins:!spins ~parks:!parks ~wakes:!wakes
   in
   let stats =

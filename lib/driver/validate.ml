@@ -44,6 +44,9 @@ type checker = {
   ck_checks : check array;
   ck_ipsum : bool;  (** some core needs the IPv4 header sum *)
   ck_l4sum : bool;  (** some core needs the L4 sum *)
+  ck_pkt : bool;  (** some reference is a [compute], which takes a [Pkt.t] *)
+  ck_view : Packet.Pkt.view;
+      (** the checker's own parse: the host must not trust the NIC's *)
 }
 
 let checker_of_path ~env ~softnic (path : Opendesc.Path.t) =
@@ -78,6 +81,9 @@ let checker_of_path ~env ~softnic (path : Opendesc.Path.t) =
     ck_checks = Array.of_list checks;
     ck_ipsum = needs Softnic.Codec.needs_ipsum;
     ck_l4sum = needs Softnic.Codec.needs_l4sum;
+    ck_pkt =
+      List.exists (fun c -> match c.c_ref with Compute _ -> true | Core _ -> false) checks;
+    ck_view = Packet.Pkt.view ();
   }
 
 let checker_of_device device =
@@ -94,10 +100,10 @@ let checker_semantics ck =
    a boxed int64), and the compare is on all 64 bits, so a flipped bit
    63 is caught. A buffer too short for an [In_word] load takes the bit
    walk, as [Accessor.reader_fn] does. *)
-let holds env pkt view ~ipsum ~l4sum cmpt c =
+let holds env buf ~len pkt view ~ipsum ~l4sum cmpt c =
   let expected =
     match c.c_ref with
-    | Core sem -> Int64.of_int (Softnic.Codec.value sem env pkt view ~ipsum ~l4sum)
+    | Core sem -> Int64.of_int (Softnic.Codec.value sem env buf ~len view ~ipsum ~l4sum)
     | Compute compute -> compute env pkt view
   in
   let got =
@@ -114,17 +120,23 @@ let holds env pkt view ~ipsum ~l4sum cmpt c =
   in
   Int64.logand expected c.c_mask = got
 
-(* One parse per packet, and each shared sum once, only when a core
-   needs it; then the fields in layout order up to the first mismatch. *)
-let check_desc ck ~pkt ~cmpt =
-  let view = Packet.Pkt.parse pkt in
-  let ipsum = if ck.ck_ipsum then Softnic.Codec.ipv4_sum pkt view else -1 in
-  let l4sum = if ck.ck_l4sum then Softnic.Codec.l4_sum pkt view else -1 in
+(* Stands in for the packet when no reference will read it. *)
+let no_pkt = Packet.Pkt.create Bytes.empty
+
+(* One parse per packet into the checker's view, each shared sum once,
+   only when a core needs it, and a [Pkt.t] only for a boxed reference;
+   then the fields in layout order up to the first mismatch. *)
+let check_desc ck buf ~len ~cmpt =
+  let view = ck.ck_view in
+  Packet.Pkt.parse_into view buf ~len;
+  let ipsum = if ck.ck_ipsum then Softnic.Codec.ipv4_sum buf ~len view else -1 in
+  let l4sum = if ck.ck_l4sum then Softnic.Codec.l4_sum buf ~len view else -1 in
+  let pkt = if ck.ck_pkt then { Packet.Pkt.buf; len } else no_pkt in
   let checks = ck.ck_checks in
   let i = ref 0 in
   while
     !i < Array.length checks
-    && holds ck.ck_env pkt view ~ipsum ~l4sum cmpt (Array.unsafe_get checks !i)
+    && holds ck.ck_env buf ~len pkt view ~ipsum ~l4sum cmpt (Array.unsafe_get checks !i)
   do
     incr i
   done;

@@ -68,7 +68,10 @@ val checker_of_path :
     - the field's {!Opendesc.Accessor.shape} and mask.
 
     It also records whether any core needs the IPv4 header sum or the
-    L4 sum, so {!check_desc} computes each at most once per packet. *)
+    L4 sum, so {!check_desc} computes each at most once per packet, and
+    whether any reference is a boxed [compute], the only kind that takes
+    a [Pkt.t]. The checker owns one {!Packet.Pkt.view} that every
+    {!check_desc} parses into, so one domain at a time may use it. *)
 
 val checker_of_device : Device.t -> checker
 (** {!checker_of_path} over the device's active path, sharing the
@@ -81,15 +84,18 @@ val checker_fields : checker -> Opendesc.Path.lfield list
 
 val checker_semantics : checker -> string list
 
-val check_desc : checker -> pkt:Packet.Pkt.t -> cmpt:bytes -> string option
-(** [Some semantic] names the first field whose completion value differs
-    from the reference recomputation on [pkt]; [None] means the
-    descriptor honours the contract. Pure for the device: no counters
-    advance, no state mutates. Each field's read returns only that
-    field's bits, so [cmpt] may be longer than the layout (a burst
+val check_desc : checker -> bytes -> len:int -> cmpt:bytes -> string option
+(** [check_desc ck buf ~len ~cmpt]: [Some semantic] names the first
+    field whose completion value differs from the reference
+    recomputation on the frame in the first [len] bytes of [buf]; [None]
+    means the descriptor honours the contract. Pure for the device: no
+    counters advance, no state mutates. Each field's read returns only
+    that field's bits, so [cmpt] may be longer than the layout (a burst
     buffer) and gives the same verdict as the record trimmed to it.
+    Requires [0 <= len <= Bytes.length buf].
 
-    Per packet: one {!Packet.Pkt.parse}, each shared sum at most once,
-    and [Bytes] loads compared with the core's value, so a path whose
-    references are all cores boxes nothing. Each compare covers all of a
-    field's bits, so a flip of bit 63 of a 64-bit field is caught. *)
+    Per packet: one {!Packet.Pkt.parse_into} the checker's own view
+    (never the device's), each shared sum at most once, and [Bytes]
+    loads compared with the core's value, so a path whose references are
+    all cores allocates nothing. Each compare covers all of a field's
+    bits, so a flip of bit 63 of a 64-bit field is caught. *)

@@ -424,7 +424,10 @@ let check_device rng (spec : Nic_spec.t) =
                               ~tenv ~parser_def:pd fields cmpt size
                         in
                         let* () =
-                          match Driver.Validate.check_desc values ~pkt ~cmpt with
+                          match
+                            Driver.Validate.check_desc values pkt.buf ~len:pkt.len
+                              ~cmpt
+                          with
                           | None -> Ok ()
                           | Some sem ->
                               fail "device"

@@ -9,21 +9,21 @@ let sub buf ~len =
 let len t = t.len
 
 type view = {
-  l2_off : int;
-  vlan_off : int;
-  vlan_tci : int;
-  ethertype : int;
-  l3_off : int;
-  is_ipv4 : bool;
-  is_ipv6 : bool;
-  l4_proto : int;
-  l4_off : int;
-  payload_off : int;
-  src_port : int;
-  dst_port : int;
+  mutable l2_off : int;
+  mutable vlan_off : int;
+  mutable vlan_tci : int;
+  mutable ethertype : int;
+  mutable l3_off : int;
+  mutable is_ipv4 : bool;
+  mutable is_ipv6 : bool;
+  mutable l4_proto : int;
+  mutable l4_off : int;
+  mutable payload_off : int;
+  mutable src_port : int;
+  mutable dst_port : int;
 }
 
-let no_view =
+let view () =
   {
     l2_off = 0;
     vlan_off = -1;
@@ -39,101 +39,81 @@ let no_view =
     dst_port = 0;
   }
 
-(* Parsing runs once per packet on the datapath, so it builds exactly one
-   [view] record: every field is computed into a local mutable (ocamlopt
-   unboxes non-escaping refs) and the record is constructed once at the
-   end. Header reads are Stdlib [Bytes] calls, which inline here; the
-   [Bitops] aliases would be calls across a module boundary. The staged [{ v with ... }] style read more naturally but cost
-   four or five 13-field minor-heap records per packet. *)
-let parse t =
-  let b = t.buf in
-  if t.len < Hdr.eth_len then no_view
-  else begin
+(* The L4 fields of a TCP or UDP header at [l4], when it fits the frame;
+   otherwise they keep the "missing" values [parse_into] reset them to. *)
+let parse_l4 v b ~len ~proto ~l4 =
+  if proto = Hdr.Proto.tcp && l4 + Hdr.tcp_min_len <= len then begin
+    let doff = (Bytes.get_uint8 b (l4 + 12) lsr 4) * 4 in
+    v.l4_off <- l4;
+    v.payload_off <- min (l4 + doff) len;
+    v.src_port <- Bytes.get_uint16_be b l4;
+    v.dst_port <- Bytes.get_uint16_be b (l4 + 2)
+  end
+  else if proto = Hdr.Proto.udp && l4 + Hdr.udp_len <= len then begin
+    v.l4_off <- l4;
+    v.payload_off <- l4 + Hdr.udp_len;
+    v.src_port <- Bytes.get_uint16_be b l4;
+    v.dst_port <- Bytes.get_uint16_be b (l4 + 2)
+  end
+
+(* Parsing runs once per packet on the datapath and writes into a view
+   its caller owns, so it allocates nothing. Every field is reset first,
+   so no path (short frame, non-IP ethertype, bad IHL, truncated L4)
+   leaves a value from the frame the view last held. Header reads are
+   Stdlib [Bytes] calls, which inline here; the [Bitops] aliases would be
+   calls across a module boundary. *)
+let parse_into v b ~len =
+  v.l2_off <- 0;
+  v.vlan_off <- -1;
+  v.vlan_tci <- 0;
+  v.ethertype <- -1;
+  v.l3_off <- -1;
+  v.is_ipv4 <- false;
+  v.is_ipv6 <- false;
+  v.l4_proto <- -1;
+  v.l4_off <- -1;
+  v.payload_off <- -1;
+  v.src_port <- 0;
+  v.dst_port <- 0;
+  if len >= Hdr.eth_len then begin
     let ethertype = ref (Bytes.get_uint16_be b 12) in
     let off = ref Hdr.eth_len in
-    let vlan_off = ref (-1) in
-    let vlan_tci = ref 0 in
     (* Skip up to two stacked 802.1Q tags, remembering the outermost TCI. *)
     let tags = ref 0 in
-    while !ethertype = Hdr.Ethertype.vlan && !tags < 2 && !off + Hdr.vlan_len <= t.len do
-      if !vlan_off = -1 then begin
-        vlan_off := !off;
-        vlan_tci := Bytes.get_uint16_be b !off
+    while !ethertype = Hdr.Ethertype.vlan && !tags < 2 && !off + Hdr.vlan_len <= len do
+      if v.vlan_off = -1 then begin
+        v.vlan_off <- !off;
+        v.vlan_tci <- Bytes.get_uint16_be b !off
       end;
       ethertype := Bytes.get_uint16_be b (!off + 2);
       off := !off + Hdr.vlan_len;
       incr tags
     done;
-    let l3_off = ref (-1) in
-    let is_ipv4 = ref false in
-    let is_ipv6 = ref false in
-    let l4_proto = ref (-1) in
-    let l4_off = ref (-1) in
-    let payload_off = ref (-1) in
-    let src_port = ref 0 in
-    let dst_port = ref 0 in
-    (* No helper closures here: a closure capturing the refs would box
-       them and allocate per call. The L4 block is spelled out twice. *)
-    if !ethertype = Hdr.Ethertype.ipv4 && !off + Hdr.ipv4_min_len <= t.len then begin
-      let l3 = !off in
+    v.ethertype <- !ethertype;
+    let l3 = !off in
+    if !ethertype = Hdr.Ethertype.ipv4 && l3 + Hdr.ipv4_min_len <= len then begin
       let ihl = (Bytes.get_uint8 b l3 land 0x0f) * 4 in
-      l3_off := l3;
-      is_ipv4 := true;
-      if ihl >= Hdr.ipv4_min_len && l3 + ihl <= t.len then begin
+      v.l3_off <- l3;
+      v.is_ipv4 <- true;
+      if ihl >= Hdr.ipv4_min_len && l3 + ihl <= len then begin
         let proto = Bytes.get_uint8 b (l3 + 9) in
-        let l4 = l3 + ihl in
-        l4_proto := proto;
-        if proto = Hdr.Proto.tcp && l4 + Hdr.tcp_min_len <= t.len then begin
-          let doff = (Bytes.get_uint8 b (l4 + 12) lsr 4) * 4 in
-          l4_off := l4;
-          payload_off := min (l4 + doff) t.len;
-          src_port := Bytes.get_uint16_be b l4;
-          dst_port := Bytes.get_uint16_be b (l4 + 2)
-        end
-        else if proto = Hdr.Proto.udp && l4 + Hdr.udp_len <= t.len then begin
-          l4_off := l4;
-          payload_off := l4 + Hdr.udp_len;
-          src_port := Bytes.get_uint16_be b l4;
-          dst_port := Bytes.get_uint16_be b (l4 + 2)
-        end
+        v.l4_proto <- proto;
+        parse_l4 v b ~len ~proto ~l4:(l3 + ihl)
       end
     end
-    else if !ethertype = Hdr.Ethertype.ipv6 && !off + Hdr.ipv6_len <= t.len then begin
-      let l3 = !off in
+    else if !ethertype = Hdr.Ethertype.ipv6 && l3 + Hdr.ipv6_len <= len then begin
       let proto = Bytes.get_uint8 b (l3 + 6) in
-      let l4 = l3 + Hdr.ipv6_len in
-      l3_off := l3;
-      is_ipv6 := true;
-      l4_proto := proto;
-      if proto = Hdr.Proto.tcp && l4 + Hdr.tcp_min_len <= t.len then begin
-        let doff = (Bytes.get_uint8 b (l4 + 12) lsr 4) * 4 in
-        l4_off := l4;
-        payload_off := min (l4 + doff) t.len;
-        src_port := Bytes.get_uint16_be b l4;
-        dst_port := Bytes.get_uint16_be b (l4 + 2)
-      end
-      else if proto = Hdr.Proto.udp && l4 + Hdr.udp_len <= t.len then begin
-        l4_off := l4;
-        payload_off := l4 + Hdr.udp_len;
-        src_port := Bytes.get_uint16_be b l4;
-        dst_port := Bytes.get_uint16_be b (l4 + 2)
-      end
-    end;
-    {
-      l2_off = 0;
-      vlan_off = !vlan_off;
-      vlan_tci = !vlan_tci;
-      ethertype = !ethertype;
-      l3_off = !l3_off;
-      is_ipv4 = !is_ipv4;
-      is_ipv6 = !is_ipv6;
-      l4_proto = !l4_proto;
-      l4_off = !l4_off;
-      payload_off = !payload_off;
-      src_port = !src_port;
-      dst_port = !dst_port;
-    }
+      v.l3_off <- l3;
+      v.is_ipv6 <- true;
+      v.l4_proto <- proto;
+      parse_l4 v b ~len ~proto ~l4:(l3 + Hdr.ipv6_len)
+    end
   end
+
+let parse t =
+  let v = view () in
+  parse_into v t.buf ~len:t.len;
+  v
 
 let ipv4_src t v = Bytes.get_int32_be t.buf (v.l3_off + 12)
 let ipv4_dst t v = Bytes.get_int32_be t.buf (v.l3_off + 16)

@@ -26,11 +26,11 @@ let udp = Packet.Hdr.Proto.udp
 (* Shared facts. Each is an int, -1 when it does not apply, so the
    encoder passes them to every core without boxing. *)
 
-let ipv4_sum (pkt : Pkt.t) (v : Pkt.view) =
+let ipv4_sum buf ~len (v : Pkt.view) =
   if v.l3_off < 0 || not v.is_ipv4 then -1
-  else Packet.Cksum.ipv4_header_within pkt.buf ~off:v.l3_off ~len:pkt.len
+  else Packet.Cksum.ipv4_header_within buf ~off:v.l3_off ~len
 
-let l4_sum (pkt : Pkt.t) v = Packet.Cksum.l4_sum pkt.buf ~v ~total_len:pkt.len
+let l4_sum buf ~len v = Packet.Cksum.l4_sum buf ~v ~total_len:len
 
 let needs_ipsum = function Ip_checksum | Csum_ok -> true | _ -> false
 let needs_l4sum = function Csum_ok | L4_checksum -> true | _ -> false
@@ -79,7 +79,7 @@ let u32 b off = Int32.to_int (Bytes.get_int32_be b off) land m32
 let is_flow (v : Pkt.view) =
   v.is_ipv4 && (v.l4_proto = tcp || v.l4_proto = udp) && v.l4_off >= 0
 
-let rss (env : Feature.env) pkt v = Toeplitz.hash_pkt_int env.rss_key pkt v
+let rss (env : Feature.env) buf v = Toeplitz.hash_pkt_int env.rss_key buf v
 
 let rss_type (v : Pkt.view) =
   if not v.is_ipv4 then 0
@@ -92,12 +92,12 @@ let ip_checksum ~ipsum = max ipsum 0
 (* An IPv4 header that does not verify, or does not fit the frame, is
    not ok. L4 verifies when absent, when equal to its sum, or when its
    stored checksum is 0 ("not computed" in UDP). *)
-let csum_ok (pkt : Pkt.t) (v : Pkt.view) ~ipsum ~l4sum =
-  if ipsum < 0 || ipsum <> Bytes.get_uint16_be pkt.buf (v.l3_off + 10) then 0
+let csum_ok buf (v : Pkt.view) ~ipsum ~l4sum =
+  if ipsum < 0 || ipsum <> Bytes.get_uint16_be buf (v.l3_off + 10) then 0
   else if l4sum < 0 then 1
   else
     let stored =
-      Bytes.get_uint16_be pkt.buf (if v.l4_proto = tcp then v.l4_off + 16 else v.l4_off + 6)
+      Bytes.get_uint16_be buf (if v.l4_proto = tcp then v.l4_off + 16 else v.l4_off + 6)
     in
     if stored = 0 || stored = l4sum then 1 else 0
 
@@ -105,18 +105,18 @@ let l4_checksum ~l4sum = max l4sum 0
 let vlan (v : Pkt.view) = v.vlan_tci land 0xffff
 let timestamp (env : Feature.env) = Tstamp.tick env.clock
 
-let flow_id (pkt : Pkt.t) v =
+let flow_id buf v =
   if not (is_flow v) then 0
   else
-    flow_hash ~src_ip:(u32 pkt.buf (v.l3_off + 12)) ~dst_ip:(u32 pkt.buf (v.l3_off + 16))
+    flow_hash ~src_ip:(u32 buf (v.l3_off + 12)) ~dst_ip:(u32 buf (v.l3_off + 16))
       ~src_port:v.src_port ~dst_port:v.dst_port ~proto:v.l4_proto
 
 (* The mark table is keyed by [Fivetuple.t], so a lookup builds the key;
    with no mark installed there is nothing to look up. *)
-let mark (env : Feature.env) pkt v =
+let mark (env : Feature.env) buf ~len v =
   if Hashtbl.length env.flow_marks = 0 then 0
   else
-    match Packet.Fivetuple.of_pkt pkt v with
+    match Packet.Fivetuple.of_pkt { Pkt.buf; len } v with
     | None -> 0
     | Some f -> (
         match Hashtbl.find_opt env.flow_marks f with
@@ -131,26 +131,25 @@ let l4_type (v : Pkt.view) =
   else if v.l4_proto = udp then 2
   else 3
 
-let ip_id (pkt : Pkt.t) (v : Pkt.view) =
-  if v.is_ipv4 && v.l3_off >= 0 then Bytes.get_uint16_be pkt.buf (v.l3_off + 4) else 0
+let ip_id buf (v : Pkt.view) =
+  if v.is_ipv4 && v.l3_off >= 0 then Bytes.get_uint16_be buf (v.l3_off + 4) else 0
 
-let lro_num_seg (pkt : Pkt.t) = if pkt.len > 0 then 1 else 0
-let crc (pkt : Pkt.t) = Crc32.digest_int 0 pkt.buf ~pos:0 ~len:pkt.len
+let lro_num_seg ~len = if len > 0 then 1 else 0
+let crc buf ~len = Crc32.digest_int 0 buf ~pos:0 ~len
 
 (* VXLAN: UDP destination 4789, 8-byte header after the UDP header with
    the I flag set, VNI in bytes 4..6. *)
-let tunnel_vni (pkt : Pkt.t) (v : Pkt.view) =
+let tunnel_vni buf ~len (v : Pkt.view) =
   let p = v.payload_off in
   if
     v.l4_proto = udp && v.dst_port = 4789 && p >= 0
-    && p + 8 <= pkt.len
-    && Bytes.get_uint8 pkt.buf p land 0x08 <> 0
-  then
-    (Bytes.get_uint16_be pkt.buf (p + 4) lsl 8) lor Bytes.get_uint8 pkt.buf (p + 6)
+    && p + 8 <= len
+    && Bytes.get_uint8 buf p land 0x08 <> 0
+  then (Bytes.get_uint16_be buf (p + 4) lsl 8) lor Bytes.get_uint8 buf (p + 6)
   else 0
 
-let flow_pkts (env : Feature.env) pkt v =
-  match Packet.Fivetuple.of_pkt pkt v with
+let flow_pkts (env : Feature.env) buf ~len v =
+  match Packet.Fivetuple.of_pkt { Pkt.buf; len } v with
   | None -> 0
   | Some f ->
       let n =
@@ -159,30 +158,30 @@ let flow_pkts (env : Feature.env) pkt v =
       Hashtbl.replace env.flow_counters f n;
       n land 0xFFFF
 
-let value sem env pkt v ~ipsum ~l4sum =
+let value sem env buf ~len v ~ipsum ~l4sum =
   match sem with
-  | Rss -> rss env pkt v
+  | Rss -> rss env buf v
   | Rss_type -> rss_type v
   | Ip_checksum -> ip_checksum ~ipsum
-  | Csum_ok -> csum_ok pkt v ~ipsum ~l4sum
+  | Csum_ok -> csum_ok buf v ~ipsum ~l4sum
   | L4_checksum -> l4_checksum ~l4sum
   | Vlan -> vlan v
   | Timestamp -> timestamp env
-  | Flow_id -> flow_id pkt v
-  | Mark -> mark env pkt v
-  | Pkt_len -> pkt.Pkt.len
+  | Flow_id -> flow_id buf v
+  | Mark -> mark env buf ~len v
+  | Pkt_len -> len
   | L3_type -> l3_type v
   | L4_type -> l4_type v
-  | Ip_id -> ip_id pkt v
-  | Lro_num_seg -> lro_num_seg pkt
-  | Crc -> crc pkt
-  | Tunnel_vni -> tunnel_vni pkt v
-  | Flow_pkts -> flow_pkts env pkt v
+  | Ip_id -> ip_id buf v
+  | Lro_num_seg -> lro_num_seg ~len
+  | Crc -> crc buf ~len
+  | Tunnel_vni -> tunnel_vni buf ~len v
+  | Flow_pkts -> flow_pkts env buf ~len v
 
-let eval sem env pkt v =
-  value sem env pkt v
-    ~ipsum:(if needs_ipsum sem then ipv4_sum pkt v else -1)
-    ~l4sum:(if needs_l4sum sem then l4_sum pkt v else -1)
+let eval sem env buf ~len v =
+  value sem env buf ~len v
+    ~ipsum:(if needs_ipsum sem then ipv4_sum buf ~len v else -1)
+    ~l4sum:(if needs_l4sum sem then l4_sum buf ~len v else -1)
 
 (* ------------------------------------------------------------------ *)
 (* Writing a field, MSB-first as [Opendesc.Accessor.writer] does. A field
@@ -261,6 +260,7 @@ type encoder = {
   ops : op array;  (** every other field, in layout order *)
   need_ipsum : bool;
   need_l4sum : bool;
+  need_pkt : bool;  (** some op is [Op_boxed]: its producer takes a [Pkt.t] *)
 }
 
 let encoder ~size_bytes fields =
@@ -283,17 +283,22 @@ let encoder ~size_bytes fields =
     ops = Array.of_list ops;
     need_ipsum = needs needs_ipsum;
     need_l4sum = needs needs_l4sum;
+    need_pkt = List.exists (function Op_boxed _ -> true | Op_core _ -> false) ops;
   }
 
 let size_bytes e = Bytes.length e.template
 
-let encode e env pkt v cmpt =
+(* Stands in for the packet when no producer will read it. *)
+let no_pkt = Pkt.create Bytes.empty
+
+let encode e env buf ~len v cmpt =
   Bytes.blit e.template 0 cmpt 0 (Bytes.length e.template);
-  let ipsum = if e.need_ipsum then ipv4_sum pkt v else -1 in
-  let l4sum = if e.need_l4sum then l4_sum pkt v else -1 in
+  let ipsum = if e.need_ipsum then ipv4_sum buf ~len v else -1 in
+  let l4sum = if e.need_l4sum then l4_sum buf ~len v else -1 in
+  let pkt = if e.need_pkt then { Pkt.buf; len } else no_pkt in
   let ops = e.ops in
   for i = 0 to Array.length ops - 1 do
     match Array.unsafe_get ops i with
-    | Op_core (sem, shape) -> write_int cmpt shape (value sem env pkt v ~ipsum ~l4sum)
+    | Op_core (sem, shape) -> write_int cmpt shape (value sem env buf ~len v ~ipsum ~l4sum)
     | Op_boxed (produce, shape) -> write_int64 cmpt shape (produce env pkt v)
   done

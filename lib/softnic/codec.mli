@@ -9,7 +9,14 @@
 
     Two packet facts are shared between cores: the IPv4 header sum
     ({!ipv4_sum}) and the L4 sum ({!l4_sum}). The encoder computes each
-    once per packet, only when a field of its path needs it. *)
+    once per packet, only when a field of its path needs it.
+
+    Every function here reads the packet as a {e frame}: the first [len]
+    bytes of a buffer that may be a longer, reused scratch (a ring slot,
+    a burst buffer), plus the {!Packet.Pkt.view} of that frame, which the
+    caller parsed with {!Packet.Pkt.parse_into} into a view it owns. No
+    [Pkt.t] is built. Requires [0 <= len <= Bytes.length buf], and the
+    view must describe the same frame; nothing reads past [len]. *)
 
 type sem =
   | Rss
@@ -34,11 +41,11 @@ type sem =
 
 (** {1 Shared facts} *)
 
-val ipv4_sum : Packet.Pkt.t -> Packet.Pkt.view -> int
+val ipv4_sum : bytes -> len:int -> Packet.Pkt.view -> int
 (** The computed IPv4 header checksum, or [-1] when the packet is not
     IPv4 or its IHL×4 is under 20 or runs past the frame. *)
 
-val l4_sum : Packet.Pkt.t -> Packet.Pkt.view -> int
+val l4_sum : bytes -> len:int -> Packet.Pkt.view -> int
 (** The computed TCP/UDP checksum over the IPv4 pseudo-header, or [-1]
     when there is no IPv4 L4 header. *)
 
@@ -48,11 +55,18 @@ val needs_l4sum : sem -> bool
 (** {1 Cores} *)
 
 val value :
-  sem -> Feature.env -> Packet.Pkt.t -> Packet.Pkt.view -> ipsum:int -> l4sum:int -> int
-(** The semantic's value, given the packet's shared facts (any value
-    where [needs_*] is false). *)
+  sem ->
+  Feature.env ->
+  bytes ->
+  len:int ->
+  Packet.Pkt.view ->
+  ipsum:int ->
+  l4sum:int ->
+  int
+(** The semantic's value on a frame, given the frame's shared facts (any
+    value where [needs_*] is false). *)
 
-val eval : sem -> Feature.env -> Packet.Pkt.t -> Packet.Pkt.view -> int
+val eval : sem -> Feature.env -> bytes -> len:int -> Packet.Pkt.view -> int
 (** {!value} computing the facts it needs. *)
 
 val flow_hash :
@@ -64,11 +78,15 @@ val flow_hash :
 (** {1 Encoder} *)
 
 type producer = Feature.env -> Packet.Pkt.t -> Packet.Pkt.view -> int64
+(** {!Feature.t}'s [compute] type. The view is the encoder's caller's:
+    valid during the call only, so a producer must not keep it. *)
 
 type source =
   | Const of int64  (** the same value in every completion *)
   | Core of sem
-  | Boxed of producer  (** anything else: called per packet *)
+  | Boxed of producer
+      (** anything else: called per packet, with a [Pkt.t] the encoder
+          builds over the frame only when it holds such a source *)
 
 type encoder
 (** One completion layout's encoder: the constant fields pre-written in a
@@ -85,7 +103,9 @@ val encoder : size_bytes:int -> (int * int * source) list -> encoder
 val size_bytes : encoder -> int
 
 val encode :
-  encoder -> Feature.env -> Packet.Pkt.t -> Packet.Pkt.view -> bytes -> unit
-(** Write one packet's completion into the first [size_bytes] bytes of
-    the buffer. Allocates nothing of its own: only [Boxed] sources and
+  encoder -> Feature.env -> bytes -> len:int -> Packet.Pkt.view -> bytes -> unit
+(** [encode e env buf ~len view cmpt] writes the completion of the frame
+    in the first [len] bytes of [buf] into the first [size_bytes] bytes of
+    [cmpt]. Allocates nothing of its own: only an encoder with a [Boxed]
+    source (one [Pkt.t] per packet, plus what its producers return) and
     table lookups ([mark] with a mark installed, [flow_pkts]) do. *)

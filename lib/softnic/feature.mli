@@ -30,6 +30,9 @@ type t = {
   width_bits : int;  (** natural width of the produced value *)
   cost_cycles : float;  (** nominal per-packet software cost, for w(s) *)
   compute : env -> Packet.Pkt.t -> Packet.Pkt.view -> int64;
+      (** The value on one packet. The view may be its caller's scratch
+          ({!Packet.Pkt.parse_into}), valid during the call only: an
+          implementation must not keep it. *)
 }
 
 val apply : t -> env -> Packet.Pkt.t -> int64

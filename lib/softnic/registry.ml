@@ -13,8 +13,8 @@ let feature semantic width_bits cost_cycles compute =
 
 (* A builtin with an int core: [compute] boxes the core's value. *)
 let cored sem semantic width_bits cost_cycles =
-  ( feature semantic width_bits cost_cycles (fun env pkt v ->
-        Int64.of_int (Codec.eval sem env pkt v)),
+  ( feature semantic width_bits cost_cycles (fun env (pkt : Packet.Pkt.t) v ->
+        Int64.of_int (Codec.eval sem env pkt.buf ~len:pkt.len v)),
     sem )
 
 let cores =

@@ -90,25 +90,26 @@ let hash_ipv6_flow ?(key = default_key) ~src ~dst ~src_port ~dst_port () =
    the 8 contiguous bytes at [l3+12], the IPv6 ones the 32 at [l3+8], and
    the ports come from the view. The parser sets [is_ipv4] / [is_ipv6]
    only when the whole fixed header lies inside the packet. *)
-let hash_pkt_int key (pkt : Packet.Pkt.t) (v : Packet.Pkt.view) =
+let hash_pkt_int key buf (v : Packet.Pkt.view) =
   let l4_hashed =
     v.l4_off >= 0
     && (v.l4_proto = Packet.Hdr.Proto.tcp || v.l4_proto = Packet.Hdr.Proto.udp)
   in
   if v.is_ipv4 && l4_hashed then begin
     check_len key 12;
-    let acc = fold_bytes key 0 ~pos:0 pkt.buf (v.l3_off + 12) 8 in
+    let acc = fold_bytes key 0 ~pos:0 buf (v.l3_off + 12) 8 in
     fold_ports key acc ~pos:8 v.src_port v.dst_port
   end
   else if v.is_ipv4 then begin
     check_len key 8;
-    fold_bytes key 0 ~pos:0 pkt.buf (v.l3_off + 12) 8
+    fold_bytes key 0 ~pos:0 buf (v.l3_off + 12) 8
   end
   else if v.is_ipv6 && l4_hashed then begin
     check_len key 36;
-    let acc = fold_bytes key 0 ~pos:0 pkt.buf (v.l3_off + 8) 32 in
+    let acc = fold_bytes key 0 ~pos:0 buf (v.l3_off + 8) 32 in
     fold_ports key acc ~pos:32 v.src_port v.dst_port
   end
   else 0
 
-let hash_pkt ?(key = default_key) pkt v = Int32.of_int (hash_pkt_int key pkt v)
+let hash_pkt ?(key = default_key) (pkt : Packet.Pkt.t) v =
+  Int32.of_int (hash_pkt_int key pkt.buf v)

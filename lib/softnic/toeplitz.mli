@@ -47,7 +47,9 @@ val hash_pkt : ?key:key -> Packet.Pkt.t -> Packet.Pkt.view -> int32
     for non-IP (what NICs report for unhashable frames). Reads the packet
     in place. *)
 
-val hash_pkt_int : key -> Packet.Pkt.t -> Packet.Pkt.view -> int
-(** {!hash_pkt} as an unsigned 32-bit value in an int: no option, no
-    boxed result, so the per-packet callers (RSS steering and the
-    device's completion encoder) allocate nothing. *)
+val hash_pkt_int : key -> bytes -> Packet.Pkt.view -> int
+(** {!hash_pkt} of the frame in a buffer, given the frame's view, as an
+    unsigned 32-bit value in an int: no [Pkt.t], no option, no boxed
+    result, so the per-packet callers (RSS steering and the device's
+    completion encoder) allocate nothing. Reads only the bytes the view
+    places inside the frame. *)

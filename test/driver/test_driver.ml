@@ -330,10 +330,12 @@ let test_device_flow_marks () =
   check ai64 "other flow" 0L (get_mark other)
 
 (* Regression: injecting one 64 B TCP packet on the mlx5 full-CQE path
-   (17 fields, 12 of them semantics) allocates at most 20 minor words:
-   the [Pkt.t] and its parsed view (16), nothing per field — one boxed
-   value per field would cost at least 36 more. *)
-let inject_words_budget = 20.0
+   (17 fields, 12 of them semantics) allocates nothing: the frame is
+   parsed into the device's own view and every field's core writes its
+   int in place. The budget of 1 word/inject catches a [Pkt.t] (3
+   words) or a parsed view (13) per packet, and one boxed value per
+   field would cost at least 36. *)
+let inject_words_budget = 1.0
 
 let test_device_inject_alloc_budget () =
   let m = Nic_models.Mlx5.model () in
@@ -351,6 +353,41 @@ let test_device_inject_alloc_budget () =
   check ab
     (Printf.sprintf "minor words/inject %.1f within budget %.0f" words inject_words_budget)
     true (words <= inject_words_budget)
+
+(* A frame length the buffer cannot back is refused before either ring
+   moves, so the packet and completion rings stay in step: the next
+   packet is harvested with its own frame and its own completion. *)
+let test_device_inject_raw_bad_length () =
+  let m = Nic_models.Mlx5.model () in
+  let full =
+    List.find (fun (p : Opendesc.Path.t) -> Opendesc.Path.size p = 64) m.spec.paths
+  in
+  let config = List.hd full.p_assignments in
+  let device = Device.create_exn ~config m in
+  check ai "buf_size" 2048 (Device.buf_size device);
+  let short = Bytes.make 64 '\000' in
+  List.iter
+    (fun len ->
+      (match Device.rx_inject_raw device short ~len with
+      | _ -> Alcotest.failf "len %d over a 64-byte buffer accepted" len
+      | exception Invalid_argument _ -> ());
+      check ai "packet ring empty" 0 (Ring.available (Device.pkt_ring device));
+      check ai "completion ring empty" 0 (Ring.available (Device.cmpt_ring device));
+      check ai "no DMA" 0 (Device.dma_bytes device);
+      check ai "no drop" 0 (Device.drops device))
+    [ 100; -1 ];
+  let pkt = Packet.Workload.next (Packet.Workload.make ~seed:5L Packet.Workload.Min_size) in
+  let harvest dev =
+    check ab "injected" true (Device.rx_inject dev pkt);
+    let b = Device.burst_create dev in
+    check ai "one harvested" 1 (Device.rx_consume_batch dev b);
+    ( Bytes.sub b.bs_pkts.(0) 0 b.bs_lens.(0),
+      Bytes.sub b.bs_cmpts.(0) 0 b.bs_cmpt_lens.(0) )
+  in
+  let frame, cmpt = harvest device in
+  let _, fresh_cmpt = harvest (Device.create_exn ~config m) in
+  check Alcotest.bytes "its own frame" (Bytes.sub pkt.buf 0 pkt.len) frame;
+  check Alcotest.bytes "its own completion" fresh_cmpt cmpt
 
 (* A 40 B IPv4 frame whose IHL (15) claims a 60 B header: the checksum
    semantics must not sum past the frame. *)
@@ -925,18 +962,7 @@ let test_ring_consume_dev_into () =
   check ab "empty rejects" false (Ring.consume_dev_into r dst)
 
 (* ------------------------------------------------------------------ *)
-(* Mq steering with a pre-parsed view; drain_batched arity check *)
-
-let test_mq_steer_view_equivalence () =
-  let model () = Nic_models.Mlx5.model () in
-  let mini = [ ("cqe_comp", 1L); ("mini_fmt", 0L) ] in
-  let mq = Mq.create_exn ~configs:[| mini; mini; mini; mini |] model in
-  let w = Packet.Workload.make ~seed:83L ~flows:32 Packet.Workload.Ipv6_mix in
-  for _ = 1 to 128 do
-    let pkt = Packet.Workload.next w in
-    let view = Packet.Pkt.parse pkt in
-    check ai "view and no-view agree" (Mq.steer mq pkt) (Mq.steer ~view mq pkt)
-  done
+(* Mq drain_batched arity check *)
 
 let test_mq_drain_batched_arity () =
   let model () = Nic_models.Mlx5.model () in
@@ -1163,32 +1189,77 @@ let test_stats_merge_idle () =
   check ai "parks sum" 5 m.Stats.parks;
   check ai "wakes sum" 3 m.Stats.wakes
 
-(* Regression: the hot path must stay inside the pinned minor-heap
-   allocation budget. This fixture (mlx5 8-byte mini-CQE, rss +
-   pkt_len, 64 B packets) measures 17.0 words/pkt: the [Pkt.t] and
-   parsed view per injection; the completion encoder and the batched
-   decoder box nothing per packet. The budget leaves about 2x headroom,
-   so a pooled-path regression (a per-packet closure, a boxed option on
-   the handoff, a boxed field value, a Bytes.create in the drain loop, a
-   whole-slot copy through a fresh buffer) trips it. *)
-let minor_words_budget = 40.0
+(* The rx_min64_hw benchmark workload's datapath: mlx5 full 64-byte
+   CQE serving rss, pkt_len, vlan and csum_ok in hardware, 64 B packets
+   over 4 queues. *)
+let rx_min64_hw_fixture () =
+  let model () = Nic_models.Mlx5.model () in
+  let _, compiled = mlx5_compiled ~alpha:0.05 [ "rss"; "pkt_len"; "vlan"; "csum_ok" ] in
+  check ai "full CQE" 64 (Opendesc.Path.size (Opendesc.Compile.path compiled));
+  check ab "all hardware" true (Opendesc.Compile.missing compiled = []);
+  let mq () =
+    Mq.create_exn ~queue_depth:1024 ~configs:(Array.make 4 compiled.config) model
+  in
+  let workload () =
+    Packet.Workload.make ~seed:91L ~flows:64 Packet.Workload.Min_size
+  in
+  (compiled, mq, workload)
+
+(* Regression: inject + harvest + decode allocate nothing per packet.
+   Both fixtures measure about 0.4 words/pkt, all of it per burst or per
+   run (timing samples, the burst's boxed int64 result). A [Pkt.t] or a
+   parsed view per packet (3 or 13 words), a per-packet closure, a boxed
+   option on the handoff, a boxed field value, a Bytes.create in the
+   drain loop or a whole-slot copy through a fresh buffer trips the
+   budget. *)
+let minor_words_budget = 2.0
 
 let test_parallel_gc_budget () =
-  let compiled, mq, workload = parallel_fixture () in
-  let pkts = 4096 in
-  let r =
-    Parallel.run ~domains:1 ~batch:32 ~account:false ~pregen:true ~mq:(mq ())
-      ~stack:(fun _ -> Hoststacks.opendesc_batched ~compiled)
-      ~pkts ~workload:(workload ()) ()
+  List.iter
+    (fun (name, (compiled, mq, workload)) ->
+      let pkts = 4096 in
+      let r =
+        Parallel.run ~domains:1 ~batch:32 ~account:false ~pregen:true ~mq:(mq ())
+          ~stack:(fun _ -> Hoststacks.opendesc_batched ~compiled)
+          ~pkts ~workload:(workload ()) ()
+      in
+      check ai (name ^ ": all delivered") pkts r.Parallel.pkts;
+      check ab
+        (Printf.sprintf "%s: minor words/pkt %.2f within budget %.0f" name
+           r.Parallel.minor_words_per_pkt minor_words_budget)
+        true
+        (r.Parallel.minor_words_per_pkt <= minor_words_budget);
+      check ab (name ^ ": hot path skips the cost model") true
+        (Array.for_all (fun c -> c = 0.0) r.Parallel.domain_cycles))
+    [
+      ("mini-CQE rss,pkt_len", parallel_fixture ());
+      ("rx_min64_hw", rx_min64_hw_fixture ());
+    ]
+
+(* One batched decoder with software shims, shared by every queue, as
+   a benchmark datapath shares it: each call parses into its own view,
+   so 4 worker domains decoding at once sum exactly what 1 domain
+   does. *)
+let test_parallel_shared_decoder () =
+  let model () = Nic_models.E1000.newer () in
+  let compiled =
+    Opendesc.Compile.run_exn ~intent:Nic_models.Catalog.fig1_intent (model ()).spec
   in
-  check ai "all delivered" pkts r.Parallel.pkts;
-  check ab
-    (Printf.sprintf "minor words/pkt %.1f within budget %.0f"
-       r.Parallel.minor_words_per_pkt minor_words_budget)
-    true
-    (r.Parallel.minor_words_per_pkt <= minor_words_budget);
-  check ab "hot path skips the cost model" true
-    (Array.for_all (fun c -> c = 0.0) r.Parallel.domain_cycles)
+  check ab "software shims" true (Opendesc.Compile.missing compiled <> []);
+  let stack = Hoststacks.opendesc_batched ~compiled in
+  let pkts = 8192 in
+  let run domains =
+    let mq = Mq.create_exn ~configs:(Array.make 4 compiled.config) model in
+    Parallel.run ~domains ~batch:32 ~account:false ~pregen:true ~mq
+      ~stack:(fun _ -> stack)
+      ~pkts
+      ~workload:(Packet.Workload.make ~seed:17L ~flows:256 Packet.Workload.Imix)
+      ()
+  in
+  let one = run 1 and four = run 4 in
+  check ai "1 domain delivers all" pkts one.Parallel.pkts;
+  check ai "4 domains deliver all" pkts four.Parallel.pkts;
+  check ai64 "4-domain sink = 1-domain sink" one.Parallel.sink four.Parallel.sink
 
 let test_parallel_sizes_validated () =
   let compiled, mq, workload = parallel_fixture () in
@@ -1726,8 +1797,8 @@ let prop_checker_matches_list_walk =
       in
       let expected = list_walk_check (Device.env device) fields ~pkt ~cmpt:trimmed in
       List.map fst fields = Validate.checker_fields ck
-      && Validate.check_desc ck ~pkt ~cmpt:trimmed = expected
-      && Validate.check_desc ck ~pkt ~cmpt:full = expected)
+      && Validate.check_desc ck pkt.buf ~len:pkt.len ~cmpt:trimmed = expected
+      && Validate.check_desc ck pkt.buf ~len:pkt.len ~cmpt:full = expected)
 
 let test_stats_merge_fault_counters () =
   let shard name injected =
@@ -1940,16 +2011,17 @@ let rev_b () = load_rev "e1000_rev_b.p4"
 let rev_broken () = load_rev "e1000_rev_broken.p4"
 let upgrade_intent = Opendesc.Intent.make [ ("rss", 32); ("pkt_len", 16) ]
 
-(* Regression: the chaos recovery path allocates per packet, not per
-   checked field or per fault draw. e1000 rev A under rss,pkt_len on 4
-   queues, 4,096 IMIX packets under the default plan in 32-packet
-   bursts: [Fault.rx_inject] + [Fault.harvest] allocate about 42 minor
-   words/pkt. The device's [Pkt.t] and view are 16 of them, the
-   harvested [Pkt.t] and the checker's view another 16, and the roll's
-   draw boxes an int64 and a float. Boxing each checked field's values,
-   or building a list and a closure per roll, would cost about 80
-   more. *)
-let chaos_words_budget = 50.0
+(* Regression: the chaos recovery path builds nothing per parse or per
+   checked field. e1000 rev A under rss,pkt_len on 4 queues, 4,096 IMIX
+   packets under the default plan in 32-packet bursts: [Fault.rx_inject]
+   + [Fault.harvest] allocate about 8.8 minor words/pkt. The device, the
+   injection-time classification and the harvest-time checker each
+   parse into a view they own; what is left is the roll's draw (the
+   generator's boxed int64 state and result, and a boxed float) and the
+   faulted packets' handling. A [Pkt.t] and a view per parse would add
+   16 words per packet; boxing each checked field's values, or building
+   a list and a closure per roll, about 80. *)
+let chaos_words_budget = 15.0
 
 let test_fault_chaos_alloc_budget () =
   let spec = rev_a () in
@@ -2088,13 +2160,13 @@ let test_upgrade_post_swap_decodes_as_rev_b () =
       List.iter
         (fun (pktb, cmpt) ->
           incr total;
-          let pkt = Packet.Pkt.create pktb in
-          (match Validate.check_desc ck_b ~pkt ~cmpt with
+          let len = Bytes.length pktb in
+          (match Validate.check_desc ck_b pktb ~len ~cmpt with
           | None -> ()
           | Some sem ->
               Alcotest.failf
                 "post-swap completion fails the rev-B reference on %S" sem);
-          if Validate.check_desc ck_a ~pkt ~cmpt <> None then
+          if Validate.check_desc ck_a pktb ~len ~cmpt <> None then
             incr rev_a_misreads)
         lst)
     pairs;
@@ -2386,6 +2458,8 @@ let () =
           Alcotest.test_case "flow marks" `Quick test_device_flow_marks;
           Alcotest.test_case "inject allocation budget" `Quick
             test_device_inject_alloc_budget;
+          Alcotest.test_case "raw inject refuses a bad length" `Quick
+            test_device_inject_raw_bad_length;
           Alcotest.test_case "IHL overrun, exact buffer" `Quick
             test_ihl_overrun_exact_buffer;
           Alcotest.test_case "IHL overrun, pooled slot" `Quick
@@ -2402,7 +2476,6 @@ let () =
           Alcotest.test_case "per-queue layouts" `Quick test_mq_per_queue_layouts;
           Alcotest.test_case "unhashable to queue 0" `Quick
             test_mq_unhashable_to_queue_zero;
-          Alcotest.test_case "steer with view" `Quick test_mq_steer_view_equivalence;
           Alcotest.test_case "drain_batched arity" `Quick test_mq_drain_batched_arity;
           Alcotest.test_case "steering pinned" `Quick test_mq_steer_pinned;
           Alcotest.test_case "steer_cached is steer" `Quick test_mq_steer_cached_is_steer;
@@ -2435,6 +2508,8 @@ let () =
             test_pktring_cross_domain;
           Alcotest.test_case "stats merge idle" `Quick test_stats_merge_idle;
           Alcotest.test_case "gc budget" `Quick test_parallel_gc_budget;
+          Alcotest.test_case "shared decoder is domain-safe" `Quick
+            test_parallel_shared_decoder;
           Alcotest.test_case "sizes validated" `Quick
             test_parallel_sizes_validated;
           Alcotest.test_case "raising consumer: run" `Quick

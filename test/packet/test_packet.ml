@@ -271,6 +271,57 @@ let test_field_reads () =
   check ai "ihl" 20 (Pkt.ipv4_ihl pkt v);
   check ai "total len" (pkt.Pkt.len - 14) (Pkt.ipv4_total_len pkt v)
 
+(* A view reused across frames keeps nothing of the frame it held
+   before: every frame of every workload profile, cut at every length,
+   plus IPv4 frames with a bad IHL, parses into a view that last held a
+   VLAN-tagged IPv4/TCP frame or an IPv6/UDP one (between them they set
+   every field away from its default) exactly as [Pkt.parse] of a copy
+   of the cut frame does. *)
+let test_parse_into_reused_view () =
+  let primers =
+    [
+      Builder.ipv4 ~vlan:7 ~flow (Builder.Tcp { seq = 0l; flags = 0 });
+      Builder.ipv6 ~src:(Bytes.make 16 '\001') ~dst:(Bytes.make 16 '\002') ~src_port:5
+        ~dst_port:6 Builder.Udp;
+    ]
+  in
+  let profiles =
+    Workload.
+      [
+        Min_size; Imix; Large; Kvs { key_len = 9 }; Raw_stream { size = 96 }; Vlan_tagged;
+        Ipv6_mix; Zipf { alpha = 1.1 };
+      ]
+  in
+  let frames =
+    List.concat_map
+      (fun p -> Array.to_list (Workload.batch (Workload.make ~seed:3L p) 6))
+      profiles
+  in
+  let bad_ihl ihl =
+    let p = Builder.ipv4 ~flow Builder.Udp in
+    Bytes.set_uint8 p.Pkt.buf 14 (0x40 lor ihl);
+    p
+  in
+  let frames = frames @ [ bad_ihl 2; bad_ihl 15 ] in
+  let v = Pkt.view () in
+  let cases = ref 0 in
+  List.iteri
+    (fun i (f : Pkt.t) ->
+      for len = 0 to f.len do
+        let expected = Pkt.parse (Pkt.create (Bytes.sub f.buf 0 len)) in
+        List.iter
+          (fun (primer : Pkt.t) ->
+            Pkt.parse_into v primer.buf ~len:primer.len;
+            Pkt.parse_into v f.buf ~len;
+            incr cases;
+            if v <> expected then
+              Alcotest.failf "frame %d cut at %d of %d bytes: reused view differs" i len
+                f.len)
+          primers
+      done)
+    frames;
+  check ab "cases" true (!cases > 10_000)
+
 let prop_parse_never_crashes =
   QCheck.Test.make ~name:"parse is total on random bytes" ~count:1000
     QCheck.(string_of_size (Gen.int_range 0 200))
@@ -440,6 +491,8 @@ let () =
           Alcotest.test_case "raw frame" `Quick test_parse_raw_frame;
           Alcotest.test_case "truncated safe" `Quick test_parse_truncated_is_safe;
           Alcotest.test_case "field reads" `Quick test_field_reads;
+          Alcotest.test_case "reused view keeps nothing stale" `Quick
+            test_parse_into_reused_view;
         ]
         @ qsuite [ prop_parse_never_crashes ] );
       ( "fivetuple",
