@@ -16,24 +16,6 @@ type step =
   | SAnd of int64
   | SBitwalk of { bit : int; bits : int }
 
-(* The engine is packet-free by design; this is [Packet.Bitops.mask]. *)
-let mask w = if w >= 64 then -1L else Int64.sub (Int64.shift_left 1L w) 1L
-
-let steps_of ~bit_off ~bits =
-  if bits > 64 then [ SConst 0L ]
-  else if bit_off mod 8 = 0 && (bits = 8 || bits = 16 || bits = 32 || bits = 64)
-  then [ SLoad { byte = bit_off / 8; bytes = bits / 8 } ]
-  else begin
-    let word_byte = bit_off / 64 * 8 in
-    if bit_off + bits <= (word_byte * 8) + 64 then
-      [
-        SLoad { byte = word_byte; bytes = 8 };
-        SShr ((word_byte * 8) + 64 - (bit_off + bits));
-        SAnd (mask bits);
-      ]
-    else [ SBitwalk { bit = bit_off; bits } ]
-  end
-
 let highest_bit m =
   let rec go i =
     if i < 0 then -1
@@ -85,8 +67,8 @@ let sym_value steps =
 
 (* Abstract agreement on the observable facts: interval and known bits.
    The declared-width tag is deliberately ignored — a load/shift/mask
-   chain carries the 64-bit load's width while the contract side carries
-   the field's, and both describe the same value set. *)
+   chain carries its load's width while the contract side carries the
+   field's, and both describe the same value set. *)
 let agree a b =
   match (a, b) with
   | Absdom.Num x, Absdom.Num y ->
@@ -584,7 +566,8 @@ let inject m plan =
           orelse
             (try_update plan (fun ap ->
                  if ap.ap_bits <= 64 && footprint ap.ap_steps <> None then
-                   Some { ap with ap_steps = ap.ap_steps @ [ SAnd (mask (ap.ap_bits - 1)) ] }
+                   let m = Int64.pred (Int64.shift_left 1L (ap.ap_bits - 1)) in
+                   Some { ap with ap_steps = ap.ap_steps @ [ SAnd m ] }
                  else None))
             (fun () -> plan))
   | Off_by_one ->

@@ -21,8 +21,12 @@
     [Opendesc.Cache] stores so [Evolution.check]'s Recompile class can
     demand a fresh certificate before an accessor hot-swap. *)
 
-(** One instruction of the accessor codegen IR — the shapes
-    [Opendesc.Accessor.reader] actually compiles to. A plan's step list
+(** One instruction of the accessor codegen IR. [Opendesc.Compile]
+    builds each plan's chain from the field shape the runtime reads with
+    ([Softnic.Codec.shape]): an aligned 8-, 16-, 32- or 64-bit field is
+    one [SLoad]; any other field of at most 7 bytes loads the bytes it
+    spans, then [SShr] and [SAnd]; a field over 8 or 9 bytes is an
+    [SBitwalk]; a field over 64 bits is [SConst 0]. A plan's step list
     is executed left to right over the completion record. *)
 type step =
   | SConst of int64  (** degenerate read (fields wider than 64 bits) *)
@@ -31,12 +35,6 @@ type step =
   | SAnd of int64  (** bit mask *)
   | SBitwalk of { bit : int; bits : int }
       (** generic MSB-first bit walk (the non-fast-path reader) *)
-
-val steps_of : bit_off:int -> bits:int -> step list
-(** The exact chain the accessor synthesizer emits for a field slice:
-    byte-aligned power-of-two widths are one load; a field confined to
-    one aligned 64-bit word is load/shift/mask; anything else walks
-    bits; fields wider than 64 bits read as constant 0. *)
 
 val footprint : step list -> (int * int) option
 (** Completion bits [\[lo, hi)] the chain's result depends on, [None]

@@ -165,9 +165,10 @@ let distinct_lines step_lists =
     step_lists;
   Hashtbl.length lines
 
-(* A bitwalk is bounded by construction ([Certify.steps_of] only walks
-   inside the slot); a walk whose length escapes the slot width has no
-   static iteration bound the driver can trust. *)
+(* A bitwalk is bounded by construction (the compiler walks only a
+   field of at most 64 bits inside the slot); a walk whose length
+   escapes the slot width has no static iteration bound the driver can
+   trust. *)
 let unbounded_walk ~size_bytes steps =
   List.exists
     (function
@@ -404,7 +405,7 @@ let inject ?(table = default_table) m (plan : Certify.plan) : drill =
       }
   | Unbounded_walk ->
       (* Replace the first accessor's chain with a walk one byte past
-         the slot — the shape [steps_of] can never emit. *)
+         the slot — a chain the compiler can never emit. *)
       let walk =
         Certify.SBitwalk { bit = 0; bits = (plan.Certify.pl_size_bytes * 8) + 8 }
       in

@@ -735,12 +735,11 @@ let contract_pass add (inp : input) cat (tx_formats : Tx_ir.fmt list) =
 (* ------------------------------------------------------------------ *)
 (* Pass 4: codegen verification. *)
 
-(* Mirror of the accessor shapes the C and eBPF emitters synthesize
-   (lib/opendesc/accessor.ml, codegen_c.ml, codegen_ebpf.ml): aligned
-   power-of-two fields are direct loads of bytes [off/8 .. off/8+n-1];
-   everything else is a byte walk over [off/8 .. (off+bits-1)/8]. Both
-   shapes are straight-line with compile-time-constant bounds, so the
-   constant-time obligation reduces to the width limit checked here. *)
+(* Every accessor the compiler emits — OCaml, C or eBPF, a single load
+   or a bit walk — reads exactly the bytes its field spans,
+   [off/8 .. (off+bits-1)/8], with compile-time-constant bounds, so the
+   constant-time obligation reduces to the width limit checked here and
+   the bounds obligation to that last byte. *)
 let check_accessor_bounds ?(path_desc = "") ~size_bytes fields =
   List.concat_map
     (fun af ->
@@ -758,11 +757,7 @@ let check_accessor_bounds ?(path_desc = "") ~size_bytes fields =
         | None -> [] (* unannotated blobs are padding; nothing reads them *)
       else
         let first = af.af_bit_off / 8 in
-        let last =
-          if af.af_bit_off mod 8 = 0 && af.af_bits mod 8 = 0 then
-            first + (af.af_bits / 8) - 1
-          else (af.af_bit_off + af.af_bits - 1) / 8
-        in
+        let last = (af.af_bit_off + af.af_bits - 1) / 8 in
         if last >= size_bytes then
           [
             D.make ~span:af.af_span ~code:"OD016" ~severity:D.Error

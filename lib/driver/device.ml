@@ -13,8 +13,8 @@ type t = {
   inj_view : Packet.Pkt.view;  (** the last injected frame's parse *)
   buf_size : int;
   mutable tx_format : Opendesc.Descparser.t option;
-  mutable tx_addr : (bytes -> int64) option;
-      (** the TX format's [buf_addr] reader, staged with the format *)
+  mutable tx_addr : Softnic.Codec.shape option;
+      (** the TX format's [buf_addr] shape, staged with the format *)
   mutable rx_count : int;
   mutable tx_count : int;
   mutable drops : int;
@@ -55,15 +55,14 @@ let smallest_tx (spec : Opendesc.Nic_spec.t) =
              else best)
            f rest)
 
-let addr_reader fmt =
+let addr_shape fmt =
   Option.map
-    (fun (f : Opendesc.Path.lfield) ->
-      Opendesc.Accessor.reader_fn ~bit_off:f.l_bit_off ~bits:f.l_bits)
+    (fun (f : Opendesc.Path.lfield) -> Softnic.Codec.shape ~bit_off:f.l_bit_off ~bits:f.l_bits)
     (Opendesc.Descparser.field_for fmt "buf_addr")
 
 let stage_tx t fmt =
   t.tx_format <- fmt;
-  t.tx_addr <- Option.bind fmt addr_reader
+  t.tx_addr <- Option.bind fmt addr_shape
 
 (* Staged once per selected path, at [create], [configure] and
    [upgrade]: the registry and constant lookups, the identity check that
@@ -111,7 +110,7 @@ let create ?(queue_depth = 512) ?(buf_size = 2048) ~config (model : Nic_models.M
           inj_view = Packet.Pkt.view ();
           buf_size;
           tx_format;
-          tx_addr = Option.bind tx_format addr_reader;
+          tx_addr = Option.bind tx_format addr_shape;
           rx_count = 0;
           tx_count = 0;
           drops = 0;
@@ -289,8 +288,8 @@ let tx_process t ~fetch =
          slot per packet must not allocate on the hot path. *)
       while Ring.consume_dev_into t.tx_ring t.tx_scratch do
         match t.tx_addr with
-        | Some read -> (
-            match fetch (read t.tx_scratch) with
+        | Some addr -> (
+            match fetch (Softnic.Codec.read_int64 t.tx_scratch addr) with
             | Some pkt ->
                 (* Device fetches the packet body over DMA. *)
                 t.tx_pkt_bytes_read <- t.tx_pkt_bytes_read + Packet.Pkt.len pkt;

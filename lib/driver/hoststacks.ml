@@ -218,20 +218,15 @@ let opendesc_batched ~(compiled : Opendesc.Compile.t) =
   let bindings = Array.of_list (List.map snd compiled.bindings) in
   let nbind = Array.length bindings in
   (* The byte path's decoder, staged from the same bindings: hardware
-     fields by read shape, software ones by core. *)
+     fields by shape, software ones by core. *)
   let hw =
     Array.of_list
       (List.filter_map
          (function
-           | _, Opendesc.Compile.Hardware (a : Opendesc.Accessor.t) -> Some a
+           | _, Opendesc.Compile.Hardware (a : Opendesc.Accessor.t) ->
+               Some (a.a_shape, a.a_bits > 62)
            | _, Opendesc.Compile.Software _ -> None)
          compiled.bindings)
-  in
-  let shapes =
-    Array.map
-      (fun (a : Opendesc.Accessor.t) ->
-        Opendesc.Accessor.shape ~bit_off:a.a_bit_off ~bits:a.a_bits)
-      hw
   in
   let shims =
     Array.of_list
@@ -287,33 +282,23 @@ let opendesc_batched ~(compiled : Opendesc.Compile.t) =
           !acc
       | Cost.Null ->
           (* The byte path: same values, no bookkeeping, nothing boxed
-             per packet. Hardware reads are [Bytes] loads in this loop
-             (a call into [Accessor] would return a boxed int64); the sum
-             is order-free, and shims keep their binding order, so
-             stateful ones tick as on the accounting path. Shims parse
-             each packet into one view per call and share the checksum
-             facts; a [Pkt.t] is built only for a boxed [compute]. The
-             view is not kept in the closure: one stack may serve
-             several queues, on several domains at once. *)
+             per packet. Hardware fields of up to 62 bits are read as
+             ints; the sum is order-free, and shims keep their binding
+             order, so stateful ones tick as on the accounting path.
+             Shims parse each packet into one view per call and share
+             the checksum facts; a [Pkt.t] is built only for a boxed
+             [compute]. The view is not kept in the closure: one stack
+             may serve several queues, on several domains at once. *)
           let acc = ref 0L in
           let view = if nshim > 0 then Packet.Pkt.view () else no_view in
           for i = 0 to n - 1 do
             let cmpt = b.Device.bs_cmpts.(i) in
-            for j = 0 to Array.length shapes - 1 do
+            for j = 0 to Array.length hw - 1 do
+              let shape, wide = Array.unsafe_get hw j in
               acc :=
                 Int64.add !acc
-                  (match Array.unsafe_get shapes j with
-                  | Opendesc.Accessor.Byte o -> Int64.of_int (Bytes.get_uint8 cmpt o)
-                  | Be16 o -> Int64.of_int (Bytes.get_uint16_be cmpt o)
-                  | Be32 o ->
-                      Int64.of_int (Int32.to_int (Bytes.get_int32_be cmpt o) land 0xFFFFFFFF)
-                  | Be64 o -> Bytes.get_int64_be cmpt o
-                  | In_word { word; shift; mask } when Bytes.length cmpt >= word + 8 ->
-                      Int64.logand
-                        (Int64.shift_right_logical (Bytes.get_int64_be cmpt word) shift)
-                        mask
-                  | Blob -> 0L
-                  | In_word _ | Walk -> hw.(j).a_get cmpt)
+                  (if wide then Softnic.Codec.read_int64 cmpt shape
+                   else Int64.of_int (Softnic.Codec.read_int cmpt shape))
             done;
             if nshim > 0 then begin
               let buf = b.Device.bs_pkts.(i) and len = b.Device.bs_lens.(i) in

@@ -35,7 +35,7 @@ type reference =
 type check = {
   c_field : Opendesc.Path.lfield;
   c_ref : reference;
-  c_shape : Opendesc.Accessor.shape;
+  c_shape : Softnic.Codec.shape;
   c_mask : int64;
 }
 
@@ -66,7 +66,7 @@ let checker_of_path ~env ~softnic (path : Opendesc.Path.t) =
                     (match Softnic.Registry.core_of feature.compute with
                     | Some sem -> Core sem
                     | None -> Compute feature.compute);
-                  c_shape = Opendesc.Accessor.shape ~bit_off:f.l_bit_off ~bits:f.l_bits;
+                  c_shape = Softnic.Codec.shape ~bit_off:f.l_bit_off ~bits:f.l_bits;
                   c_mask = Packet.Bitops.mask f.l_bits;
                 })
               (Softnic.Registry.find softnic sem)
@@ -95,30 +95,24 @@ let checker_fields ck = Array.to_list (Array.map (fun c -> c.c_field) ck.ck_chec
 let checker_semantics ck =
   List.map (fun (f : Opendesc.Path.lfield) -> Option.get f.l_semantic) (checker_fields ck)
 
-(* Does one field hold its reference value? The read is [Bytes] loads
-   here, as in the batched decoder (a call into [Accessor] would return
-   a boxed int64), and the compare is on all 64 bits, so a flipped bit
-   63 is caught. A buffer too short for an [In_word] load takes the bit
-   walk, as [Accessor.reader_fn] does. *)
+(* Does one field hold its reference value? Up to 62 bits the value and
+   the read are ints, so nothing is boxed; a 63- or 64-bit field is
+   compared on all 64 bits, so a flipped bit 63 is caught. *)
 let holds env buf ~len pkt view ~ipsum ~l4sum cmpt c =
-  let expected =
-    match c.c_ref with
-    | Core sem -> Int64.of_int (Softnic.Codec.value sem env buf ~len view ~ipsum ~l4sum)
-    | Compute compute -> compute env pkt view
-  in
-  let got =
-    match c.c_shape with
-    | Opendesc.Accessor.Blob -> 0L
-    | Byte o -> Int64.of_int (Bytes.get_uint8 cmpt o)
-    | Be16 o -> Int64.of_int (Bytes.get_uint16_be cmpt o)
-    | Be32 o -> Int64.of_int (Int32.to_int (Bytes.get_int32_be cmpt o) land 0xFFFFFFFF)
-    | Be64 o -> Bytes.get_int64_be cmpt o
-    | In_word { word; shift; mask } when Bytes.length cmpt >= word + 8 ->
-        Int64.logand (Int64.shift_right_logical (Bytes.get_int64_be cmpt word) shift) mask
-    | In_word _ | Walk ->
-        Packet.Bitops.get_bits cmpt ~bit_off:c.c_field.l_bit_off ~width:c.c_field.l_bits
-  in
-  Int64.logand expected c.c_mask = got
+  if c.c_field.l_bits <= 62 then
+    let expected =
+      match c.c_ref with
+      | Core sem -> Softnic.Codec.value sem env buf ~len view ~ipsum ~l4sum
+      | Compute compute -> Int64.to_int (compute env pkt view)
+    in
+    expected land Int64.to_int c.c_mask = Softnic.Codec.read_int cmpt c.c_shape
+  else
+    let expected =
+      match c.c_ref with
+      | Core sem -> Int64.of_int (Softnic.Codec.value sem env buf ~len view ~ipsum ~l4sum)
+      | Compute compute -> compute env pkt view
+    in
+    Int64.equal (Int64.logand expected c.c_mask) (Softnic.Codec.read_int64 cmpt c.c_shape)
 
 (* Stands in for the packet when no reference will read it. *)
 let no_pkt = Packet.Pkt.create Bytes.empty

@@ -65,7 +65,9 @@ val checker_of_path :
       {!Softnic.Registry.core_of} finds one behind the feature's
       [compute] (a builtin), otherwise that boxed [compute] ([kvs_key],
       custom registries);
-    - the field's {!Opendesc.Accessor.shape} and mask.
+    - the field's {!Softnic.Codec.shape} and mask. A field of up to 62
+      bits is read and compared as an int, a wider one as an [int64]
+      on all its bits.
 
     It also records whether any core needs the IPv4 header sum or the
     L4 sum, so {!check_desc} computes each at most once per packet, and

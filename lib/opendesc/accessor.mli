@@ -2,13 +2,14 @@
 
     An accessor reads one field's bit slice at a fixed offset — the OCaml
     equivalent of the C/eBPF stubs the compiler emits (see {!Codegen_c}
-    and {!Codegen_ebpf}). Byte-aligned power-of-two widths compile to
-    single loads; everything else goes through the generic bit reader.
+    and {!Codegen_ebpf}). Every read and write is {!Softnic.Codec}'s
+    field shape: an aligned 8-, 16-, 32- or 64-bit field is one load,
+    any other field of at most 7 bytes an int over the bytes it spans,
+    and a field over 8 or 9 bytes the bit walk.
 
-    The same layout drives the {e writer} side, which the simulated
-    devices use to serialise completions — guaranteeing by construction
-    that device and host agree on the layout (the paper's "semantic
-    alignment"). *)
+    The simulated devices' encoder writes completions with the same
+    shape, so device and host agree on the layout by construction (the
+    paper's "semantic alignment"). *)
 
 type t = {
   a_name : string;  (** field name *)
@@ -20,37 +21,19 @@ type t = {
       (** certified unsigned range of values the read can return, derived
           through {!Opendesc_analysis.Absdom} from the field width and
           (when known) the registry semantic's width *)
-  a_get : bytes -> int64;
+  a_shape : Softnic.Codec.shape;  (** the field's shape, picked once *)
+  a_get : bytes -> int64;  (** {!Softnic.Codec.read_int64} of [a_shape] *)
 }
 
-type shape =
-  | Blob  (** wider than 64 bits: reads as 0 *)
-  | Byte of int  (** byte offset *)
-  | Be16 of int
-  | Be32 of int
-  | Be64 of int
-  | In_word of { word : int; shift : int; mask : int64 }
-      (** inside the aligned 64-bit word at byte [word]: shift the
-          big-endian load right by [shift], then mask — when the buffer
-          holds the whole word; otherwise the bit walk *)
-  | Walk  (** the generic bit walk *)
-(** How a field is read. {!reader_fn} is built from it; a decoder that
-    reads in its own loop (the batched host stack) matches on it and
-    reads with [Bytes] primitives, so a read returns an unboxed value. *)
-
-val shape : bit_off:int -> bits:int -> shape
-
 val reader : bit_off:int -> bits:int -> bytes -> int64
-(** Generic MSB-first field read (specialised fast paths inside).
-    Fields wider than 64 bits — reserved/padding blobs in real
-    descriptors — read as 0 and write as a no-op. *)
-
-val reader_fn : bit_off:int -> bits:int -> bytes -> int64
-(** {!reader} staged: applied to [~bit_off ~bits] it picks the read
-    shape once and returns the closure that reads. Stage it where a
-    field is read per packet; [reader] picks the shape on every call. *)
+(** MSB-first field read, {!Softnic.Codec.read_int64} of the field's
+    shape. Fields wider than 64 bits — reserved/padding blobs in real
+    descriptors — read as 0 and write as a no-op. The shape is picked
+    on every call; an accessor's [a_get] reads its [a_shape]. *)
 
 val writer : bit_off:int -> bits:int -> bytes -> int64 -> unit
+(** {!Softnic.Codec.write_int64} of the field's shape: the value's low
+    [bits] bits, and no other bit of the buffer changes. *)
 
 val of_lfield : ?registry_bits:int -> Path.lfield -> t
 (** Pass [?registry_bits] (the registry width of the field's semantic)

@@ -158,6 +158,20 @@ let run ?alpha ?registry ?softnic ?tx_intent ~intent (nic : Nic_spec.t) =
 let contract_hash (nic : Nic_spec.t) =
   Digest.to_hex (Digest.string (Nic_spec.fingerprint nic))
 
+(* The chain the runtime reads a field with: its [Softnic.Codec] shape,
+   as certify steps. *)
+let steps_of (a : Accessor.t) =
+  let open Opendesc_analysis.Certify in
+  match a.a_shape with
+  | U8 byte -> [ SLoad { byte; bytes = 1 } ]
+  | U16 byte -> [ SLoad { byte; bytes = 2 } ]
+  | U32 byte -> [ SLoad { byte; bytes = 4 } ]
+  | U64 byte -> [ SLoad { byte; bytes = 8 } ]
+  | Bits { first; nbytes; shift; mask } ->
+      [ SLoad { byte = first; bytes = nbytes }; SShr shift; SAnd (Int64.of_int mask) ]
+  | Wide { bit_off; bits } -> [ SBitwalk { bit = bit_off; bits } ]
+  | Skip -> [ SConst 0L ]
+
 let to_plan (t : t) : Opendesc_analysis.Certify.plan =
   let plan_of_accessor (a : Accessor.t) =
     {
@@ -165,8 +179,7 @@ let to_plan (t : t) : Opendesc_analysis.Certify.plan =
       ap_header = a.a_header;
       ap_semantic = a.a_semantic;
       ap_bits = a.a_bits;
-      ap_steps =
-        Opendesc_analysis.Certify.steps_of ~bit_off:a.a_bit_off ~bits:a.a_bits;
+      ap_steps = steps_of a;
       ap_range = a.a_range;
     }
   in
@@ -217,7 +230,9 @@ let tx_writer t sem =
   | None -> None
   | Some fmt -> (
       match Descparser.field_for fmt sem with
-      | Some f -> Some (Accessor.writer ~bit_off:f.l_bit_off ~bits:f.l_bits)
+      | Some f ->
+          let shape = Softnic.Codec.shape ~bit_off:f.l_bit_off ~bits:f.l_bits in
+          Some (fun b v -> Softnic.Codec.write_int64 b shape v)
       | None -> None)
 
 let run_exn ?alpha ?registry ?softnic ?tx_intent ~intent nic =

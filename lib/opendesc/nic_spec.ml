@@ -80,7 +80,8 @@ let registry_view (registry : Semantic.t) : Opendesc_analysis.Registry_view.t =
     known = Semantic.mem registry;
     width = Semantic.width registry;
     sw_cost = Semantic.cost registry;
-    hardware_only = (fun s -> List.mem s Semantic.hardware_only);
+    hardware_only =
+      (fun s -> Semantic.cost registry s = infinity && Semantic.mem registry s);
   }
 
 let analyze ?registry ?intent t =

@@ -12,7 +12,10 @@ let register_feature t ?(descr = "") (f : Softnic.Feature.t) =
 let find t name = Hashtbl.find_opt t name
 let mem t name = Hashtbl.mem t name
 
-let cost t name = match find t name with Some i -> i.sw_cost | None -> infinity
+(* Allocation-free: Eq. 1 and the analysis ask it per semantic per path. *)
+let cost t name =
+  match Hashtbl.find t name with i -> i.sw_cost | exception Not_found -> infinity
+
 let width t name = match find t name with Some i -> Some i.width_bits | None -> None
 
 let names t = Hashtbl.fold (fun k _ acc -> k :: acc) t [] |> List.sort String.compare

@@ -184,14 +184,15 @@ let eval sem env buf ~len v =
     ~l4sum:(if needs_l4sum sem then l4_sum buf ~len v else -1)
 
 (* ------------------------------------------------------------------ *)
-(* Writing a field, MSB-first as [Opendesc.Accessor.writer] does. A field
-   within 7 bytes is a read-modify-write of those bytes in an int; only
-   fields spread over 8 or 9 bytes off a byte boundary take the int64 bit
-   walk. *)
+(* A field's shape: the one rule for reading and writing a field.
+   Fields are MSB-first: bit 0 of a record is the top bit of byte 0, as
+   a P4 header reads left to right. A field within 7 bytes is an int
+   over the bytes it spans; only fields spread over 8 or 9 bytes take
+   the bit walk. No shape touches a byte outside its field. *)
 
 type shape =
-  | Skip  (** wider than 64 bits: reserved, never written *)
-  | U8 of int  (** byte offset *)
+  | Skip
+  | U8 of int
   | U16 of int
   | U32 of int
   | U64 of int
@@ -215,6 +216,39 @@ let shape ~bit_off ~bits =
         mask = (1 lsl bits) - 1;
       }
   else Wide { bit_off; bits }
+
+let read_bits b ~first ~nbytes ~shift ~mask =
+  let w = ref 0 in
+  for i = first to first + nbytes - 1 do
+    w := (!w lsl 8) lor Bytes.get_uint8 b i
+  done;
+  (!w lsr shift) land mask
+
+(* The first byte's low bits, the middle bytes, then the last byte's
+   high bits. Past 62 bits the int wraps. *)
+let read_walk b ~bit_off ~bits =
+  let first = bit_off / 8 and last = (bit_off + bits - 1) / 8 in
+  let tail = ((bit_off + bits - 1) mod 8) + 1 in
+  let w = ref (Bytes.get_uint8 b first land (0xff lsr (bit_off mod 8))) in
+  for i = first + 1 to last - 1 do
+    w := (!w lsl 8) lor Bytes.get_uint8 b i
+  done;
+  (!w lsl tail) lor (Bytes.get_uint8 b last lsr (8 - tail))
+
+let read_int b = function
+  | Skip -> 0
+  | U8 off -> Bytes.get_uint8 b off
+  | U16 off -> Bytes.get_uint16_be b off
+  | U32 off -> Int32.to_int (Bytes.get_int32_be b off) land m32
+  | U64 off -> Int64.to_int (Bytes.get_int64_be b off)
+  | Bits { first; nbytes; shift; mask } -> read_bits b ~first ~nbytes ~shift ~mask
+  | Wide { bit_off; bits } -> read_walk b ~bit_off ~bits
+
+let read_int64 b shape =
+  match shape with
+  | U64 off -> Bytes.get_int64_be b off
+  | Wide { bit_off; bits } -> Packet.Bitops.get_bits b ~bit_off ~width:bits
+  | Skip | U8 _ | U16 _ | U32 _ | Bits _ -> Int64.of_int (read_int b shape)
 
 let write_bits b ~first ~nbytes ~shift ~mask v =
   if nbytes = 1 then

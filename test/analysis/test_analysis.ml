@@ -249,6 +249,20 @@ let test_od015_hardware_only_unprovided () =
   check ab "mlx5 provides wire_timestamp" false
     (has "OD015" (Opendesc.Nic_spec.analyze ~intent mlx5_spec))
 
+(* Hardware-only is the registry's fact: a semantic it knows with no
+   software cost, not a name on a fixed list. *)
+let test_od015_custom_registry_hardware_only () =
+  let registry = Opendesc.Semantic.default () in
+  Opendesc.Semantic.register registry
+    { name = "ptp_phase"; width_bits = 32; sw_cost = infinity; descr = "" };
+  let intent = Opendesc.Intent.make [ ("ptp_phase", 32) ] in
+  let spec = (Nic_models.E1000.legacy ()).spec in
+  assert_code ~severity:Dg.Error "OD015" (Opendesc.Nic_spec.analyze ~registry ~intent spec);
+  Opendesc.Semantic.register registry
+    { name = "ptp_phase"; width_bits = 32; sw_cost = 50.0; descr = "" };
+  check ab "a shimmable semantic is not hardware-only" false
+    (has "OD015" (Opendesc.Nic_spec.analyze ~registry ~intent spec))
+
 (* ------------------------------------------------------------------ *)
 (* Codegen verification. *)
 
@@ -811,8 +825,9 @@ let test_od023_cross_path_confusion () =
   in
   check ab "rss sits at bit 0 on the chosen mini-CQE path" true
     (Cert.footprint rss.Cert.ap_steps = Some (0, 32));
+  (* the full CQE's read: one 4-byte load at byte 8 *)
   let confused =
-    { rss with Cert.ap_steps = Cert.steps_of ~bit_off:64 ~bits:32 }
+    { rss with Cert.ap_steps = [ Cert.SLoad { byte = 8; bytes = 4 } ] }
   in
   let plan' =
     {
@@ -1158,6 +1173,8 @@ let () =
             test_od014_tx_without_buf_addr;
           Alcotest.test_case "OD015 hw-only unprovided" `Quick
             test_od015_hardware_only_unprovided;
+          Alcotest.test_case "OD015 custom registry hw-only" `Quick
+            test_od015_custom_registry_hardware_only;
         ] );
       ( "codegen verification",
         [

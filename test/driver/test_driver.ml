@@ -1680,11 +1680,12 @@ let list_walk_check env fields ~pkt ~cmpt =
 
 (* Checked fields the catalog has no path for, one spec each. The first
    checks ip_checksum, csum_ok and l4_checksum together (they share two
-   sums). The second has 63- and 64-bit fields of every read shape, with
-   int cores and kvs_key: Be64 at bytes 0 and 8, a 63-bit field inside
-   the aligned word at byte 16 and a 64-bit bit walk; its last field's
-   aligned word runs past the 36-byte record, so it is read by the bit
-   walk too. *)
+   sums). The second has 63- and 64-bit fields of both shapes such a
+   field can take, with int cores and kvs_key: aligned 64-bit loads
+   ([U64]) at bytes 0 and 8, and bit walks ([Wide]) for the 63-bit field
+   at bit 129 and the 64-bit one at bit 196; its last field, 16 bits at
+   bit 260, is an int over the 3 bytes it spans ([Bits]), 12 bits short
+   of the end of the 36-byte record. *)
 let checker_specs =
   [
     ( "csum3",
@@ -1901,6 +1902,60 @@ let prop_hot_path_byte_identical =
       && Int64.equal s_acc s_hot
       && delivered_equal d_acc d_hot
       && c_acc = c_hot)
+
+(* The batched decoder's byte path (under [Cost.Null]) sums what its
+   accounting path (under a ledger, through each accessor's [a_get])
+   sums, on every field shape: [wide]'s 63- and 64-bit fields, one load
+   or the bit walk, and [csum3]'s sub-byte and unaligned ones, each read
+   from hardware. Device-written values are small, so each burst is
+   summed again after its records are overwritten with random bytes,
+   which sets every field's top bits. *)
+let test_decoder_paths_agree_on_every_shape () =
+  let registry = Opendesc.Semantic.default () in
+  List.iter
+    (fun (name, fields) ->
+      let model = Nic_models.Model.make (inline_spec ~name fields) in
+      let layout = (List.hd model.spec.paths).Opendesc.Path.p_layout in
+      let intent =
+        Opendesc.Intent.make
+          (List.filter_map
+             (fun (f : Opendesc.Path.lfield) ->
+               Option.map
+                 (fun s -> (s, Option.get (Opendesc.Semantic.width registry s)))
+                 f.l_semantic)
+             layout.fields)
+      in
+      let compiled = Opendesc.Compile.run_exn ~intent model.spec in
+      check ab (name ^ ": every field read from hardware") true
+        (List.for_all
+           (function _, Opendesc.Compile.Hardware _ -> true | _ -> false)
+           compiled.bindings);
+      let device = Device.create_exn ~queue_depth:64 ~config:compiled.config model in
+      let stack = Hoststacks.opendesc_batched ~compiled in
+      let env = Softnic.Feature.make_env () in
+      let b = Device.burst_create ~capacity:32 device in
+      let workload = Packet.Workload.make ~seed:29L Packet.Workload.Imix in
+      let rng = Random.State.make [| 29 |] in
+      let agree what =
+        check ai64
+          (Printf.sprintf "%s: byte path = accounting path (%s)" name what)
+          (stack.Stack.bt_consume (Cost.ledger (Cost.create ())) env b)
+          (stack.Stack.bt_consume Cost.null env b)
+      in
+      for _ = 1 to 10 do
+        for _ = 1 to 32 do
+          assert (Device.rx_inject device (Packet.Workload.next workload))
+        done;
+        check ai (name ^ ": a full burst") 32 (Device.rx_consume_batch device b);
+        agree "device values";
+        for i = 0 to b.Device.bs_count - 1 do
+          for k = 0 to b.Device.bs_cmpt_lens.(i) - 1 do
+            Bytes.set b.Device.bs_cmpts.(i) k (Char.chr (Random.State.int rng 256))
+          done
+        done;
+        agree "random records"
+      done)
+    checker_specs
 
 (* Satellite property: with every rate at 0.0 the chaos datapath — for
    any seed, sequential or parallel — is byte-identical to the bare one,
@@ -2524,6 +2579,8 @@ let () =
             test_failure_verdict_hot_swap;
           Alcotest.test_case "raising device model: run" `Quick
             test_failure_device_model_run;
+          Alcotest.test_case "decoder paths agree on every shape" `Quick
+            test_decoder_paths_agree_on_every_shape;
         ]
         @ qsuite [ prop_hot_path_byte_identical ] );
       ( "fault",

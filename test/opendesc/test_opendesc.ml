@@ -777,24 +777,6 @@ let prop_layout_write_read =
             (value_of f))
         layout.Path.fields)
 
-(* Property: the synthesized reader — including the single-load
-   mask/shift fast path for fields contained in one aligned 64-bit word
-   and its short-buffer fallback — always agrees with the generic bit
-   walker. *)
-let prop_reader_matches_bitops =
-  QCheck.Test.make ~name:"Accessor.reader = Bitops.get_bits" ~count:500
-    QCheck.(triple (int_bound 96) (int_range 1 64) (int_bound 1000))
-    (fun (bit_off, bits, seed) ->
-      (* sometimes pad past the containing word, sometimes end exactly at
-         the field so the word-load guard must fall back *)
-      let len = ((bit_off + bits + 7) / 8) + (seed mod 3) in
-      let b =
-        Bytes.init len (fun i -> Char.chr ((i * 131 + seed * 17 + 5) land 0xFF))
-      in
-      Int64.equal
-        (Accessor.reader ~bit_off ~bits b)
-        (Packet.Bitops.get_bits b ~bit_off ~width:bits))
-
 (* ------------------------------------------------------------------ *)
 (* Codegen *)
 
@@ -1000,7 +982,7 @@ let () =
           Alcotest.test_case "wide reads zero" `Quick test_accessor_wide_field_reads_zero;
           Alcotest.test_case "layout write/read" `Quick test_accessor_write_read_layout;
         ]
-        @ qsuite [ prop_layout_write_read; prop_reader_matches_bitops ] );
+        @ qsuite [ prop_layout_write_read ] );
       ( "codegen",
         [
           Alcotest.test_case "c accessors" `Quick test_codegen_c_contains_accessors;

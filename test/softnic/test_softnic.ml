@@ -401,6 +401,80 @@ let prop_flow_hash_equals_hash_fold =
         ~src_port:f.src_port ~dst_port:f.dst_port ~proto:f.proto
       = Packet.Fivetuple.hash_fold f)
 
+(* ------------------------------------------------------------------ *)
+(* The field shape against a bit-at-a-time reference that shares no code
+   with [Codec] or [Packet.Bitops]: record bit [k] is bit [7 - k mod 8]
+   of byte [k / 8], and a field's first bit is its value's top bit. *)
+
+let ref_bit b k = (Char.code (Bytes.get b (k / 8)) lsr (7 - (k mod 8))) land 1
+
+let ref_read b ~bit_off ~bits =
+  if bits > 64 then 0L
+  else begin
+    let v = ref 0L in
+    for k = bit_off to bit_off + bits - 1 do
+      v := Int64.logor (Int64.shift_left !v 1) (Int64.of_int (ref_bit b k))
+    done;
+    !v
+  end
+
+let ref_write b ~bit_off ~bits v =
+  if bits <= 64 then
+    for k = bit_off to bit_off + bits - 1 do
+      let bit = Int64.to_int (Int64.shift_right_logical v (bit_off + bits - 1 - k)) land 1 in
+      let m = 0x80 lsr (k mod 8) in
+      let c = Char.code (Bytes.get b (k / 8)) in
+      Bytes.set b (k / 8) (Char.chr (if bit = 1 then c lor m else c land lnot m))
+    done
+
+(* Every [bit_off] in 0..511 and [bits] in 1..160, on a buffer that ends
+   at the field's last byte and on one 8 bytes longer, both pre-filled
+   with random bytes: a write of a random value leaves exactly the bytes
+   the reference writer leaves (the value under the field's mask, no
+   other bit moved), and every read returns what the reference reads.
+   [write_int] and [read_int] are checked up to 62 bits and past 64,
+   where a field is never written and reads as 0. *)
+let test_shape_exhaustive () =
+  let rng = Random.State.make [| 23 |] in
+  let failures = ref 0 in
+  let fail fmt =
+    incr failures;
+    Printf.ksprintf (fun msg -> if !failures <= 5 then prerr_endline msg) fmt
+  in
+  for bit_off = 0 to 511 do
+    for bits = 1 to 160 do
+      let shape = Codec.shape ~bit_off ~bits in
+      let last = (bit_off + bits - 1) / 8 and ints = bits <= 62 || bits > 64 in
+      List.iter
+        (fun len ->
+          let orig = Bytes.init len (fun _ -> Char.chr (Random.State.int rng 256)) in
+          let v = Random.State.bits64 rng in
+          let expected = Bytes.copy orig in
+          ref_write expected ~bit_off ~bits v;
+          let check_write what write =
+            let b = Bytes.copy orig in
+            write b;
+            if not (Bytes.equal b expected) then
+              fail "%s bit_off=%d bits=%d len=%d: wrote %s, reference %s" what bit_off
+                bits len (Bytes.to_string b |> String.escaped)
+                (Bytes.to_string expected |> String.escaped)
+          in
+          check_write "write_int64" (fun b -> Codec.write_int64 b shape v);
+          if ints then
+            check_write "write_int" (fun b -> Codec.write_int b shape (Int64.to_int v));
+          let want = ref_read orig ~bit_off ~bits in
+          let got = Codec.read_int64 orig shape in
+          if not (Int64.equal got want) then
+            fail "read_int64 bit_off=%d bits=%d len=%d: %Lx, reference %Lx" bit_off bits len
+              got want;
+          if ints && Codec.read_int orig shape <> Int64.to_int want then
+            fail "read_int bit_off=%d bits=%d len=%d: %x, reference %Lx" bit_off bits len
+              (Codec.read_int orig shape) want)
+        [ last + 1; last + 9 ]
+    done
+  done;
+  check Alcotest.int "cases that disagree with the reference" 0 !failures
+
 (* [core_of] is an identity test: the builtins map to their cores, and a
    wrapper around a builtin's [compute], or a builtin without a core,
    does not. *)
@@ -433,7 +507,10 @@ let () =
           Alcotest.test_case "short keys rejected" `Quick test_toeplitz_rejects_short_keys;
         ]
         @ qsuite [ prop_toeplitz_flow_stable; prop_toeplitz_table_equals_bitwise ] );
-      ("codec", qsuite [ prop_flow_hash_equals_hash_fold ]);
+      ( "codec",
+          Alcotest.test_case "field shape = bit-at-a-time reference" `Quick
+            test_shape_exhaustive
+          :: qsuite [ prop_flow_hash_equals_hash_fold ] );
       ( "crc32",
         [
           Alcotest.test_case "check vector" `Quick test_crc32_check_vector;
