@@ -174,17 +174,19 @@ type t = {
   dev : Device.t;
   plan : plan;
   rng : Packet.Rng.t;
-  roll_at : float array;
+  roll_at : int array;
       (** cumulative thresholds of the plan's nonzero RX rates, in
-          {!kinds} order *)
+          {!kinds} order, scaled to {!Packet.Rng.bits53} draws *)
   roll_kind : kind option array;  (** the kind each threshold picks *)
+  doorbell_at : int;  (** [doorbell_loss_rate], scaled the same way *)
   mutable checker : Validate.checker;
   mutable target_fields : Opendesc.Path.lfield array;
   quarantine : Ring.t;  (** records as length-prefixed frames *)
   scratch : bytes;  (** one completion record, for faulted packets *)
   c : counters;
   mutable inject_seq : int;
-  mutable stashed : Packet.Pkt.t option;
+  stash : bytes;  (** the deferred (reordered) frame's bytes *)
+  mutable stash_len : int;  (** its full length; -1 when none is deferred *)
   mutable stuck_remaining : int;
   mutable db_armed : bool;
 }
@@ -207,6 +209,13 @@ let rx_rates p =
     (Stuck, p.stuck_rate);
   ]
 
+(* A draw [u = v * 2^-53] (see {!Packet.Rng.float}) is below [a] exactly
+   when [v < ceil (a * 2^53)]: the scaling is exact, and [v] is an
+   integer. A rate at or above 1 always fires, and a rate that is not
+   positive (NaN included) never does. *)
+let threshold a =
+  if not (a > 0.0) then 0 else int_of_float (Float.ceil (Float.min a 1.0 *. 0x1p53))
+
 let wrap ?(qid = 0) ?(quarantine_depth = 1024) plan dev =
   let checker = Validate.checker_of_device dev in
   let rated = Array.of_list (List.filter (fun (_, r) -> r > 0.0) (rx_rates plan)) in
@@ -220,16 +229,18 @@ let wrap ?(qid = 0) ?(quarantine_depth = 1024) plan dev =
       Array.map
         (fun (_, r) ->
           acc := !acc +. r;
-          !acc)
+          threshold !acc)
         rated;
     roll_kind = Array.map (fun (k, _) -> Some k) rated;
+    doorbell_at = threshold plan.doorbell_loss_rate;
     checker;
     target_fields = Array.of_list (Validate.checker_fields checker);
     quarantine = Ring.create ~slots:quarantine_depth ~slot_size:(slot_size + 2);
     scratch = Bytes.create slot_size;
     c = counters_zero ();
     inject_seq = 0;
-    stashed = None;
+    stash = Bytes.create (Device.buf_size dev);
+    stash_len = -1;
     stuck_remaining = 0;
     db_armed = true;
   }
@@ -275,12 +286,9 @@ let last_off t =
    contract for its packet? Uses the same checker as the recovery path,
    so injection-time classification and harvest-time detection agree by
    construction. *)
-let classify_last t pkt =
+let classify_last t buf ~len =
   load_slot t ~off:(last_off t);
-  match
-    Validate.check_desc t.checker pkt.Packet.Pkt.buf ~len:pkt.Packet.Pkt.len
-      ~cmpt:t.scratch
-  with
+  match Validate.check_desc t.checker buf ~len ~cmpt:t.scratch with
   | Some _ -> t.c.contract_violating <- t.c.contract_violating + 1
   | None -> ()
 
@@ -330,8 +338,8 @@ let mutate_last t k =
   | _ -> apply_torn t t.scratch ~size);
   store_slot t ~off
 
-let inject_plain t pkt =
-  let ok = Device.rx_inject t.dev pkt in
+let inject_plain t buf ~len =
+  let ok = Device.rx_inject_raw t.dev buf ~len in
   if ok then t.c.rx_accepted <- t.c.rx_accepted + 1;
   ok
 
@@ -354,7 +362,7 @@ let duplicate_last t =
 (* One draw per eligible injection, even when every rate is 0 (the TX
    doorbell rolls share the stream); the first threshold above it picks
    the kind, the one a walk summing the rates in [rx_rates] order would
-   pick. *)
+   pick. The draw is an int, so the roll boxes nothing. *)
 let roll t =
   let p = t.plan in
   let eligible =
@@ -362,24 +370,37 @@ let roll t =
   in
   if not eligible then None
   else begin
-    let u = Packet.Rng.float t.rng in
+    let v = Packet.Rng.bits53 t.rng in
     let at = t.roll_at in
     let i = ref 0 in
-    while !i < Array.length at && not (u < Array.unsafe_get at !i) do
+    while !i < Array.length at && not (v < Array.unsafe_get at !i) do
       incr i
     done;
     if !i < Array.length at then t.roll_kind.(!i) else None
   end
 
-let inject_one t pkt =
+(* A Reorder keeps the frame past the call, so it is copied into the
+   wrapper's own stash: the caller may reuse its buffer at once. A frame
+   longer than the device's buffer is a counted drop whose bytes are
+   never read, so only its length is kept. *)
+let stash t buf ~len =
+  let cap = Bytes.length t.stash in
+  if len < 0 || (len > Bytes.length buf && len <= cap) then
+    invalid_arg
+      (Printf.sprintf "Fault.rx_inject_raw: frame length %d outside the %d-byte buffer" len
+         (Bytes.length buf));
+  if len <= cap then Bytes.blit buf 0 t.stash 0 len;
+  t.stash_len <- len
+
+let inject_one t buf ~len =
   match roll t with
-  | None -> inject_plain t pkt
+  | None -> inject_plain t buf ~len
   | Some (Flip | Semantic | Torn as k) ->
-      let ok = inject_plain t pkt in
+      let ok = inject_plain t buf ~len in
       if ok then begin
         count t k;
         mutate_last t k;
-        classify_last t pkt
+        classify_last t buf ~len
       end;
       ok
   | Some Stale ->
@@ -389,25 +410,25 @@ let inject_one t pkt =
       let ring = Device.cmpt_ring t.dev in
       let off = Ring.slot_offset ring (Ring.prod_index ring) in
       load_slot t ~off;
-      let ok = inject_plain t pkt in
+      let ok = inject_plain t buf ~len in
       if ok then begin
         count t Stale;
         store_slot t ~off;
-        classify_last t pkt
+        classify_last t buf ~len
       end;
       ok
   | Some Duplicate ->
-      let ok = inject_plain t pkt in
+      let ok = inject_plain t buf ~len in
       if ok && duplicate_last t then count t Duplicate;
       ok
   | Some Reorder ->
       (* Defer this packet past its successor (emitted by the next
          rx_inject, or by flush at end of stream). *)
-      t.stashed <- Some pkt;
+      stash t buf ~len;
       count t Reorder;
       true
   | Some Stuck ->
-      let ok = inject_plain t pkt in
+      let ok = inject_plain t buf ~len in
       if ok then begin
         count t Stuck;
         t.stuck_remaining <- t.stuck_remaining + max 1 t.plan.stuck_kicks
@@ -415,25 +436,26 @@ let inject_one t pkt =
       ok
   | Some Doorbell_loss -> assert false (* TX-only; never rolled here *)
 
-let rx_inject t pkt =
-  t.inject_seq <- t.inject_seq + 1;
-  match t.stashed with
-  | None -> inject_one t pkt
-  | Some prev ->
-      (* Complete the swap: successor first, then the deferred packet.
-         Neither is re-rolled, so one Reorder affects exactly two
-         completions. *)
-      t.stashed <- None;
-      let ok = inject_plain t pkt in
-      ignore (inject_plain t prev);
-      ok
-
 let flush t =
-  match t.stashed with
-  | None -> ()
-  | Some pkt ->
-      t.stashed <- None;
-      ignore (inject_plain t pkt)
+  if t.stash_len >= 0 then begin
+    let len = t.stash_len in
+    t.stash_len <- -1;
+    ignore (inject_plain t t.stash ~len)
+  end
+
+let rx_inject_raw t buf ~len =
+  t.inject_seq <- t.inject_seq + 1;
+  if t.stash_len < 0 then inject_one t buf ~len
+  else begin
+    (* Complete the swap: successor first, then the deferred packet.
+       Neither is re-rolled, so one Reorder affects exactly two
+       completions. *)
+    let ok = inject_plain t buf ~len in
+    flush t;
+    ok
+  end
+
+let rx_inject t (pkt : Packet.Pkt.t) = rx_inject_raw t pkt.buf ~len:pkt.len
 
 let rx_available t = Device.rx_available t.dev
 
@@ -499,7 +521,7 @@ let tx_post_batch t descs =
   let n = Device.tx_post_batch t.dev descs in
   t.c.tx_posted <- t.c.tx_posted + n;
   if n > 0 then
-    if Packet.Rng.float t.rng < t.plan.doorbell_loss_rate then begin
+    if Packet.Rng.bits53 t.rng < t.doorbell_at then begin
       count t Doorbell_loss;
       t.c.doorbells_lost <- t.c.doorbells_lost + 1;
       t.db_armed <- false

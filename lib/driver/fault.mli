@@ -133,15 +133,25 @@ val counters : t -> counters
 
 (** {1 Receive} *)
 
+val rx_inject_raw : t -> bytes -> len:int -> bool
+(** Inject the first [len] bytes of [buf], possibly applying one fault
+    from the plan. Returns whether the (current) packet entered the
+    device — identical to {!Device.rx_inject_raw} when the plan is
+    {!zero_plan}. The frame is not kept past the call: a [Reorder]
+    copies the frame it defers into a stash the wrapper owns, so the
+    caller may overwrite [buf] at once (a producer reusing one frame, a
+    handoff ring's slot). A frame longer than the device's buffer may be
+    staged truncated, as for {!Device.rx_inject_raw}: it keeps its full
+    length and stays a counted drop. Allocates nothing.
+    @raise Invalid_argument as {!Device.rx_inject_raw} does. *)
+
 val rx_inject : t -> Packet.Pkt.t -> bool
-(** Inject one packet, possibly applying one fault from the plan.
-    Returns whether the (current) packet entered the device — identical
-    to {!Device.rx_inject} when the plan is {!zero_plan}. *)
+(** [rx_inject t pkt] is [rx_inject_raw t pkt.buf ~len:pkt.len]. *)
 
 val flush : t -> unit
-(** Emit a pending reordered completion, if any. Call when the packet
-    stream ends (a [Reorder] on the last packet has no successor to swap
-    with). *)
+(** Emit a pending reordered completion, if any, from the stash. Call
+    when the packet stream ends (a [Reorder] on the last packet has no
+    successor to swap with). *)
 
 val rx_available : t -> int
 

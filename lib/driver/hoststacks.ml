@@ -340,10 +340,12 @@ let run_asni ?(pkts = 4096) ?(frame_pkts = 32) ~device
   let env = Softnic.Feature.make_env () in
   let values = ref [] in
   let consumed = ref 0 in
+  let wire = Bytes.create (Packet.Workload.max_len workload) in
   while !consumed < pkts do
     let want = min frame_pkts (pkts - !consumed) in
     for _ = 1 to want do
-      ignore (Device.rx_inject device (Packet.Workload.next workload))
+      let len = Packet.Workload.next_into workload wire in
+      ignore (Device.rx_inject_raw device wire ~len)
     done;
     (* On-card aggregation: drain the queue into one superframe. *)
     let rec drain acc =

@@ -30,10 +30,12 @@ let create_exn ?queue_depth ~configs model =
 let queues t = Array.length t.devices
 let queue t i = t.devices.(i)
 
-let steer t (pkt : Packet.Pkt.t) =
-  Packet.Pkt.parse_into t.view pkt.buf ~len:pkt.len;
-  let hash = Softnic.Toeplitz.hash_pkt_int t.key pkt.buf t.view in
+let steer_raw t buf ~len =
+  Packet.Pkt.parse_into t.view buf ~len;
+  let hash = Softnic.Toeplitz.hash_pkt_int t.key buf t.view in
   if hash = 0 then 0 else (hash land 0x7FFFFFFF) mod Array.length t.devices
+
+let steer t (pkt : Packet.Pkt.t) = steer_raw t pkt.buf ~len:pkt.len
 
 let rx_inject t pkt = Device.rx_inject t.devices.(steer t pkt) pkt
 

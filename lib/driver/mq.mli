@@ -39,6 +39,12 @@ val steer : t -> Packet.Pkt.t -> int
     one domain at a time may steer on a [t] (in {!Parallel}, the
     producer domain). *)
 
+val steer_raw : t -> bytes -> len:int -> int
+(** {!steer} of the frame in the first [len] bytes of a caller-owned
+    buffer, which may be a reused scratch longer than the frame:
+    [steer t pkt = steer_raw t pkt.buf ~len:pkt.len]. The pairing is
+    {!Device.rx_inject} and {!Device.rx_inject_raw}'s. *)
+
 val rx_inject : t -> Packet.Pkt.t -> bool
 (** Inject via the steering function. *)
 

@@ -322,20 +322,7 @@ let worker ~w ~queue_ids ~devices ~local ~ring ~stop ~batch ~stack ~account
   let inject i buf len =
     match faults with
     | None -> ignore (Device.rx_inject_raw devices.(i) buf ~len)
-    | Some fqs ->
-        (* The fault layer can stash the packet past this call (Reorder
-           defers it), so the chaos path hands it a private copy rather
-           than a view of a reusable ring slot. Chaos is the resilience
-           harness, not the wall-clock path. *)
-        let pkt =
-          if len <= Bytes.length buf then
-            Packet.Pkt.create (Bytes.sub buf 0 len)
-          else
-            (* Oversize packet staged truncated ({!Pktring.try_push}):
-               the device drops it on length regardless of content. *)
-            Packet.Pkt.create (Bytes.create len)
-        in
-        ignore (Fault.rx_inject fqs.(i) pkt)
+    | Some fqs -> ignore (Fault.rx_inject_raw fqs.(i) buf ~len)
   in
   let take i b =
     match faults with
@@ -615,7 +602,12 @@ let engine ~domains ~batch ~ring_capacity ~collect ~account ~pregen ~plan ~mq
   let failure = Atomic.make None in
   (* With [~pregen] the workload generation and steering run before the
      clock starts, so the measured region is the drain machinery itself:
-     handoff, injection, harvest, consume. *)
+     handoff, injection, harvest, consume. The pregenerated frames are
+     kept, so they come from [next]; the live producer generates every
+     frame into one buffer that the handoff copies out of. *)
+  let frame =
+    if pregen then Bytes.empty else Bytes.create (Packet.Workload.max_len workload)
+  in
   let pre =
     if not pregen then None
     else begin
@@ -711,8 +703,8 @@ let engine ~domains ~batch ~ring_capacity ~collect ~account ~pregen ~plan ~mq
         done
     | None ->
         for _ = lo to hi - 1 do
-          let pkt = Packet.Workload.next workload in
-          push_one pkt.Packet.Pkt.buf pkt.Packet.Pkt.len (Mq.steer mq pkt)
+          let len = Packet.Workload.next_into workload frame in
+          push_one frame len (Mq.steer_raw mq frame ~len)
         done);
     Array.iter Pktring.flush rings;
     end_chunk ()

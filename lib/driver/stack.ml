@@ -27,10 +27,12 @@ let run ?(pkts = 4096) ?(batch = 32) ?(touch_payload = false) ~device ~workload 
   let env = Softnic.Feature.make_env () in
   let consumed = ref 0 in
   let sink = ref 0L in
+  let frame = Bytes.create (Packet.Workload.max_len workload) in
   while !consumed < pkts do
     let want = min batch (pkts - !consumed) in
     for _ = 1 to want do
-      ignore (Device.rx_inject device (Packet.Workload.next workload))
+      let len = Packet.Workload.next_into workload frame in
+      ignore (Device.rx_inject_raw device frame ~len)
     done;
     let rec drain () =
       match Device.rx_consume device with
@@ -124,10 +126,12 @@ let run_batched ?(pkts = 4096) ?(batch = 32) ?(touch_payload = false)
   let bursts = ref 0 in
   let consumed = ref 0 in
   let sink = ref 0L in
+  let frame = Bytes.create (Packet.Workload.max_len workload) in
   while !consumed < pkts do
     let want = min batch (pkts - !consumed) in
     for _ = 1 to want do
-      ignore (Device.rx_inject device (Packet.Workload.next workload))
+      let len = Packet.Workload.next_into workload frame in
+      ignore (Device.rx_inject_raw device frame ~len)
     done;
     let rec drain () =
       let n = Device.rx_consume_batch device burst in

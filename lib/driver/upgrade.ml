@@ -255,11 +255,15 @@ let run_seq ~mq ~plan ~batch ~pkts ~at ~workload ~collect_post ~stack0
     | _ -> ()
   in
   let injected = ref 0 in
+  (* Every packet is generated into one frame, which steering and the
+     fault layer read in place (a deferred frame is copied into the
+     fault wrapper's stash). *)
+  let frame = Bytes.create (Packet.Workload.max_len workload) in
   let inject_n n =
     for _ = 1 to n do
-      let pkt = Packet.Workload.next workload in
-      let q = Mq.steer mq pkt in
-      ignore (Fault.rx_inject fqs.(q) pkt);
+      let len = Packet.Workload.next_into workload frame in
+      let q = Mq.steer_raw mq frame ~len in
+      ignore (Fault.rx_inject_raw fqs.(q) frame ~len);
       incr injected;
       if !injected mod batch = 0 then
         ignore (Mq.drain_chaos mq fqs bursts ~f:handle)

@@ -51,6 +51,16 @@ let l4_sum b ~(v : Pkt.view) ~total_len =
     finish (sum_around pseudo b ~start:v.l4_off ~field ~stop:total_len)
   end
 
+let l4_of_header b ~l3_off ~l4_off ~hdr_len ~field ~proto ~l4_len ~payload_sum =
+  let pseudo = sum64 (proto + l4_len + payload_sum) b (l3_off + 12) (l3_off + 20) in
+  finish (sum_around pseudo b ~start:l4_off ~field ~stop:(l4_off + hdr_len))
+
+(* A pair of equal bytes [c] is the 16-bit word [257 * c]; an odd last
+   byte is padded into [256 * c]. *)
+let fill_sum c ~len =
+  let c = Char.code c in
+  ((len / 2) * 257 * c) + ((len land 1) * 256 * c)
+
 let l4 b ~v ~total_len =
   let c = l4_sum b ~v ~total_len in
   if c < 0 then None else Some c

@@ -24,5 +24,28 @@ val l4_sum : bytes -> v:Pkt.view -> total_len:int -> int
     in-packet checksum field treated as zero; [-1] for non-IPv4 or
     missing L4. [total_len] is the packet length. Allocates nothing. *)
 
+val l4_of_header :
+  bytes ->
+  l3_off:int ->
+  l4_off:int ->
+  hdr_len:int ->
+  field:int ->
+  proto:int ->
+  l4_len:int ->
+  payload_sum:int ->
+  int
+(** The {!l4_sum} of an IPv4 frame from its headers alone, for a writer
+    that knows its payload's sum without reading it back: the
+    pseudo-header of the IPv4 header at [l3_off] (with [proto] and the
+    [l4_len]-byte L4 length), the [hdr_len]-byte L4 header at [l4_off]
+    with the checksum [field] (inside it) counted as zero, and
+    [payload_sum], the {!ones_sum} of the payload that follows the
+    header. [hdr_len] must be even, as TCP's and UDP's are, so the
+    payload's 16-bit words line up with the segment's. *)
+
+val fill_sum : char -> len:int -> int
+(** {!ones_sum} of [len] copies of one byte, in O(1): a payload made of
+    one repeated byte sums without being read. *)
+
 val l4 : bytes -> v:Pkt.view -> total_len:int -> int option
 (** {!l4_sum} with [None] for [-1]. *)

@@ -1,14 +1,21 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives unboxed in 8 bytes: a mutable [int64]
+   record field would box a fresh state on every draw. *)
+type t = bytes
 
-let create seed = { state = seed }
-let copy t = { state = t.state }
+let create seed =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_ne b 0 seed;
+  b
+
+let copy = Bytes.copy
 
 (* SplitMix64 (Steele, Lea, Flood 2014): tiny state, passes BigCrush, and --
-   unlike Stdlib.Random -- stable across OCaml versions. *)
-let next64 t =
-  t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
-  let z = t.state in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+   unlike Stdlib.Random -- stable across OCaml versions. Inlined into
+   every draw, so its [int64] temporaries stay in registers. *)
+let[@inline] next64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) 0x9E3779B97F4A7C15L in
+  Bytes.set_int64_ne t 0 s;
+  let z = Int64.mul (Int64.logxor s (Int64.shift_right_logical s 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
@@ -23,11 +30,11 @@ let int_in t lo hi =
 
 let bool t = Int64.logand (next64 t) 1L = 1L
 
-let float t =
-  let v = Int64.shift_right_logical (next64 t) 11 in
-  Int64.to_float v *. (1.0 /. 9007199254740992.0)
+let bits53 t = Int64.to_int (Int64.shift_right_logical (next64 t) 11)
 
-let byte t = Char.chr (int t 256)
+let float t = float_of_int (bits53 t) *. 0x1p-53
+
+let byte t = Char.unsafe_chr (int t 256)
 
 let bytes t n =
   let b = Bytes.create n in

@@ -2,7 +2,11 @@
 
     All workload generators in this repository draw from this SplitMix64
     implementation so that every experiment is reproducible bit-for-bit
-    across runs and machines, independently of [Stdlib.Random]. *)
+    across runs and machines, independently of [Stdlib.Random].
+
+    The state is held unboxed, so the draws that return an immediate
+    value ({!int}, {!int_in}, {!bits53}, {!bool}, {!byte}, {!choice})
+    allocate nothing; {!next64} and {!float} box only their result. *)
 
 type t
 (** Mutable generator state. *)
@@ -25,8 +29,14 @@ val int_in : t -> int -> int -> int
 val bool : t -> bool
 (** Fair coin. *)
 
+val bits53 : t -> int
+(** Uniform in [\[0, 2{^53})]: the top 53 bits of {!next64}. *)
+
 val float : t -> float
-(** Uniform in [\[0, 1)]. *)
+(** Uniform in [\[0, 1)]: [bits53 t] times [2{^-53}], exactly. A caller
+    that compares the draw with a threshold [a] can compare [bits53]
+    with [ceil (a * 2{^53})] instead, with the same outcome and no boxed
+    float. *)
 
 val byte : t -> char
 (** Uniform byte. *)

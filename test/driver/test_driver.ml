@@ -1205,21 +1205,25 @@ let rx_min64_hw_fixture () =
   in
   (compiled, mq, workload)
 
-(* Regression: inject + harvest + decode allocate nothing per packet.
-   Both fixtures measure about 0.4 words/pkt, all of it per burst or per
-   run (timing samples, the burst's boxed int64 result). A [Pkt.t] or a
-   parsed view per packet (3 or 13 words), a per-packet closure, a boxed
-   option on the handoff, a boxed field value, a Bytes.create in the
-   drain loop or a whole-slot copy through a fresh buffer trips the
-   budget. *)
+(* Regression: inject + harvest + decode allocate nothing per packet,
+   and neither does the live producer. Both fixtures measure about 0.4
+   words/pkt pregenerated, all of it per burst or per run (timing
+   samples, the burst's boxed int64 result), and about as much live: the
+   producer generates every frame into one buffer and steers it in
+   place. A [Pkt.t] or a parsed view per packet (3 or 13 words), a
+   per-packet closure, a boxed option on the handoff, a boxed field
+   value, a Bytes.create in the drain loop, a whole-slot copy through a
+   fresh buffer, or a generator that allocates its frames ([next] costs
+   47 words per 64 B frame) trips the budget. *)
 let minor_words_budget = 2.0
 
 let test_parallel_gc_budget () =
   List.iter
-    (fun (name, (compiled, mq, workload)) ->
+    (fun ((name, (compiled, mq, workload)), pregen) ->
+      let name = Printf.sprintf "%s, %s" name (if pregen then "pregenerated" else "live") in
       let pkts = 4096 in
       let r =
-        Parallel.run ~domains:1 ~batch:32 ~account:false ~pregen:true ~mq:(mq ())
+        Parallel.run ~domains:1 ~batch:32 ~account:false ~pregen ~mq:(mq ())
           ~stack:(fun _ -> Hoststacks.opendesc_batched ~compiled)
           ~pkts ~workload:(workload ()) ()
       in
@@ -1231,10 +1235,12 @@ let test_parallel_gc_budget () =
         (r.Parallel.minor_words_per_pkt <= minor_words_budget);
       check ab (name ^ ": hot path skips the cost model") true
         (Array.for_all (fun c -> c = 0.0) r.Parallel.domain_cycles))
-    [
-      ("mini-CQE rss,pkt_len", parallel_fixture ());
-      ("rx_min64_hw", rx_min64_hw_fixture ());
-    ]
+    (List.concat_map
+       (fun fixture -> [ (fixture, true); (fixture, false) ])
+       [
+         ("mini-CQE rss,pkt_len", parallel_fixture ());
+         ("rx_min64_hw", rx_min64_hw_fixture ());
+       ])
 
 (* One batched decoder with software shims, shared by every queue, as
    a benchmark datapath shares it: each call parses into its own view,
@@ -1624,32 +1630,70 @@ let test_fault_duplicate_counts () =
   check ai "none quarantined" 0 c.Fault.quarantined;
   check ab "reconciles" true (Fault.reconciles c)
 
+(* Every packet is injected from its own buffer, or from one buffer
+   that is scribbled over after each call. The fault layer keeps nothing
+   of a caller's frame, so in both cases a deferred frame is delivered
+   as it was injected; one that aliased the reused buffer would arrive
+   as the scribble or as its successor's bytes. *)
 let test_fault_reorder_preserves_multiset () =
+  List.iter
+    (fun reused ->
+      let name what =
+        Printf.sprintf "%s (%s)" what (if reused then "one reused buffer" else "own buffers")
+      in
+      let device = fault_device () in
+      let plan = { (Fault.zero_plan 13L) with Fault.reorder_rate = 1.0 } in
+      let fq = Fault.wrap plan device in
+      let n = 32 in
+      let injected =
+        List.init n (fun i -> Packet.Builder.raw ~len:(64 + i) ~fill:(Char.chr (65 + i)))
+      in
+      let frame = Bytes.create (64 + n) in
+      List.iter
+        (fun (p : Packet.Pkt.t) ->
+          if reused then begin
+            Bytes.blit p.buf 0 frame 0 p.len;
+            ignore (Fault.rx_inject_raw fq frame ~len:p.len);
+            Bytes.fill frame 0 (Bytes.length frame) '\xee'
+          end
+          else ignore (Fault.rx_inject fq p))
+        injected;
+      let burst = Device.burst_create ~capacity:8 device in
+      let got = ref [] in
+      let total =
+        chaos_drain fq burst ~f:(fun (b : Device.burst) ->
+            for i = 0 to b.Device.bs_count - 1 do
+              got := Bytes.sub b.Device.bs_pkts.(i) 0 b.Device.bs_lens.(i) :: !got
+            done)
+      in
+      let got = List.rev !got in
+      let inj_bytes = List.map (fun p -> p.Packet.Pkt.buf) injected in
+      check ai (name "all delivered") n total;
+      check ab (name "order perturbed") true (not (List.equal Bytes.equal inj_bytes got));
+      check ab (name "multiset preserved") true
+        (List.equal Bytes.equal
+           (List.sort Bytes.compare inj_bytes)
+           (List.sort Bytes.compare got));
+      let c = Fault.counters fq in
+      check ai (name "reorders are benign") 0 c.Fault.contract_violating;
+      check ab (name "reconciles") true (Fault.reconciles c))
+    [ false; true ]
+
+(* A deferred frame keeps its full length: one staged truncated (longer
+   than the device's buffer, as a handoff ring stages it) stays a
+   counted drop when the stash emits it, and a length the buffer cannot
+   back is refused as the device refuses it. *)
+let test_fault_reorder_keeps_truncated_length () =
   let device = fault_device () in
-  let plan = { (Fault.zero_plan 13L) with Fault.reorder_rate = 1.0 } in
-  let fq = Fault.wrap plan device in
-  let n = 32 in
-  let injected = List.init n (fun i -> Packet.Builder.raw ~len:(64 + i) ~fill:'r') in
-  List.iter (fun p -> ignore (Fault.rx_inject fq p)) injected;
-  let burst = Device.burst_create ~capacity:8 device in
-  let got = ref [] in
-  let total =
-    chaos_drain fq burst ~f:(fun (b : Device.burst) ->
-        for i = 0 to b.Device.bs_count - 1 do
-          got := Bytes.sub b.Device.bs_pkts.(i) 0 b.Device.bs_lens.(i) :: !got
-        done)
-  in
-  let got = List.rev !got in
-  let inj_bytes = List.map (fun p -> p.Packet.Pkt.buf) injected in
-  check ai "all delivered" n total;
-  check ab "order perturbed" true (not (List.equal Bytes.equal inj_bytes got));
-  check ab "multiset preserved" true
-    (List.equal Bytes.equal
-       (List.sort Bytes.compare inj_bytes)
-       (List.sort Bytes.compare got));
-  let c = Fault.counters fq in
-  check ai "reorders are benign" 0 c.Fault.contract_violating;
-  check ab "reconciles" true (Fault.reconciles c)
+  let fq = Fault.wrap { (Fault.zero_plan 3L) with Fault.reorder_rate = 1.0 } device in
+  let staged = Bytes.make 64 's' in
+  check ab "deferred" true (Fault.rx_inject_raw fq staged ~len:(Device.buf_size device + 1));
+  Fault.flush fq;
+  check ai "a counted drop" 1 (Device.drops device);
+  check ai "nothing accepted" 0 (Fault.counters fq).Fault.rx_accepted;
+  Alcotest.check_raises "unbacked length"
+    (Invalid_argument "Fault.rx_inject_raw: frame length 65 outside the 64-byte buffer")
+    (fun () -> ignore (Fault.rx_inject_raw fq staged ~len:65))
 
 (* The contract checker as it was before it was staged: fields filtered
    per path, then per packet a list walk that builds each field's reader
@@ -2049,12 +2093,21 @@ let prop_chaos_reconciles_and_replays =
 (* ------------------------------------------------------------------ *)
 (* Upgrade: live contract hot-swap *)
 
+(* The firmware fixtures from the nearest ancestor of the working
+   directory that holds [examples/firmware]: the copy dune places beside
+   the test under [dune runtest], or the source tree when the test runs
+   from the repository root. *)
 let firmware_fixture name =
-  let path = Filename.concat "../../examples/firmware" name in
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+  let rel = Filename.concat "examples/firmware" name in
+  let rec find dir =
+    let path = Filename.concat dir rel in
+    if Sys.file_exists path then path
+    else
+      let parent = Filename.dirname dir in
+      if parent = dir then Alcotest.failf "%s: in no ancestor of the working directory" rel
+      else find parent
+  in
+  In_channel.with_open_bin (find (Sys.getcwd ())) In_channel.input_all
 
 let load_rev name =
   Opendesc.Nic_spec.load_exn
@@ -2066,17 +2119,18 @@ let rev_b () = load_rev "e1000_rev_b.p4"
 let rev_broken () = load_rev "e1000_rev_broken.p4"
 let upgrade_intent = Opendesc.Intent.make [ ("rss", 32); ("pkt_len", 16) ]
 
-(* Regression: the chaos recovery path builds nothing per parse or per
-   checked field. e1000 rev A under rss,pkt_len on 4 queues, 4,096 IMIX
+(* Regression: the chaos injection and recovery path allocates nothing
+   per packet. e1000 rev A under rss,pkt_len on 4 queues, 4,096 IMIX
    packets under the default plan in 32-packet bursts: [Fault.rx_inject]
-   + [Fault.harvest] allocate about 8.8 minor words/pkt. The device, the
+   + [Fault.harvest] measure 0.0 minor words/pkt. The device, the
    injection-time classification and the harvest-time checker each
-   parse into a view they own; what is left is the roll's draw (the
-   generator's boxed int64 state and result, and a boxed float) and the
-   faulted packets' handling. A [Pkt.t] and a view per parse would add
-   16 words per packet; boxing each checked field's values, or building
-   a list and a closure per roll, about 80. *)
-let chaos_words_budget = 15.0
+   parse into a view they own, the roll compares an int draw from the
+   unboxed generator state, and a reordered frame is copied into the
+   wrapper's own stash. A boxed draw (the generator's int64 state and a
+   float: 8 words per packet before), a [Pkt.t] or a view per parse, a
+   copy of each deferred frame or a list and a closure per roll each
+   trip the budget. *)
+let chaos_words_budget = 1.0
 
 let test_fault_chaos_alloc_budget () =
   let spec = rev_a () in
@@ -2112,6 +2166,38 @@ let test_fault_chaos_alloc_budget () =
   check ab
     (Printf.sprintf "minor words/pkt %.1f within budget %.0f" words chaos_words_budget)
     true (words <= chaos_words_budget)
+
+(* Regression: a live upgrade run allocates next to nothing per packet.
+   e1000 rev A -> B on 4 queues, 8,192 IMIX packets generated as the run
+   goes under the default plan, one domain, with the swap's cold compile
+   and certify counted in: about 3 minor words per delivered packet. The
+   generator writes every frame into one buffer, and steering and the
+   fault layer read it there. Allocating each frame ([next]: 132 words
+   per IMIX frame) or boxing each fault roll (8 words) trips the
+   budget. *)
+let upgrade_words_budget = 10.0
+
+let test_upgrade_alloc_budget () =
+  let old_spec = rev_a () and new_spec = rev_b () in
+  let seed = 41L in
+  Opendesc.Cache.clear ();
+  let before = Gc.minor_words () in
+  let o =
+    Upgrade.run ~queues:4 ~domains:1 ~pkts:8192 ~seed ~plan:(Fault.default_plan seed)
+      ~intent:upgrade_intent ~old_spec ~new_spec ()
+  in
+  let words = Gc.minor_words () -. before in
+  match o with
+  | Error e -> Alcotest.fail e
+  | Ok o ->
+      check ab "applied" true (o.Upgrade.o_action = Upgrade.Applied);
+      check ab "reconciled" true o.Upgrade.o_reconciled;
+      check ai "lost" 0 o.Upgrade.o_lost;
+      let per_pkt = words /. float_of_int o.Upgrade.o_delivered in
+      check ab
+        (Printf.sprintf "minor words per delivered packet %.2f within budget %.0f" per_pkt
+           upgrade_words_budget)
+        true (per_pkt <= upgrade_words_budget)
 
 (* The zero-packet-loss acceptance harness: e1000 A -> B under seeded
    chaos at 1, 2 and 4 domains. Every accepted packet is either
@@ -2594,6 +2680,8 @@ let () =
           Alcotest.test_case "duplicate delivery" `Quick test_fault_duplicate_counts;
           Alcotest.test_case "reorder multiset" `Quick
             test_fault_reorder_preserves_multiset;
+          Alcotest.test_case "reorder keeps a truncated frame's length" `Quick
+            test_fault_reorder_keeps_truncated_length;
           Alcotest.test_case "stats merge fault counters" `Quick
             test_stats_merge_fault_counters;
           Alcotest.test_case "quarantine keeps record length" `Quick
@@ -2621,6 +2709,7 @@ let () =
             test_upgrade_effective_class_scoping;
           Alcotest.test_case "sizes validated" `Quick
             test_upgrade_sizes_validated;
+          Alcotest.test_case "allocation budget" `Quick test_upgrade_alloc_budget;
         ]
         @ qsuite [ prop_upgrade_random_timing_never_tears ] );
       ("properties", qsuite [ prop_dma_accounting ]);

@@ -144,6 +144,124 @@ let test_rng_bytes () =
   let r = Rng.create 5L in
   check ai "requested length" 32 (Bytes.length (Rng.bytes r 32))
 
+(* Regression: the unboxed state keeps every stream. A few draws of
+   every kind from one generator, at two seeds, captured from the boxed
+   [int64] implementation. *)
+type rng_pins = {
+  next64 : int64 list;
+  ints : int list;  (** bounds 12, 1000, 2^40, 7 *)
+  int_ins : int list;  (** [1024, 65535] *)
+  bools : bool list;
+  floats : float list;
+  bytes_ : char list;
+  bytes_6 : string;
+  choices : int list;  (** of 80; 443; 11211; 53; 8080 *)
+  weighted : int list;  (** 7:4:1 over 64; 594; 1518 *)
+  shuffled : int array;  (** 0..7 *)
+}
+
+let rng_pins =
+  [
+    ( 7L,
+      {
+        next64 = [ 7191089600892374487L; 309689372594955804L; -1830642326893942270L ];
+        ints = [ 6; 918; 694491785860; 6 ];
+        int_ins = [ 28607; 1496; 24794 ];
+        bools = [ true; false; false; false ];
+        floats = [ 0x1.ba5f365a16be2p-1; 0x1.18b920d635d7p-1; 0x1.c25cba00d9a7ap-1 ];
+        bytes_ = [ '\177'; '\141'; '\190' ];
+        bytes_6 = "\011\179\231?\140z";
+        choices = [ 443; 8080; 53 ];
+        weighted = [ 594; 594; 1518; 64 ];
+        shuffled = [| 7; 6; 3; 1; 2; 0; 5; 4 |];
+      } );
+    ( 42L,
+      {
+        next64 = [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L ];
+        ints = [ 9; 812; 543567132353; 2 ];
+        int_ins = [ 8169; 44917; 36331 ];
+        bools = [ true; false; false; true ];
+        floats = [ 0x1.548fc63805cf1p-1; 0x1.a0a2962a6be18p-3; 0x1.a83d752f35eb8p-4 ];
+        bytes_ = [ '\135'; '\129'; '\024' ];
+        bytes_6 = "\250\166u$TD";
+        choices = [ 8080; 11211; 80 ];
+        weighted = [ 64; 594; 1518; 594 ];
+        shuffled = [| 5; 2; 1; 0; 6; 4; 3; 7 |];
+      } );
+  ]
+
+let test_rng_pinned_draws () =
+  List.iter
+    (fun (seed, pin) ->
+      let r = Rng.create seed in
+      let name what = Printf.sprintf "seed %Ld: %s" seed what in
+      let draws n f = List.init n (fun _ -> f ()) in
+      check (Alcotest.list ai64) (name "next64") pin.next64 (draws 3 (fun () -> Rng.next64 r));
+      check (Alcotest.list ai) (name "int") pin.ints
+        (List.map (Rng.int r) [ 12; 1000; 1 lsl 40; 7 ]);
+      check (Alcotest.list ai) (name "int_in") pin.int_ins
+        (draws 3 (fun () -> Rng.int_in r 1024 65535));
+      check (Alcotest.list ab) (name "bool") pin.bools (draws 4 (fun () -> Rng.bool r));
+      check
+        (Alcotest.list (Alcotest.float 0.0))
+        (name "float") pin.floats
+        (draws 3 (fun () -> Rng.float r));
+      check (Alcotest.list Alcotest.char) (name "byte") pin.bytes_ (draws 3 (fun () -> Rng.byte r));
+      check astr (name "bytes") pin.bytes_6 (Bytes.to_string (Rng.bytes r 6));
+      check (Alcotest.list ai) (name "choice") pin.choices
+        (draws 3 (fun () -> Rng.choice r [| 80; 443; 11211; 53; 8080 |]));
+      check (Alcotest.list ai) (name "weighted") pin.weighted
+        (draws 4 (fun () -> Rng.weighted r [ (7, 64); (4, 594); (1, 1518) ]));
+      let arr = Array.init 8 Fun.id in
+      Rng.shuffle r arr;
+      check (Alcotest.array ai) (name "shuffle") pin.shuffled arr)
+    rng_pins
+
+(* [float] is [bits53] scaled by 2^-53, exactly, so a threshold compare
+   on the int draw decides as the float compare would. *)
+let test_rng_float_is_scaled_bits53 () =
+  let a = Rng.create 13L and b = Rng.create 13L in
+  for _ = 1 to 1000 do
+    let f = Rng.float a and v = Rng.bits53 b in
+    check (Alcotest.float 0.0) "same draw" f (float_of_int v *. 0x1p-53);
+    List.iter
+      (fun th ->
+        check ab "same decision" (f < th)
+          (v < int_of_float (Float.ceil (th *. 0x1p53))))
+      [ 0.02; 0.085; 0.5; 1.0 /. 3.0 ]
+  done
+
+(* Minor words per call of [f], over [n] calls after as many warm-up
+   calls: [Gc.minor_words] returns an unboxed float, so the measurement
+   itself allocates nothing. *)
+let words_per_call n f =
+  for _ = 1 to n do
+    f ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+(* Regression: the draws the generator and the fault roll make per
+   packet allocate nothing. The boxed state cost [int] 6 words and
+   [float] 8. *)
+let test_rng_draws_allocate_nothing () =
+  let r = Rng.create 21L in
+  let flows = [| "a"; "b"; "c" |] in
+  List.iter
+    (fun (name, f) ->
+      check (Alcotest.float 0.0) (name ^ ": words/draw") 0.0 (words_per_call 4096 f))
+    [
+      ("int", fun () -> ignore (Rng.int r 12));
+      ("int_in", fun () -> ignore (Rng.int_in r 1024 65535));
+      ("bits53 (the fault roll)", fun () -> ignore (Rng.bits53 r));
+      ("bool", fun () -> ignore (Rng.bool r));
+      ("byte", fun () -> ignore (Rng.byte r));
+      ("choice", fun () -> ignore (Rng.choice r flows));
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Cksum *)
 
@@ -159,6 +277,20 @@ let test_cksum_odd_length () =
   let sum = Cksum.ones_sum b ~pos:0 ~len:3 in
   let expected = Cksum.finish (0x0102 + 0x0300) in
   check ai "odd padding" expected (Cksum.finish sum)
+
+(* The generator sums its one-byte payloads by formula: the formula is
+   the sum of the bytes, odd lengths included (no generated payload has
+   one). *)
+let test_cksum_fill_sum () =
+  List.iter
+    (fun c ->
+      for len = 0 to 33 do
+        check ai
+          (Printf.sprintf "%C x %d" c len)
+          (Cksum.ones_sum (Bytes.make len c) ~pos:0 ~len)
+          (Cksum.fill_sum c ~len)
+      done)
+    [ '\x00'; 'x'; '\xff' ]
 
 let flow =
   Fivetuple.make ~src_ip:0x0a000001l ~dst_ip:0xc0a80001l ~src_port:1234
@@ -441,6 +573,123 @@ let test_workload_batch () =
   let w = Workload.make Workload.Large in
   check ai "batch size" 16 (Array.length (Workload.batch w 16))
 
+let all_profiles =
+  Workload.
+    [
+      Min_size; Imix; Large; Kvs { key_len = 9 }; Raw_stream { size = 96 }; Vlan_tagged;
+      Ipv6_mix; Zipf { alpha = 1.1 };
+    ]
+
+(* MD5 of the first [n] frames, each as its 4-byte big-endian length
+   and its bytes. *)
+let stream_md5 ~seed ~flows profile n =
+  let w = Workload.make ~seed ~flows profile in
+  let b = Buffer.create (n * 400) in
+  for _ = 1 to n do
+    let pkt = Workload.next w in
+    Buffer.add_int32_be b (Int32.of_int pkt.Pkt.len);
+    Buffer.add_subbytes b pkt.Pkt.buf 0 pkt.Pkt.len
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Regression: writing frames in place, summing the repeated payload by
+   formula and searching the Zipf sums keep every generated stream. The
+   first 4,096 frames of every profile at two seeds and two flow counts
+   (Zipf at 64 and 4,096 flows), captured from the Builder-based
+   generator that summed every payload byte and rebuilt the Zipf
+   weights per frame. *)
+let stream_pins =
+  [
+    ("min-size-64B", 7L, 64, "c7bf41105b235663023d9636d61dbff0");
+    ("min-size-64B", 7L, 65536, "3212d75722c564b22ce7cd083a5953e8");
+    ("min-size-64B", 42L, 64, "18e4d89750be4a7b640f651fb0a31139");
+    ("min-size-64B", 42L, 65536, "d26bf91474e566762812c0e4d1746d33");
+    ("imix", 7L, 64, "4b9d885da662de0c74d26904ff288efa");
+    ("imix", 7L, 65536, "283e2988d08454028c7d8180c012d593");
+    ("imix", 42L, 64, "81bee915da540e937c72a772e6bb8750");
+    ("imix", 42L, 65536, "dec9522d53b9e7e576849a4d07671916");
+    ("large-1518B", 7L, 64, "109551ba51b66920e6086fd7c295b581");
+    ("large-1518B", 7L, 65536, "c2d6d7ee8b9f1b978a2558f9637fda53");
+    ("large-1518B", 42L, 64, "c66f456630843cfd3f8a0cd3f52a4c09");
+    ("large-1518B", 42L, 65536, "098d9da25b49a473a9327d17ed41e573");
+    ("kvs-get-key9", 7L, 64, "c5aea4f4fb8c58f68434f8c7912bbe09");
+    ("kvs-get-key9", 7L, 65536, "aad3021aba2fa3beae9584eeab0a8f25");
+    ("kvs-get-key9", 42L, 64, "d2760b30a434dcc8f2b676513cb09f0e");
+    ("kvs-get-key9", 42L, 65536, "65e189c0fab76ee257eb07ff2278f133");
+    ("raw-stream-96B", 7L, 64, "3dca8569570e0a18a8d96bc90d56b949");
+    ("raw-stream-96B", 7L, 65536, "3dca8569570e0a18a8d96bc90d56b949");
+    ("raw-stream-96B", 42L, 64, "3dca8569570e0a18a8d96bc90d56b949");
+    ("raw-stream-96B", 42L, 65536, "3dca8569570e0a18a8d96bc90d56b949");
+    ("vlan-tagged", 7L, 64, "1243ca03a11039ba7a5855e324261525");
+    ("vlan-tagged", 7L, 65536, "0d65f48389ba68a1b968ae856b69ad9a");
+    ("vlan-tagged", 42L, 64, "b41772b32962f96f9ac601f39bed4dda");
+    ("vlan-tagged", 42L, 65536, "21e4dba7a5c54c80e2f9fa55941b447b");
+    ("ipv6-mix", 7L, 64, "cf3039d25c069de8b219b597045390eb");
+    ("ipv6-mix", 7L, 65536, "2114208112ec1bcc973de4ae51392a11");
+    ("ipv6-mix", 42L, 64, "a3ef99253cfe70f0f598381bc964fbde");
+    ("ipv6-mix", 42L, 65536, "17cef39c82bb2dda9b52e8da6499006b");
+    ("zipf-1.1", 7L, 64, "f7ffdbe79036574284a0524c3cd30460");
+    ("zipf-1.1", 7L, 4096, "450c54480bfc21a80f34088d8a575ef5");
+    ("zipf-1.1", 42L, 64, "86a22f99112ad6d9351fb853e30361fb");
+    ("zipf-1.1", 42L, 4096, "ae4e1c896451fc4934bc80bbd57d6a9e");
+  ]
+
+let test_workload_stream_pins () =
+  List.iter
+    (fun (name, seed, flows, md5) ->
+      let profile = List.find (fun p -> Workload.profile_name p = name) all_profiles in
+      check astr
+        (Printf.sprintf "%s seed %Ld, %d flows" name seed flows)
+        md5
+        (stream_md5 ~seed ~flows profile 4096))
+    stream_pins
+
+(* [next_into] into one reused buffer, primed with garbage, writes the
+   stream [next] returns. *)
+let prop_next_into_matches_next =
+  QCheck.Test.make ~name:"next_into into a reused buffer is next" ~count:200
+    QCheck.(
+      quad int64 (int_range 1 5000) (int_bound (List.length all_profiles - 1)) (int_range 1 64))
+    (fun (seed, flows, pi, n) ->
+      let profile = List.nth all_profiles pi in
+      let a = Workload.make ~seed ~flows profile and b = Workload.make ~seed ~flows profile in
+      let buf = Bytes.make (Workload.max_len a + 7) '\xa5' in
+      let ok = ref true in
+      for _ = 1 to n do
+        let len = Workload.next_into a buf in
+        let pkt = Workload.next b in
+        if not (Pkt.equal (Pkt.sub buf ~len) pkt && Bytes.length pkt.Pkt.buf = pkt.Pkt.len) then
+          ok := false
+      done;
+      !ok)
+
+(* A short buffer is refused before anything is drawn: the generator
+   carries on as if the call had not been made. *)
+let test_workload_next_into_short_buffer () =
+  List.iter
+    (fun profile ->
+      let a = Workload.make ~seed:5L profile and b = Workload.make ~seed:5L profile in
+      let name = Workload.profile_name profile in
+      (match Workload.next_into a (Bytes.create (Workload.max_len a - 1)) with
+      | _ -> Alcotest.failf "%s: a short buffer was accepted" name
+      | exception Invalid_argument _ -> ());
+      check ab (name ^ ": stream unmoved") true (Pkt.equal (Workload.next a) (Workload.next b)))
+    all_profiles
+
+(* Regression: generating a frame allocates nothing on any profile. At
+   the parent [next] cost 47 words per 64 B frame, 132 per IMIX frame
+   and, at 64 flows, 511 per Zipf frame. *)
+let test_workload_next_into_allocates_nothing () =
+  List.iter
+    (fun profile ->
+      let w = Workload.make ~seed:9L ~flows:4096 profile in
+      let buf = Bytes.create (Workload.max_len w) in
+      check (Alcotest.float 0.0)
+        (Workload.profile_name profile ^ ": words/frame")
+        0.0
+        (words_per_call 4096 (fun () -> ignore (Workload.next_into w buf))))
+    all_profiles
+
 (* ------------------------------------------------------------------ *)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
@@ -470,11 +719,15 @@ let () =
           Alcotest.test_case "weighted" `Quick test_rng_weighted;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "bytes length" `Quick test_rng_bytes;
+          Alcotest.test_case "pinned draws" `Quick test_rng_pinned_draws;
+          Alcotest.test_case "float is scaled bits53" `Quick test_rng_float_is_scaled_bits53;
+          Alcotest.test_case "draws allocate nothing" `Quick test_rng_draws_allocate_nothing;
         ] );
       ( "cksum",
         [
           Alcotest.test_case "rfc1071 example" `Quick test_cksum_rfc1071_example;
           Alcotest.test_case "odd length" `Quick test_cksum_odd_length;
+          Alcotest.test_case "fill_sum is the run's sum" `Quick test_cksum_fill_sum;
           Alcotest.test_case "built ipv4 checksum valid" `Quick
             test_built_packet_ipv4_checksum_valid;
           Alcotest.test_case "built l4 checksum valid" `Quick
@@ -516,5 +769,11 @@ let () =
           Alcotest.test_case "ipv6 mix" `Quick test_workload_ipv6_mix;
           Alcotest.test_case "zipf heavy hitter" `Quick test_workload_zipf_heavy_hitter;
           Alcotest.test_case "batch" `Quick test_workload_batch;
-        ] );
+          Alcotest.test_case "stream pins" `Quick test_workload_stream_pins;
+          Alcotest.test_case "next_into refuses a short buffer" `Quick
+            test_workload_next_into_short_buffer;
+          Alcotest.test_case "next_into allocates nothing" `Quick
+            test_workload_next_into_allocates_nothing;
+        ]
+        @ qsuite [ prop_next_into_matches_next ] );
     ]
