@@ -103,7 +103,7 @@ type plan = {
 
 type contract = {
   cf_catalogue : Engine.catalogue;
-  cf_registry : Registry_view.t;
+  cf_registry : Softnic.Semantic.t;
   cf_line_offset : int;
 }
 
@@ -249,7 +249,7 @@ let check (cf : contract) (plan : plan) : (certificate, D.t list) result =
         let eff =
           match ap.ap_semantic with
           | Some s -> (
-              match cf.cf_registry.Registry_view.width s with
+              match Softnic.Semantic.width cf.cf_registry s with
               | Some r when r < af.af_bits -> r
               | _ -> af.af_bits)
           | None -> af.af_bits

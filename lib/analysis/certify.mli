@@ -82,7 +82,7 @@ type contract = {
   cf_catalogue : Engine.catalogue;
       (** the loaded spec's catalogue; its {!Engine.feasible_groups} are
           the paths plans are numbered by *)
-  cf_registry : Registry_view.t;
+  cf_registry : Softnic.Semantic.t;
   cf_line_offset : int;  (** prelude lines to subtract from spans *)
 }
 

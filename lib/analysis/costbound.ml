@@ -209,7 +209,7 @@ type cost = {
 
 type report = { r_cost : cost; r_paths : path_cost list; r_diags : D.t list }
 
-let path_cost_of ~table ~(registry : Registry_view.t) ~intent index
+let path_cost_of ~table ~registry ~intent index
     (fields : Engine.afield list) bits =
   let carried s =
     List.exists
@@ -223,10 +223,8 @@ let path_cost_of ~table ~(registry : Registry_view.t) ~intent index
   let priced =
     List.filter_map
       (fun s ->
-        let c = registry.Registry_view.sw_cost s in
-        if (not (registry.Registry_view.hardware_only s)) && c < infinity then
-          Some (s, c)
-        else None)
+        let c = Softnic.Semantic.cost registry s in
+        if c < infinity then Some (s, c) else None)
       missing
   in
   let size = (bits + 7) / 8 in

@@ -101,7 +101,8 @@ type input = {
   in_catalogue : catalogue option;
       (** the loaded spec's catalogue, or [None] to locate and build it *)
   in_desc_parser : P4.Typecheck.parser_def option;
-  in_registry : Registry_view.t;
+  in_tx_formats : Tx_ir.fmt list option;  (** the loaded spec's, or [None] to walk *)
+  in_registry : Softnic.Semantic.t;
   in_intent : (string * int) list option;  (** requested (semantic, width) *)
   in_line_offset : int;  (** prelude lines to subtract from spans *)
 }
@@ -607,9 +608,9 @@ let contract_pass add (inp : input) cat (tx_formats : Tx_ir.fmt list) =
           match f.f_semantic with
           | None -> ()
           | Some s ->
-              if not (registry.Registry_view.known s) then unknown ~span:f.f_span s
+              if not (Softnic.Semantic.mem registry s) then unknown ~span:f.f_span s
               else (
-                match registry.Registry_view.width s with
+                match Softnic.Semantic.width registry s with
                 | Some w when f.f_bits < w ->
                     add
                       (D.make ~span:f.f_span ~code:"OD011" ~severity:D.Warning
@@ -719,9 +720,9 @@ let contract_pass add (inp : input) cat (tx_formats : Tx_ir.fmt list) =
       in
       List.iter
         (fun (s, _w) ->
-          if not (registry.Registry_view.known s) then unknown s
+          if not (Softnic.Semantic.mem registry s) then unknown s
           else if
-            registry.Registry_view.hardware_only s
+            Softnic.Semantic.cost registry s = infinity
             && cat <> None
             && not (List.mem s provided)
           then
@@ -796,9 +797,10 @@ let analyze (inp : input) : D.t list =
       codegen_pass add cat
   | None -> ());
   let tx_formats =
-    match inp.in_desc_parser with
-    | None -> []
-    | Some pd -> (
+    match (inp.in_tx_formats, inp.in_desc_parser) with
+    | Some fs, _ -> fs
+    | None, None -> []
+    | None, Some pd -> (
         match Tx_ir.enumerate inp.in_tenv pd with
         | Ok f -> f
         | Error msg ->
@@ -819,6 +821,7 @@ let analyze_program ~registry ?intent ?(line_offset = 0) tenv =
       in_tenv = tenv;
       in_catalogue = None;
       in_desc_parser = desc_parser;
+      in_tx_formats = None;
       in_registry = registry;
       in_intent = intent;
       in_line_offset = line_offset;

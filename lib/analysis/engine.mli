@@ -14,8 +14,8 @@
       would synthesize is checked to read strictly inside [Size(p)] in
       constant time (OD016–OD017).
 
-    The engine depends only on the [p4] library; the semantic registry
-    is abstracted behind {!Registry_view.t}. *)
+    The engine reads the program ([p4]) and the semantic registry
+    ({!Softnic.Semantic.t}). *)
 
 (** One field of a concrete completion layout as the codegen pass sees
     it: absolute bit offset within the completion record. *)
@@ -96,7 +96,10 @@ type input = {
           and build it (an unlocatable deparser yields OD002 unless the
           program declares an intent header, which has none by design) *)
   in_desc_parser : P4.Typecheck.parser_def option;
-  in_registry : Registry_view.t;
+  in_tx_formats : Tx_ir.fmt list option;
+      (** the loaded spec's TX formats, or [None] to walk
+          [in_desc_parser] (a walk error yields OD002) *)
+  in_registry : Softnic.Semantic.t;
   in_intent : (string * int) list option;
       (** requested [(semantic, width)] pairs to cross-check (OD015) *)
   in_line_offset : int;
@@ -109,16 +112,16 @@ val analyze : input -> Diagnostic.t list
     [in_line_offset] and sorted by source position. *)
 
 val analyze_program :
-  registry:Registry_view.t ->
+  registry:Softnic.Semantic.t ->
   ?intent:(string * int) list ->
   ?line_offset:int ->
   P4.Typecheck.t ->
   Diagnostic.t list
-(** [analyze] with the deparser and TX descriptor parser located
-    automatically. *)
+(** [analyze] with the deparser and TX descriptor parser located and
+    walked. *)
 
 val analyze_source :
-  registry:Registry_view.t ->
+  registry:Softnic.Semantic.t ->
   ?intent:(string * int) list ->
   ?prelude:string ->
   string ->

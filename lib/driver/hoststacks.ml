@@ -49,13 +49,12 @@ let skbuff ~(path : Opendesc.Path.t) ~requested ~softnic =
 
 (* ------------------------------------------------------------------ *)
 
-let dpdk_standard_set = [ "rss"; "vlan"; "pkt_len"; "csum_ok"; "mark"; "flow_id" ]
-
 let dpdk ~(path : Opendesc.Path.t) ~requested ~softnic =
   let accessors = Opendesc.Accessor.of_layout path.p_layout in
   (* Offloads outside the standard mbuf fields must be enabled by the
      application; only enabled ones are copied through mbuf_dyn. *)
-  let enabled_dyn s = List.mem s requested && not (List.mem s dpdk_standard_set) in
+  let mbuf_field = Softnic.Semantic.has Mbuf_field in
+  let enabled_dyn s = List.mem s requested && not (mbuf_field s) in
   let consume ledger env (rx : Stack.rx) =
     Stack.charge_ring ledger;
     charge_desc_load ledger path;
@@ -64,7 +63,7 @@ let dpdk ~(path : Opendesc.Path.t) ~requested ~softnic =
     List.iter
       (fun (a : Opendesc.Accessor.t) ->
         match a.a_semantic with
-        | Some s when List.mem s dpdk_standard_set ->
+        | Some s when mbuf_field s ->
             (* dedicated rte_mbuf field, filled unconditionally *)
             Cost.charge ledger "extract" (Cost.K.field_branch +. Cost.K.field_move);
             standard := (s, a.a_get rx.cmpt) :: !standard
@@ -96,14 +95,12 @@ let dpdk ~(path : Opendesc.Path.t) ~requested ~softnic =
 
 (* ------------------------------------------------------------------ *)
 
-let xdp_exposed_set = [ "rss"; "vlan"; "timestamp"; "wire_timestamp" ]
-
 let xdp ~(path : Opendesc.Path.t) ~requested ~softnic =
   let exposed =
     List.filter
       (fun (a : Opendesc.Accessor.t) ->
         match a.a_semantic with
-        | Some s -> List.mem s xdp_exposed_set
+        | Some s -> Softnic.Semantic.has Xdp_hint s
         | None -> false)
       (Opendesc.Accessor.of_layout path.p_layout)
   in

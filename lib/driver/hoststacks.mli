@@ -6,11 +6,13 @@
 
     - {!skbuff}: kernel-style — allocate a large metadata object and
       eagerly extract {e every} field the descriptor carries.
-    - {!dpdk}: rte_mbuf-style — extract the standard field set into the
-      mbuf, route everything else through the mbuf_dyn indirection layer.
+    - {!dpdk}: rte_mbuf-style — extract the standard field set (the
+      {!Softnic.Semantic.Mbuf_field} rows) into the mbuf, route
+      everything else through the mbuf_dyn indirection layer.
     - {!xdp}: narrow accessor set — only the three upstreamed metadata
-      accessors (hash, timestamp, VLAN) reach the program; everything
-      else is recomputed in software even when the descriptor has it.
+      accessors (hash, timestamp, VLAN: the {!Softnic.Semantic.Xdp_hint}
+      rows) reach the program; everything else is recomputed in software
+      even when the descriptor has it.
     - {!streaming}: ENSO-style — no per-packet descriptor consumed at
       all; great for raw payload, but every metadata request becomes a
       software recomputation.
@@ -33,18 +35,11 @@ val dpdk :
   softnic:Softnic.Registry.t ->
   Stack.t
 
-val dpdk_standard_set : string list
-(** Semantics with a dedicated rte_mbuf field; the rest go through
-    mbuf_dyn. *)
-
 val xdp :
   path:Opendesc.Path.t ->
   requested:string list ->
   softnic:Softnic.Registry.t ->
   Stack.t
-
-val xdp_exposed_set : string list
-(** The semantics the three kernel XDP metadata accessors cover. *)
 
 val streaming : requested:string list -> softnic:Softnic.Registry.t -> Stack.t
 

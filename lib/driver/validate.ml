@@ -14,14 +14,6 @@ type report = {
 
 let conforms r = r.mismatches = []
 
-(* Semantics whose value is not a pure function of the probe packet. *)
-let nondeterministic = [ "timestamp"; "wire_timestamp" ]
-
-(* Semantics whose reference implementation mutates environment state
-   (register-file offloads): recomputing them for a check would advance
-   the register and disagree with the device by construction. *)
-let stateful = [ "flow_pkts" ]
-
 (* A checked field's reference value: a builtin's int core, picked by
    identity with [Registry.core_of], or the feature's own boxed
    [compute] (custom registries, [kvs_key]). *)
@@ -56,8 +48,8 @@ let checker_of_path ~env ~softnic (path : Opendesc.Path.t) =
         match f.l_semantic with
         | Some sem
           when f.l_bits <= 64
-               && (not (List.mem sem nondeterministic))
-               && not (List.mem sem stateful) ->
+               && (not (Softnic.Semantic.has Nondeterministic sem))
+               && not (Softnic.Semantic.has Stateful sem) ->
             Option.map
               (fun (feature : Softnic.Feature.t) ->
                 {
@@ -163,7 +155,8 @@ let run ?(probes = 64) ~device ~(compiled : Opendesc.Compile.t) () =
   let checkable, unchecked =
     List.partition
       (fun (sem, _) ->
-        Softnic.Registry.mem softnic sem && not (List.mem sem nondeterministic))
+        Softnic.Registry.mem softnic sem
+        && not (Softnic.Semantic.has Nondeterministic sem))
       hardware
     |> fun (yes, no) -> (yes, List.map fst no)
   in

@@ -9,8 +9,11 @@
     firmware disagrees with its shipped description is caught before the
     application trusts a single field.
 
-    Semantics without a deterministic reference (timestamps, marks
-    requiring installed state) are skipped and reported as unchecked. *)
+    Which semantics are checked is read from {!Softnic.Semantic.rows}:
+    {!run} skips the [Nondeterministic] rows, whose value is not a pure
+    function of the probe, and reports them unchecked; the online
+    {!checker_of_path} also skips the [Stateful] ones. A name with no
+    row (a custom registry's) is checked. *)
 
 type mismatch = {
   mm_semantic : string;
@@ -32,9 +35,11 @@ val conforms : report -> bool
 val run :
   ?probes:int -> device:Device.t -> compiled:Opendesc.Compile.t -> unit -> report
 (** Inject [probes] (default 64) varied packets — TCP/UDP/VLAN/IPv6/KVS/
-    raw, including corrupted checksums — and verify every checkable
-    hardware binding. The device must be configured with
-    [compiled.config]. *)
+    raw, including corrupted checksums — and verify every hardware
+    binding with a builtin reference that is not [Nondeterministic].
+    Stateful ones are checked: the reference environment's registers
+    advance in step with the device's, one probe at a time. The device
+    must be configured with [compiled.config]. *)
 
 val pp : Format.formatter -> report -> unit
 
@@ -56,8 +61,10 @@ val checker_of_path :
   checker
 (** Check every layout field whose semantic has a deterministic software
     reference: present in [softnic], at most 64 bits, and neither
-    nondeterministic (timestamps) nor stateful (register-file offloads
-    like [flow_pkts], whose recomputation would advance the register).
+    [Nondeterministic] nor [Stateful] in {!Softnic.Semantic.rows}. The
+    checker runs online and shares the device's environment, so
+    recomputing a stateful semantic (a register-file offload like
+    [flow_pkts]) would advance the register the device reads.
 
     Staged once per path, as {!Device} stages its encoder. For each
     checked field it records:

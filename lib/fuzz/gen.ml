@@ -34,16 +34,16 @@ let spec_seed ~seed ~index =
 let widths =
   [| 1; 2; 3; 4; 5; 6; 7; 8; 10; 12; 13; 16; 16; 20; 24; 32; 32; 48; 64 |]
 
-let software_semantics =
-  lazy
-    (let reg = Opendesc.Semantic.default () in
-     Opendesc.Semantic.names reg
-     |> List.filter (fun s ->
-            Opendesc.Semantic.cost reg s < infinity
-            && not (List.mem s Opendesc.Semantic.hardware_only))
-     |> Array.of_list)
+(* The built-in names whose w(s) satisfies [p], in row order. *)
+let semantics_where p =
+  List.filter_map
+    (fun (r : Softnic.Semantic.row) -> if p r.info.sw_cost then Some r.info.name else None)
+    Softnic.Semantic.rows
 
-let hardware_semantics = lazy (Array.of_list Opendesc.Semantic.hardware_only)
+let software_semantics =
+  Array.of_list (List.sort String.compare (semantics_where Float.is_finite))
+
+let hardware_semantics = Array.of_list (semantics_where (fun w -> w = infinity))
 
 let gen_ctx_field rng i : Spec.ctx_field =
   let name = Printf.sprintf "k%d" i in
@@ -76,8 +76,7 @@ let gen_field rng ~taken i : Spec.field =
     let semantic =
       if Rng.float rng < 0.45 then begin
         let pool =
-          if Rng.float rng < 0.07 then Lazy.force hardware_semantics
-          else Lazy.force software_semantics
+          if Rng.float rng < 0.07 then hardware_semantics else software_semantics
         in
         let s = Rng.choice rng pool in
         if List.mem s !taken then None

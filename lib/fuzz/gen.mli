@@ -25,5 +25,14 @@ val spec_seed : seed:int64 -> index:int -> int64
     campaign seed and the index, so any single spec replays without
     generating its predecessors. *)
 
+val software_semantics : string array
+(** The pool a field's [@semantic] is usually drawn from: every built-in
+    row with a finite w(s), TX rows included, sorted. Draws index it, so
+    its order is part of every seed's spec. *)
+
+val hardware_semantics : string array
+(** The pool of the rarer hardware-only draw: the rows with w(s) =
+    infinity, in row order. *)
+
 val generate : ?bounds:bounds -> seed:int64 -> name:string -> unit -> Spec.t
 (** One random spec. Equal arguments, equal result. *)

@@ -212,15 +212,13 @@ let intent_of (spec : Nic_spec.t) =
   let softnic = Softnic.Registry.builtin () in
   (* Only semantics a SoftNIC shim can also deliver: Eq. 1 may put any
      requested semantic on the software side (even one some path does
-     carry), so TX-direction and hardware-only names must not appear in
-     an RX intent. *)
+     carry), so TX-direction and hardware-only (w = infinity) names must
+     not appear in an RX intent. *)
   let sems =
     List.concat_map (fun (p : Path.t) -> p.p_prov) spec.paths
     |> List.sort_uniq compare
     |> List.filter (fun s ->
-           Semantic.cost reg s < infinity
-           && Softnic.Registry.mem softnic s
-           && not (List.mem s Semantic.hardware_only))
+           Semantic.cost reg s < infinity && Softnic.Registry.mem softnic s)
   in
   let take3 = List.filteri (fun i _ -> i < 3) sems in
   let chosen = if take3 = [] then [ "pkt_len" ] else take3 in

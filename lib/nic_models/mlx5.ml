@@ -84,7 +84,7 @@ let full_cqe_semantics =
     "csum_ok"; "vlan"; "l4_checksum"; "pkt_len"; "wire_timestamp";
   ]
 
-let xdp_exposed = [ "rss"; "wire_timestamp"; "vlan" ]
+let xdp_exposed = List.filter (Softnic.Semantic.has Xdp_hint) full_cqe_semantics
 
 let model () =
   Model.make

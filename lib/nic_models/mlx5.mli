@@ -15,5 +15,6 @@ val full_cqe_semantics : string list
 (** The 12 metadata semantics of the full CQE, in layout order. *)
 
 val xdp_exposed : string list
-(** The 3 semantics the Linux XDP metadata accessors cover (hash,
-    timestamp, VLAN) — the baseline of experiment C4. *)
+(** The full CQE's semantics a Linux XDP metadata accessor reads (the
+    {!Softnic.Semantic.Xdp_hint} rows: hash, timestamp, VLAN), in layout
+    order — the baseline of experiment C4. *)

@@ -37,9 +37,8 @@ type t = {
 }
 
 val hardware_registry : unit -> Softnic.Registry.t
-(** The softnic builtins plus device-side implementations of the
-    hardware-only semantics ([wire_timestamp], [inline_crypto_tag],
-    [regex_match_id]). *)
+(** The softnic builtins plus the device-side implementations of the
+    hardware-only semantics ({!Softnic.Registry.device_only}). *)
 
 val make :
   ?constants:(string * int64) list ->

@@ -142,7 +142,7 @@ let datapath ~nic ~(path : Path.t) ~requested ~missing ~config ~tx_format =
   (match tx_format with
   | None -> ()
   | Some fmt ->
-      add "/* Build one TX descriptor (format #%d, %d bytes). */\n" fmt.d_index
+      add "/* Build one TX descriptor (format #%d, %d bytes). */\n" fmt.d_fmt.t_index
         (Descparser.size fmt);
       add "static inline void opendesc_%s_tx_prepare(uint8_t *desc,\n" n;
       add "        uint64_t buf_addr, uint16_t len) {\n";

@@ -219,7 +219,7 @@ let to_plan (t : t) : Opendesc_analysis.Certify.plan =
 let contract (t : t) : Opendesc_analysis.Certify.contract =
   {
     Opendesc_analysis.Certify.cf_catalogue = t.nic.catalogue;
-    cf_registry = Nic_spec.registry_view t.registry;
+    cf_registry = t.registry;
     cf_line_offset = Prelude.line_offset;
   }
 

@@ -1,9 +1,4 @@
-type t = {
-  d_index : int;
-  d_extracts : (string * P4.Typecheck.header_def) list;
-  d_layout : Path.layout;
-  d_assignments : Opendesc_analysis.Context.assignment list;
-}
+type t = { d_fmt : Opendesc_analysis.Tx_ir.fmt; d_layout : Path.layout }
 
 let size t = t.d_layout.Path.size_bytes
 
@@ -17,19 +12,14 @@ let enumerate tenv pd =
       match
         List.map
           (fun (f : Opendesc_analysis.Tx_ir.fmt) ->
-            {
-              d_index = f.t_index;
-              d_extracts = f.t_extracts;
-              d_layout = Path.layout_of_emits f.t_extracts;
-              d_assignments = f.t_assignments;
-            })
+            { d_fmt = f; d_layout = Path.layout_of_emits f.t_extracts })
           fmts
       with
       | formats -> Ok formats
       | exception Path.Exec_error msg -> Error msg)
 
 let pp ppf t =
-  Format.fprintf ppf "desc#%d [%s] %dB cfgs=%d" t.d_index
-    (String.concat "; " (List.map fst t.d_extracts))
+  Format.fprintf ppf "desc#%d [%s] %dB cfgs=%d" t.d_fmt.t_index
+    (String.concat "; " (List.map fst t.d_fmt.t_extracts))
     t.d_layout.Path.size_bytes
-    (List.length t.d_assignments)
+    (List.length t.d_fmt.t_assignments)

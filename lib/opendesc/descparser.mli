@@ -11,12 +11,11 @@
     device will parse correctly. *)
 
 type t = {
-  d_index : int;
-  d_extracts : (string * P4.Typecheck.header_def) list;
-      (** (destination lvalue, extracted header) in stream order *)
+  d_fmt : Opendesc_analysis.Tx_ir.fmt;
+      (** the walk's format: its index, its (destination lvalue,
+          extracted header) pairs in stream order, and the context
+          configurations that select it *)
   d_layout : Path.layout;
-  d_assignments : Opendesc_analysis.Context.assignment list;
-      (** the context configurations that select this format *)
 }
 
 val size : t -> int

@@ -75,15 +75,6 @@ let load_exn ~name ~kind ?deparser ?notes src =
 
 let cfg t = Cfg.build t.tenv t.deparser
 
-let registry_view (registry : Semantic.t) : Opendesc_analysis.Registry_view.t =
-  {
-    known = Semantic.mem registry;
-    width = Semantic.width registry;
-    sw_cost = Semantic.cost registry;
-    hardware_only =
-      (fun s -> Semantic.cost registry s = infinity && Semantic.mem registry s);
-  }
-
 let analyze ?registry ?intent t =
   let registry = match registry with Some r -> r | None -> Semantic.default () in
   let intent =
@@ -97,7 +88,8 @@ let analyze ?registry ?intent t =
       Opendesc_analysis.Engine.in_tenv = t.tenv;
       in_catalogue = Some t.catalogue;
       in_desc_parser = t.desc_parser;
-      in_registry = registry_view registry;
+      in_tx_formats = Some (List.map (fun (d : Descparser.t) -> d.d_fmt) t.tx_formats);
+      in_registry = registry;
       in_intent = intent;
       in_line_offset = Prelude.line_offset;
     }
@@ -111,7 +103,7 @@ let analyze_source ?registry ?intent src =
       intent
   in
   Opendesc_analysis.Engine.analyze_source
-    ~registry:(registry_view registry)
+    ~registry
     ?intent ~prelude:Prelude.source src
 
 let lint ?registry t =
@@ -147,6 +139,6 @@ let fingerprint t =
     t.paths;
   List.iter
     (fun (f : Descparser.t) ->
-      Buffer.add_string buf (Printf.sprintf "|tx%d:%dB" f.d_index (Descparser.size f)))
+      Buffer.add_string buf (Printf.sprintf "|tx%d:%dB" f.d_fmt.t_index (Descparser.size f)))
     t.tx_formats;
   Buffer.contents buf

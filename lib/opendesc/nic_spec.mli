@@ -30,7 +30,9 @@ type t = {
           syntactic leaves and proved-infeasible ones from [cat_sym],
           configurations from [cat_assignments], runs from [cat_runs]. *)
   desc_parser : P4.Typecheck.parser_def option;
-  tx_formats : Descparser.t list;  (** TX descriptor formats *)
+  tx_formats : Descparser.t list;
+      (** TX descriptor formats: the desc parser's one walk, built by
+          {!load} and read by {!analyze} and the compiler *)
   notes : string;
 }
 
@@ -49,9 +51,6 @@ val load_exn :
 
 val cfg : t -> Cfg.t
 (** The deparser's control-flow graph (reporting, Figure 6). *)
-
-val registry_view : Semantic.t -> Opendesc_analysis.Registry_view.t
-(** The functional view of a registry the analysis engine consumes. *)
 
 val analyze :
   ?registry:Semantic.t -> ?intent:Intent.t -> t -> Opendesc_analysis.Diagnostic.t list

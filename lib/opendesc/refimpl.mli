@@ -49,4 +49,5 @@ val registry : unit -> Softnic.Registry.t
     replaced by its interpreted reference implementation. *)
 
 val p4_semantics : string list
-(** Semantics whose reference implementation is pure P4. *)
+(** Semantics whose reference implementation is pure P4: the
+    {!feature_controls}' names, in source order. *)

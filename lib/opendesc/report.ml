@@ -46,7 +46,7 @@ let outcome ppf (c : Compile.t) =
     c.bindings;
   (match c.tx_format with
   | Some f ->
-      fpf ppf "  tx desc : format #%d, %d bytes%s@," f.d_index (Descparser.size f)
+      fpf ppf "  tx desc : format #%d, %d bytes%s@," f.d_fmt.t_index (Descparser.size f)
         (match c.tx_missing with
         | [] -> ""
         | ms -> Printf.sprintf " (host software: %s)" (String.concat "," ms))

@@ -6,8 +6,9 @@
 
     where the first term is the SoftNIC cost of emulating missing
     semantics and the second the DMA completion footprint. A missing
-    semantic with w(s) = ∞ makes a path infeasible; if every path is
-    infeasible the program is rejected as unsatisfiable. *)
+    semantic with w(s) = ∞, or a TX semantic (which no received packet
+    determines), makes a path infeasible; if every path is infeasible
+    the program is rejected as unsatisfiable. *)
 
 type scored = {
   s_path : Path.t;

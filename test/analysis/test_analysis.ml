@@ -374,7 +374,7 @@ let test_engine_paths_match_compiler () =
           in
           let claimed =
             List.concat_map
-              (fun (f : Opendesc.Descparser.t) -> f.d_assignments)
+              (fun (f : Opendesc.Descparser.t) -> f.d_fmt.t_assignments)
               formats
           in
           check ai (name ^ ": one TX format per configuration") (List.length all)

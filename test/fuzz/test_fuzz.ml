@@ -147,6 +147,27 @@ let test_generator_bounds () =
       | None -> ())
     (Lazy.force specs_for_bounds)
 
+(* The generator indexes its pools with its draws, so their contents and
+   order are part of every seed's spec (fuzz_seed7 pins one campaign).
+   Both literals are the pools as they read before the semantic table
+   derived them. *)
+let test_generator_pools () =
+  check
+    Alcotest.(array string)
+    "software pool, sorted"
+    [|
+      "buf_addr"; "crc"; "csum_ok"; "flow_id"; "flow_pkts"; "ip_checksum"; "ip_id";
+      "kvs_key"; "l3_type"; "l4_checksum"; "l4_type"; "lro_num_seg"; "mark"; "pkt_len";
+      "rss"; "rss_type"; "timestamp"; "tso_mss"; "tunnel_vni"; "tx_flags"; "tx_l4_csum";
+      "tx_len"; "vlan";
+    |]
+    Gen.software_semantics;
+  check
+    Alcotest.(array string)
+    "hardware pool, in row order"
+    [| "wire_timestamp"; "inline_crypto_tag"; "regex_match_id" |]
+    Gen.hardware_semantics
+
 let test_normalize_drops_dead () =
   let sp : Spec.t =
     {
@@ -336,6 +357,7 @@ let () =
       ( "generator",
         [
           Alcotest.test_case "bounds respected" `Quick test_generator_bounds;
+          Alcotest.test_case "semantic pools" `Quick test_generator_pools;
           Alcotest.test_case "normalize drops dead parts" `Quick
             test_normalize_drops_dead;
         ] );

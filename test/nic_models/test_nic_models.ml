@@ -97,7 +97,32 @@ let test_mlx5_xdp_covers_3_of_12 () =
     List.filter (fun s -> List.mem s Mlx5.xdp_exposed) Mlx5.full_cqe_semantics
   in
   check ai "3 of 12" 3 (List.length covered);
-  check ai "12 total" 12 (List.length Mlx5.full_cqe_semantics)
+  check ai "12 total" 12 (List.length Mlx5.full_cqe_semantics);
+  (* the hand-written list the XDP column replaced *)
+  check asl "hash, timestamp, VLAN"
+    (List.sort compare [ "rss"; "wire_timestamp"; "vlan" ])
+    (List.sort compare Mlx5.xdp_exposed)
+
+(* Every semantic field of the full CQE, wire_timestamp included, is
+   staged as its core: a boxed producer would allocate per packet. *)
+let test_mlx5_full_cqe_staged_as_cores () =
+  let m = Mlx5.model () in
+  let full =
+    List.find
+      (fun (p : Opendesc.Path.t) -> Opendesc.Path.provides p "wire_timestamp")
+      m.spec.paths
+  in
+  let wire = Option.get (Opendesc.Path.field_for full "wire_timestamp") in
+  check ab "wire_timestamp is Core Timestamp" true
+    (Nic_models.Model.source m wire = Softnic.Codec.Core Softnic.Codec.Timestamp);
+  List.iter
+    (fun (f : Opendesc.Path.lfield) ->
+      match f.l_semantic with
+      | Some s ->
+          check ab (s ^ " is a core") true
+            (match Nic_models.Model.source m f with Softnic.Codec.Core _ -> true | _ -> false)
+      | None -> ())
+    full.p_layout.fields
 
 (* ------------------------------------------------------------------ *)
 (* bluefield *)
@@ -348,6 +373,8 @@ let () =
             test_mlx5_full_cqe_is_64_bytes;
           Alcotest.test_case "mini CQEs 8B" `Quick test_mlx5_mini_cqes_are_8_bytes;
           Alcotest.test_case "xdp covers 3 of 12" `Quick test_mlx5_xdp_covers_3_of_12;
+          Alcotest.test_case "full CQE staged as cores" `Quick
+            test_mlx5_full_cqe_staged_as_cores;
         ] );
       ( "bluefield",
         [

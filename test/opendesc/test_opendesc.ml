@@ -853,6 +853,19 @@ let test_compile_unsat_propagates () =
   | Error e -> check ab "unsatisfiable" true (contains e "unsatisfiable")
   | Ok _ -> Alcotest.fail "expected error"
 
+(* A TX semantic in an RX intent: the host writes it, so Eq. 1 has no
+   software fallback for it, whatever its w, and the intent is
+   unsatisfiable before any path is bound. *)
+let test_compile_tx_semantic_in_rx_intent () =
+  let intent = Intent.make [ ("rss", 32); ("tx_len", 16) ] in
+  match Compile.run ~intent (Nic_models.E1000.newer ()).spec with
+  | Error e ->
+      check Alcotest.string "unsatisfiable on tx_len"
+        "e1000-newer: unsatisfiable intent: no completion path provides {tx_len} and no \
+         software implementation exists"
+        e
+  | Ok _ -> Alcotest.fail "expected an unsatisfiable intent"
+
 let test_compile_finite_cost_without_impl_rejected () =
   let registry = Semantic.default () in
   Semantic.register registry
@@ -997,6 +1010,8 @@ let () =
           Alcotest.test_case "config matches path" `Quick test_compile_config_matches_path;
           Alcotest.test_case "software pipeline" `Quick test_compile_software_pipeline_runs;
           Alcotest.test_case "unsat propagates" `Quick test_compile_unsat_propagates;
+          Alcotest.test_case "TX semantic in an RX intent" `Quick
+            test_compile_tx_semantic_in_rx_intent;
           Alcotest.test_case "finite cost needs impl" `Quick
             test_compile_finite_cost_without_impl_rejected;
           Alcotest.test_case "tx format selected" `Quick test_compile_tx_format_selected;

@@ -93,6 +93,31 @@ let test_refimpl_checks () =
     (List.sort compare Refimpl.p4_semantics)
     (List.sort compare (List.map fst (Refimpl.feature_controls ())))
 
+(* The order `shims` prints and the differential tests walk. *)
+let test_refimpl_p4_semantics_order () =
+  check asl "source order"
+    [ "vlan"; "ip_id"; "pkt_len"; "l3_type"; "l4_type"; "rss_type" ]
+    Refimpl.p4_semantics
+
+(* Every @feature names a row, and its control's [result] is as wide as
+   the row says. *)
+let test_refimpl_widths_match_rows () =
+  let widths =
+    List.map
+      (fun (sem, (c : P4.Typecheck.control_def)) ->
+        let result =
+          List.find (fun (p : P4.Typecheck.cparam) -> p.c_name = "result") c.ct_params
+        in
+        match (Semantic.row sem, result.c_typ) with
+        | Some row, P4.Typecheck.RBit w ->
+            check ai (sem ^ " result width") row.info.width_bits w;
+            w
+        | None, _ -> Alcotest.failf "@feature(%S) names no row" sem
+        | Some _, _ -> Alcotest.failf "%s: result is not a bit<w>" sem)
+      (Refimpl.feature_controls ())
+  in
+  check (Alcotest.list ai) "widths" [ 16; 16; 16; 4; 4; 8 ] widths
+
 let test_refimpl_vlan_concat () =
   (* The VLAN reference rebuilds the TCI from pcp ++ dei ++ vid. *)
   let pkt =
@@ -299,9 +324,11 @@ let prop_select_optimal =
 
 (* Fully randomized version over the whole catalog and semantic universe:
    random NIC, random intent drawn from the registry's names (including
-   the hardware-only, infinitely-costly ones), random alpha. Eq. 1 and
-   the tie-break are re-implemented here from the paper's definition,
-   sharing no code with Select, and the entire ranking must agree. *)
+   the hardware-only, infinitely-costly ones and the TX ones, which no
+   received packet determines, so an RX intent has no fallback for them
+   either), random alpha. Eq. 1 and the tie-break are re-implemented
+   here from the paper's definition, sharing no code with Select, and
+   the entire ranking must agree. *)
 let prop_select_randomized =
   let registry = Semantic.default () in
   let pool = Array.of_list (Semantic.names registry) in
@@ -320,10 +347,15 @@ let prop_select_randomized =
       let sems = List.sort_uniq compare (List.map (fun i -> pool.(i)) picks) in
       let intent = Intent.make (List.map (fun s -> (s, 32)) sems) in
       let paths = m.spec.paths in
+      let w s =
+        match Semantic.row s with
+        | Some { dir = Tx; _ } -> infinity
+        | _ -> Semantic.cost registry s
+      in
       (* Eq. 1, straight from the paper: Σ_{s ∈ Req \ Prov(p)} w(s) + α·Size(p) *)
       let eq1 (p : Path.t) =
         let missing = List.filter (fun s -> not (Path.provides p s)) sems in
-        List.fold_left (fun acc s -> acc +. Semantic.cost registry s) 0.0 missing
+        List.fold_left (fun acc s -> acc +. w s) 0.0 missing
         +. (alpha *. float_of_int (Path.size p))
       in
       let brute_cmp (a : Path.t) (b : Path.t) =
@@ -342,7 +374,7 @@ let prop_select_randomized =
           (* Only an infinite minimum may be rejected, and every reported
              blocker must genuinely lack a software implementation. *)
           (not (Float.is_finite brute_min))
-          && List.for_all (fun s -> Semantic.cost registry s = infinity) blocking
+          && List.for_all (fun s -> w s = infinity) blocking
       | Ok outcome ->
           Float.is_finite brute_min
           && Float.equal outcome.chosen.s_total brute_min
@@ -560,6 +592,10 @@ let () =
       ( "refimpl",
         [
           Alcotest.test_case "checks + inventory" `Quick test_refimpl_checks;
+          Alcotest.test_case "p4_semantics in source order" `Quick
+            test_refimpl_p4_semantics_order;
+          Alcotest.test_case "@feature widths match rows" `Quick
+            test_refimpl_widths_match_rows;
           Alcotest.test_case "vlan concat" `Quick test_refimpl_vlan_concat;
           Alcotest.test_case "unknown semantic" `Quick test_refimpl_unknown_semantic;
           Alcotest.test_case "differential vs native" `Quick test_refimpl_differential;

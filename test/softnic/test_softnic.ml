@@ -10,6 +10,9 @@ let ai32 = Alcotest.int32
 let ai64 = Alcotest.int64
 let ab = Alcotest.bool
 
+(* A builtin feature, by name. *)
+let builtin name = Option.get (Registry.find (Registry.builtin ()) name)
+
 let flow4 ~src ~dst ~sp ~dp proto =
   Packet.Fivetuple.make ~src_ip:src ~dst_ip:dst ~src_port:sp ~dst_port:dp ~proto
 
@@ -234,54 +237,54 @@ let test_feature_rss () =
       (flow4 ~src:0x0a000001l ~dst:0xc0a80001l ~sp:5555 ~dp:80 Packet.Hdr.Proto.tcp)
   in
   check ai64 "rss == toeplitz" (Int64.logand (Int64.of_int32 expected) 0xFFFFFFFFL)
-    (run Registry.rss tcp_pkt)
+    (run (builtin "rss") tcp_pkt)
 
-let test_feature_vlan () = check ai64 "vlan tci" 77L (run Registry.vlan tcp_pkt)
+let test_feature_vlan () = check ai64 "vlan tci" 77L (run (builtin "vlan") tcp_pkt)
 
 let test_feature_pkt_len () =
   check ai64 "pkt_len" (Int64.of_int (Packet.Pkt.len tcp_pkt))
-    (run Registry.pkt_len tcp_pkt)
+    (run (builtin "pkt_len") tcp_pkt)
 
-let test_feature_ip_id () = check ai64 "ip_id" 0x4242L (run Registry.ip_id tcp_pkt)
+let test_feature_ip_id () = check ai64 "ip_id" 0x4242L (run (builtin "ip_id") tcp_pkt)
 
 let test_feature_l3_l4_types () =
-  check ai64 "l3 ipv4" 1L (run Registry.l3_type tcp_pkt);
-  check ai64 "l4 tcp" 1L (run Registry.l4_type tcp_pkt);
+  check ai64 "l3 ipv4" 1L (run (builtin "l3_type") tcp_pkt);
+  check ai64 "l4 tcp" 1L (run (builtin "l4_type") tcp_pkt);
   let raw = Packet.Builder.raw ~len:60 ~fill:'x' in
-  check ai64 "l3 none" 0L (run Registry.l3_type raw);
-  check ai64 "l4 none" 0L (run Registry.l4_type raw)
+  check ai64 "l3 none" 0L (run (builtin "l3_type") raw);
+  check ai64 "l4 none" 0L (run (builtin "l4_type") raw)
 
 let test_feature_rss_type () =
-  check ai64 "tcp4" 2L (run Registry.rss_type tcp_pkt);
+  check ai64 "tcp4" 2L (run (builtin "rss_type") tcp_pkt);
   let udp = Packet.Builder.ipv4 ~flow:udp_flow Packet.Builder.Udp in
-  check ai64 "udp4" 3L (run Registry.rss_type udp)
+  check ai64 "udp4" 3L (run (builtin "rss_type") udp)
 
 let test_feature_csum_ok_good_and_bad () =
-  check ai64 "valid packet" 1L (run Registry.csum_ok tcp_pkt);
+  check ai64 "valid packet" 1L (run (builtin "csum_ok") tcp_pkt);
   let bad = Packet.Builder.corrupt_ipv4_checksum tcp_pkt in
-  check ai64 "corrupted packet" 0L (run Registry.csum_ok bad)
+  check ai64 "corrupted packet" 0L (run (builtin "csum_ok") bad)
 
 let test_feature_ip_checksum_matches_stored () =
   (* For a well-formed packet the computed value equals the stored one. *)
   let v = Packet.Pkt.parse tcp_pkt in
   check ai64 "computed == stored"
     (Int64.of_int (Packet.Pkt.ipv4_hdr_checksum tcp_pkt v))
-    (run Registry.ip_checksum tcp_pkt)
+    (run (builtin "ip_checksum") tcp_pkt)
 
 let test_feature_kvs_key () =
   let pkt = Packet.Builder.kvs_get ~flow:udp_flow ~key:"k1" in
-  check ai64 "kvs key folded" (Kvs.fold_key "k1") (run Registry.kvs_key pkt)
+  check ai64 "kvs key folded" (Kvs.fold_key "k1") (run (builtin "kvs_key") pkt)
 
 let test_feature_mark_uses_table () =
   let e = env () in
   let f = flow4 ~src:9l ~dst:10l ~sp:1 ~dp:2 Packet.Hdr.Proto.udp in
   let pkt = Packet.Builder.ipv4 ~flow:f Packet.Builder.Udp in
-  check ai64 "no mark" 0L (Feature.apply Registry.mark e pkt);
+  check ai64 "no mark" 0L (Feature.apply (builtin "mark") e pkt);
   Hashtbl.replace e.flow_marks f 0xFEEDl;
-  check ai64 "mark installed" 0xFEEDL (Feature.apply Registry.mark e pkt)
+  check ai64 "mark installed" 0xFEEDL (Feature.apply (builtin "mark") e pkt)
 
 let test_feature_lro_num_seg () =
-  check ai64 "single segment" 1L (run Registry.lro_num_seg tcp_pkt)
+  check ai64 "single segment" 1L (run (builtin "lro_num_seg") tcp_pkt)
 
 let test_feature_tunnel_vni () =
   let inner =
@@ -291,9 +294,9 @@ let test_feature_tunnel_vni () =
   in
   let outer = flow4 ~src:3l ~dst:4l ~sp:40000 ~dp:4789 Packet.Hdr.Proto.udp in
   let pkt = Packet.Builder.vxlan ~vni:0xABCDE ~outer_flow:outer ~inner in
-  check ai64 "vni extracted" 0xABCDEL (run Registry.tunnel_vni pkt);
+  check ai64 "vni extracted" 0xABCDEL (run (builtin "tunnel_vni") pkt);
   (* non-vxlan traffic reads 0 *)
-  check ai64 "plain tcp is 0" 0L (run Registry.tunnel_vni tcp_pkt)
+  check ai64 "plain tcp is 0" 0L (run (builtin "tunnel_vni") tcp_pkt)
 
 let test_feature_flow_pkts_stateful () =
   let e = env () in
@@ -301,23 +304,23 @@ let test_feature_flow_pkts_stateful () =
   let f2 = { f1 with Packet.Fivetuple.src_port = 11 } in
   let p1 = Packet.Builder.ipv4 ~flow:f1 (Packet.Builder.Tcp { seq = 0l; flags = 0 }) in
   let p2 = Packet.Builder.ipv4 ~flow:f2 (Packet.Builder.Tcp { seq = 0l; flags = 0 }) in
-  check ai64 "first of flow1" 1L (Feature.apply Registry.flow_pkts e p1);
-  check ai64 "second of flow1" 2L (Feature.apply Registry.flow_pkts e p1);
-  check ai64 "first of flow2" 1L (Feature.apply Registry.flow_pkts e p2);
-  check ai64 "third of flow1" 3L (Feature.apply Registry.flow_pkts e p1);
+  check ai64 "first of flow1" 1L (Feature.apply (builtin "flow_pkts") e p1);
+  check ai64 "second of flow1" 2L (Feature.apply (builtin "flow_pkts") e p1);
+  check ai64 "first of flow2" 1L (Feature.apply (builtin "flow_pkts") e p2);
+  check ai64 "third of flow1" 3L (Feature.apply (builtin "flow_pkts") e p1);
   (* non-flow traffic does not count *)
   check ai64 "raw frame" 0L
-    (Feature.apply Registry.flow_pkts e (Packet.Builder.raw ~len:64 ~fill:'n'))
+    (Feature.apply (builtin "flow_pkts") e (Packet.Builder.raw ~len:64 ~fill:'n'))
 
 let test_feature_crc_matches_crc32 () =
   check ai64 "crc == crc32 of frame"
     (Int64.logand (Int64.of_int32 (Crc32.of_pkt tcp_pkt)) 0xFFFFFFFFL)
-    (run Registry.crc tcp_pkt)
+    (run (builtin "crc") tcp_pkt)
 
 let test_feature_timestamp_monotonic () =
   let e = env () in
-  let a = Feature.apply Registry.timestamp e tcp_pkt in
-  let b = Feature.apply Registry.timestamp e tcp_pkt in
+  let a = Feature.apply (builtin "timestamp") e tcp_pkt in
+  let b = Feature.apply (builtin "timestamp") e tcp_pkt in
   check ab "monotonic" true (Int64.compare b a > 0)
 
 (* ------------------------------------------------------------------ *)
@@ -333,8 +336,8 @@ let test_registry_builtin_complete () =
 
 let test_registry_register_replaces () =
   let r = Registry.empty () in
-  Registry.register r Registry.rss;
-  let custom = { Registry.rss with cost_cycles = 1.0 } in
+  Registry.register r (builtin "rss");
+  let custom = { (builtin "rss") with cost_cycles = 1.0 } in
   Registry.register r custom;
   match Registry.find r "rss" with
   | Some f -> check (Alcotest.float 0.01) "replaced" 1.0 f.cost_cycles
@@ -349,7 +352,7 @@ let test_registry_names_sorted () =
 (* Pipeline *)
 
 let test_pipeline_runs_in_order () =
-  let p = Pipeline.create [ Registry.vlan; Registry.pkt_len ] in
+  let p = Pipeline.create [ builtin "vlan"; builtin "pkt_len" ] in
   match Pipeline.run p tcp_pkt with
   | [ ("vlan", v); ("pkt_len", l) ] ->
       check ai64 "vlan" 77L v;
@@ -371,9 +374,9 @@ let test_pipeline_of_semantics_missing () =
   | Error s -> check Alcotest.string "names the culprit" "wire_timestamp" s
 
 let test_pipeline_cost_is_sum () =
-  let p = Pipeline.create [ Registry.rss; Registry.vlan ] in
+  let p = Pipeline.create [ builtin "rss"; builtin "vlan" ] in
   check (Alcotest.float 0.01) "cost"
-    (Registry.rss.cost_cycles +. Registry.vlan.cost_cycles)
+    ((builtin "rss").cost_cycles +. (builtin "vlan").cost_cycles)
     (Pipeline.cost_cycles p)
 
 (* ------------------------------------------------------------------ *)
@@ -484,9 +487,126 @@ let test_registry_core_of () =
       check ab (f.semantic ^ " has a core") (f.semantic <> "kvs_key")
         (Registry.core_of f.compute <> None))
     Registry.all;
-  check ab "rss core" true (Registry.core_of Registry.rss.compute = Some Codec.Rss);
-  let wrapped env pkt v = Registry.rss.compute env pkt v in
+  check ab "rss core" true (Registry.core_of (builtin "rss").compute = Some Codec.Rss);
+  let wrapped env pkt v = (builtin "rss").compute env pkt v in
   check ab "a wrapper has no core" true (Registry.core_of wrapped = None)
+
+(* ------------------------------------------------------------------ *)
+(* The semantic table. The literals below are the hand-written lists the
+   table replaced (Semantic.hardware_only, Validate.nondeterministic and
+   stateful, Hoststacks.dpdk_standard_set and xdp_exposed_set), as they
+   read before it existed. *)
+
+let names_where p =
+  List.filter_map
+    (fun (r : Semantic.row) -> if p r then Some r.info.name else None)
+    Semantic.rows
+
+let flagged flag = names_where (fun r -> List.mem flag r.flags)
+let sorted = List.sort String.compare
+let strings = Alcotest.(list string)
+
+let test_table_rows () =
+  check Alcotest.int "rows" 26 (List.length Semantic.rows);
+  check Alcotest.int "one row per name" 26
+    (List.length (List.sort_uniq String.compare (names_where (fun _ -> true))));
+  check strings "TX rows, in order"
+    [ "buf_addr"; "tx_len"; "tx_flags"; "tx_l4_csum"; "tso_mss" ]
+    (names_where (fun r -> r.dir = Tx));
+  List.iter
+    (fun (r : Semantic.row) ->
+      check ab (r.info.name ^ ": a TX row has w = 0 and no implementation")
+        (r.dir = Tx)
+        (r.info.sw_cost = 0.0 && r.impl = None))
+    Semantic.rows
+
+let test_table_hardware_only () =
+  check strings "w = infinity, in row order"
+    [ "wire_timestamp"; "inline_crypto_tag"; "regex_match_id" ]
+    (names_where (fun r -> r.info.sw_cost = infinity))
+
+let test_table_checker_flags () =
+  check strings "not deterministic" [ "timestamp"; "wire_timestamp" ]
+    (flagged Nondeterministic);
+  check strings "stateful" [ "flow_pkts" ] (flagged Stateful);
+  check ab "a name with no row has no flag" false
+    (Semantic.has Nondeterministic "no_such_semantic"
+    || Semantic.has Stateful "no_such_semantic")
+
+let test_table_host_stack_flags () =
+  check strings "DPDK mbuf fields"
+    (sorted [ "rss"; "vlan"; "pkt_len"; "csum_ok"; "mark"; "flow_id" ])
+    (sorted (flagged Mbuf_field));
+  check strings "XDP hints" [ "rss"; "vlan"; "timestamp"; "wire_timestamp" ]
+    (flagged Xdp_hint);
+  List.iter
+    (fun s -> check ab s true (Semantic.has Xdp_hint s))
+    [ "rss"; "vlan"; "timestamp"; "wire_timestamp" ];
+  check ab "pkt_len has no XDP hint" false (Semantic.has Xdp_hint "pkt_len")
+
+(* Every core is the implementation of exactly one host row; the only
+   other row that names a core is wire_timestamp, hardware only, whose
+   device implementation is the timestamp clock. *)
+let test_table_cores () =
+  let cores =
+    Codec.
+      [
+        Rss; Rss_type; Ip_checksum; Csum_ok; L4_checksum; Vlan; Timestamp; Flow_id; Mark;
+        Pkt_len; L3_type; L4_type; Ip_id; Lro_num_seg; Crc; Tunnel_vni; Flow_pkts;
+      ]
+  in
+  let rows_of sem ~host =
+    names_where (fun r ->
+        r.impl = Some (Core sem) && Float.is_finite r.info.sw_cost = host)
+  in
+  List.iter
+    (fun sem ->
+      check Alcotest.int "host rows with this core" 1 (List.length (rows_of sem ~host:true));
+      check strings "hardware-only rows with this core"
+        (if sem = Codec.Timestamp then [ "wire_timestamp" ] else [])
+        (rows_of sem ~host:false))
+    cores;
+  check ab "kvs_key is a boxed compute" true
+    (match Semantic.row "kvs_key" with
+    | Some { impl = Some (Compute _); _ } -> true
+    | _ -> false)
+
+let test_table_registries () =
+  let r = Registry.builtin () in
+  List.iter
+    (fun (row : Semantic.row) ->
+      let name = row.info.name in
+      match (row.impl, Registry.find r name) with
+      | Some _, Some f when Float.is_finite row.info.sw_cost ->
+          check Alcotest.int (name ^ " width") row.info.width_bits f.width_bits;
+          check (Alcotest.float 0.0) (name ^ " cost") row.info.sw_cost f.cost_cycles
+      | Some _, None when row.info.sw_cost = infinity ->
+          check ab (name ^ " is device-only") true
+            (List.exists (fun (f : Feature.t) -> f.semantic = name) Registry.device_only)
+      | None, None -> ()
+      | _ -> Alcotest.failf "%s: registry membership disagrees with its row" name)
+    Semantic.rows;
+  check strings "builtin names"
+    (sorted (names_where (fun r -> r.impl <> None && Float.is_finite r.info.sw_cost)))
+    (Registry.names r);
+  check strings "device-only, in row order"
+    [ "wire_timestamp"; "inline_crypto_tag"; "regex_match_id" ]
+    (List.map (fun (f : Feature.t) -> f.semantic) Registry.device_only);
+  let wire = List.hd Registry.device_only in
+  check ab "wire_timestamp shares the timestamp core's compute" true
+    (wire.compute == (builtin "timestamp").compute
+    && Registry.core_of wire.compute = Some Codec.Timestamp)
+
+let test_table_default_is_fresh () =
+  let a = Semantic.default () and b = Semantic.default () in
+  Semantic.register a { name = "custom"; width_bits = 8; sw_cost = 1.0; descr = "" };
+  check ab "registered" true (Semantic.mem a "custom");
+  check ab "another default does not see it" false (Semantic.mem b "custom");
+  check Alcotest.int "every row" 26 (List.length (Semantic.names b));
+  List.iter
+    (fun (row : Semantic.row) ->
+      check ab row.info.name true (Semantic.find b row.info.name = Some row.info))
+    Semantic.rows
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -554,6 +674,16 @@ let () =
           Alcotest.test_case "register replaces" `Quick test_registry_register_replaces;
           Alcotest.test_case "names sorted" `Quick test_registry_names_sorted;
           Alcotest.test_case "core_of by identity" `Quick test_registry_core_of;
+        ] );
+      ( "semantic",
+        [
+          Alcotest.test_case "rows and TX rows" `Quick test_table_rows;
+          Alcotest.test_case "hardware-only is w = infinity" `Quick test_table_hardware_only;
+          Alcotest.test_case "checker flags" `Quick test_table_checker_flags;
+          Alcotest.test_case "host-stack flags" `Quick test_table_host_stack_flags;
+          Alcotest.test_case "one host row per core" `Quick test_table_cores;
+          Alcotest.test_case "registries are the rows'" `Quick test_table_registries;
+          Alcotest.test_case "default is a fresh copy" `Quick test_table_default_is_fresh;
         ] );
       ( "pipeline",
         [
