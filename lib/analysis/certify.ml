@@ -129,7 +129,8 @@ let check (cf : contract) (plan : plan) : (certificate, D.t list) result =
      messages matches the CLI's path listing. *)
   let catalogue = Engine.feasible_groups cf.cf_catalogue in
   let span = cf.cf_catalogue.Engine.cat_ctrl.P4.Typecheck.ct_span in
-  let config = Format.asprintf "%a" Context.pp plan.pl_config in
+  (* Diagnostic text is built only when a diagnostic is raised. *)
+  let config () = Format.asprintf "%a" Context.pp plan.pl_config in
   (* Every feasible layout the plan's configuration selects — several
      when runtime-data branches fork (each must agree with the plan,
      or a fixed-offset read can observe unwritten bytes). *)
@@ -158,7 +159,7 @@ let check (cf : contract) (plan : plan) : (certificate, D.t list) result =
       (D.make ~span ~code:"OD023" ~severity:D.Error
          "plan for path #%d: configuration %s selects no feasible \
           completion run"
-         plan.pl_path_index config);
+         plan.pl_path_index (config ()));
   let check_accessor ~what ~run ~group_index
       (ap : accessor_plan) (af : Engine.afield) =
     if ap.ap_bits <> af.af_bits then
@@ -166,7 +167,7 @@ let check (cf : contract) (plan : plan) : (certificate, D.t list) result =
         (D.make ~span:af.af_span ~code:"OD021" ~severity:D.Error
            "accessor for %s claims %d bits but the deparser writes %d \
             bits under %s"
-           what ap.ap_bits af.af_bits config);
+           (what ()) ap.ap_bits af.af_bits (config ()));
     let expected =
       if af.af_bits > 64 then None
       else Some (af.af_bit_off, af.af_bit_off + af.af_bits)
@@ -180,9 +181,9 @@ let check (cf : contract) (plan : plan) : (certificate, D.t list) result =
              (D.make ~span:af.af_span ~code:"OD021" ~severity:D.Error
                 "accessor for %s reads no completion bytes but the \
                  deparser writes the field at bits [%d, %d) under %s"
-                what af.af_bit_off
+                (what ()) af.af_bit_off
                 (af.af_bit_off + af.af_bits)
-                config)
+                (config ()))
        | Some (alo, ahi) -> (
            let other =
              List.find_opt
@@ -203,26 +204,26 @@ let check (cf : contract) (plan : plan) : (certificate, D.t list) result =
                  (D.make ~span:af.af_span ~code:"OD023" ~severity:D.Error
                     "accessor for %s reads bits [%d, %d) — path #%d's \
                      placement, not path #%d's [%d, %d) selected by %s"
-                    what alo ahi g.Engine.g_index group_index af.af_bit_off
+                    (what ()) alo ahi g.Engine.g_index group_index af.af_bit_off
                     (af.af_bit_off + af.af_bits)
-                    config)
+                    (config ()))
            | None ->
                if ahi > run.Dep_ir.r_total_bits then
                  add
                    (D.make ~span:af.af_span ~code:"OD023" ~severity:D.Error
                       "accessor for %s reads bits [%d, %d), past the %dB \
                        completion emitted under %s (Size(p) = %d bits)"
-                      what alo ahi
+                      (what ()) alo ahi
                       (run.Dep_ir.r_total_bits / 8)
-                      config run.Dep_ir.r_total_bits)
+                      (config ()) run.Dep_ir.r_total_bits)
                else
                  add
                    (D.make ~span:af.af_span ~code:"OD021" ~severity:D.Error
                       "accessor for %s reads bits [%d, %d) but the \
                        deparser writes the field at bits [%d, %d) under %s"
-                      what alo ahi af.af_bit_off
+                      (what ()) alo ahi af.af_bit_off
                       (af.af_bit_off + af.af_bits)
-                      config)));
+                      (config ()))));
     (* Value agreement both directions: the chain's abstraction must
        coincide with the contract's (any bit<w> value) on interval
        and known bits — inclusion each way. *)
@@ -236,10 +237,10 @@ let check (cf : contract) (plan : plan) : (certificate, D.t list) result =
         (D.make ~span:af.af_span ~code:"OD021" ~severity:D.Error
            "accessor for %s evaluates to %s but the deparser contract \
             admits %s under %s"
-           what
+           (what ())
            (Absdom.to_string actual_v)
            (Absdom.to_string expected_v)
-           config);
+           (config ()));
     (* The range the compiler stamped on the accessor (registry-
        clamped, the OD011 contract) must be reproducible from the
        contract alone. *)
@@ -264,7 +265,7 @@ let check (cf : contract) (plan : plan) : (certificate, D.t list) result =
         (D.make ~span:af.af_span ~code:"OD021" ~severity:D.Error
            "accessor for %s claims certified range %s but the contract \
             yields %s"
-           what
+           (what ())
            (range_string ap.ap_range)
            (range_string claimed_exp))
   in
@@ -277,7 +278,7 @@ let check (cf : contract) (plan : plan) : (certificate, D.t list) result =
           (D.make ~span ~code:"OD023" ~severity:D.Error
              "plan certified for path #%d (%dB) but configuration %s \
               selects path #%d, a %dB completion"
-             plan.pl_path_index plan.pl_size_bytes config group_index
+             plan.pl_path_index plan.pl_size_bytes (config ()) group_index
              (run.Dep_ir.r_total_bits / 8))
       else discharge ();
       List.iter
@@ -292,10 +293,10 @@ let check (cf : contract) (plan : plan) : (certificate, D.t list) result =
                 (D.make ~span ~code:"OD022" ~severity:D.Error
                    "plan claims %S hardware-provided but the completion \
                     emitted under %s does not carry it"
-                   s config)
+                   s (config ()))
           | Some af ->
               check_accessor
-                ~what:(Printf.sprintf "semantic %S" s)
+                ~what:(fun () -> Printf.sprintf "semantic %S" s)
                 ~run ~group_index ap af)
         plan.pl_hw;
       if List.length plan.pl_fields <> List.length afs then
@@ -304,7 +305,7 @@ let check (cf : contract) (plan : plan) : (certificate, D.t list) result =
              "plan lists %d field accessors but the completion emitted \
               under %s has %d fields"
              (List.length plan.pl_fields)
-             config (List.length afs))
+             (config ()) (List.length afs))
       else
         List.iter2
           (fun ap (af : Engine.afield) ->
@@ -318,10 +319,10 @@ let check (cf : contract) (plan : plan) : (certificate, D.t list) result =
                    "plan's field accessor %s.%s does not correspond to \
                     %s.%s emitted under %s"
                    ap.ap_header ap.ap_name af.Engine.af_header
-                   af.Engine.af_name config)
+                   af.Engine.af_name (config ()))
             else
               check_accessor
-                ~what:(Printf.sprintf "field %s.%s" ap.ap_header ap.ap_name)
+                ~what:(fun () -> Printf.sprintf "field %s.%s" ap.ap_header ap.ap_name)
                 ~run ~group_index ap af)
           plan.pl_fields afs)
     chosen;

@@ -41,32 +41,14 @@ let default_table =
 
 let table_fields =
   [
-    ( "cache_line_load",
-      (fun t -> t.tb_cache_line_load),
-      fun t v -> { t with tb_cache_line_load = v } );
-    ( "accessor_read",
-      (fun t -> t.tb_accessor_read),
-      fun t v -> { t with tb_accessor_read = v } );
-    ( "ring_advance",
-      (fun t -> t.tb_ring_advance),
-      fun t v -> { t with tb_ring_advance = v } );
-    ("refill", (fun t -> t.tb_refill), fun t v -> { t with tb_refill = v });
-    ("doorbell", (fun t -> t.tb_doorbell), fun t v -> { t with tb_doorbell = v });
-    ("sw_parse", (fun t -> t.tb_sw_parse), fun t v -> { t with tb_sw_parse = v });
-    ( "clock_ghz",
-      (fun t -> t.tb_clock_ghz),
-      fun t v -> { t with tb_clock_ghz = v } );
+    ("cache_line_load", fun t v -> { t with tb_cache_line_load = v });
+    ("accessor_read", fun t v -> { t with tb_accessor_read = v });
+    ("ring_advance", fun t v -> { t with tb_ring_advance = v });
+    ("refill", fun t v -> { t with tb_refill = v });
+    ("doorbell", fun t v -> { t with tb_doorbell = v });
+    ("sw_parse", fun t v -> { t with tb_sw_parse = v });
+    ("clock_ghz", fun t v -> { t with tb_clock_ghz = v });
   ]
-
-let table_to_json t =
-  let b = Buffer.create 128 in
-  Buffer.add_string b "{\"schema\":\"opendesc-cost-table-1\"";
-  List.iter
-    (fun (k, get, _) ->
-      Buffer.add_string b (Printf.sprintf ",\"%s\":%g" k (get t)))
-    table_fields;
-  Buffer.add_char b '}';
-  Buffer.contents b
 
 (* Tolerant flat-object reader: each known key overrides the default;
    unknown keys are ignored so the format can grow. *)
@@ -99,7 +81,7 @@ let table_of_json src =
   let hits = ref 0 in
   let t =
     List.fold_left
-      (fun t (k, _, set) ->
+      (fun t (k, set) ->
         match value_after k with
         | Some v ->
             incr hits;
@@ -110,7 +92,7 @@ let table_of_json src =
   if !hits = 0 then
     Error
       (Printf.sprintf "no cost-table keys found (expected any of %s)"
-         (String.concat ", " (List.map (fun (k, _, _) -> k) table_fields)))
+         (String.concat ", " (List.map fst table_fields)))
   else Ok t
 
 (* ------------------------------------------------------------------ *)
@@ -223,7 +205,7 @@ let path_cost_of ~table ~registry ~intent index
   let priced =
     List.filter_map
       (fun s ->
-        let c = Softnic.Semantic.cost registry s in
+        let c = Softnic.Semantic.rx_cost registry s in
         if c < infinity then Some (s, c) else None)
       missing
   in
@@ -251,7 +233,8 @@ let analyze ?(table = default_table) ?budget ?baseline
       0.0 plan.Certify.pl_shims
   in
   let bound = plan_bound ~table plan in
-  (* OD028 first: an unbounded walk poisons the bound itself. *)
+  (* OD028 first: an unbounded walk poisons the bound itself. [what]
+     names the accessor, and is built only when the diagnostic is. *)
   let walk_check what (ap : Certify.accessor_plan) =
     if unbounded_walk ~size_bytes:plan.Certify.pl_size_bytes ap.Certify.ap_steps
     then
@@ -260,15 +243,15 @@ let analyze ?(table = default_table) ?budget ?baseline
            "unbounded cost: accessor for %s bit-walks past the %dB slot — \
             the walk length is path-dependent beyond the slot width, so no \
             per-packet cycle bound exists"
-           what plan.Certify.pl_size_bytes)
+           (what ()) plan.Certify.pl_size_bytes)
   in
   List.iter
-    (fun (s, ap) -> walk_check (Printf.sprintf "semantic %S" s) ap)
+    (fun (s, ap) -> walk_check (fun () -> Printf.sprintf "semantic %S" s) ap)
     plan.Certify.pl_hw;
   List.iter
     (fun (ap : Certify.accessor_plan) ->
       walk_check
-        (Printf.sprintf "field %s.%s" ap.Certify.ap_header ap.Certify.ap_name)
+        (fun () -> Printf.sprintf "field %s.%s" ap.Certify.ap_header ap.Certify.ap_name)
         ap)
     plan.Certify.pl_fields;
   (match budget with

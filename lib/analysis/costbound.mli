@@ -37,9 +37,6 @@ val default_table : table
     [Driver.Stack.parse_cost] and [Opendesc.Placement] are defined from
     it. *)
 
-val table_to_json : table -> string
-(** Flat JSON object, schema ["opendesc-cost-table-1"]. *)
-
 val table_of_json : string -> (table, string) result
 (** Tolerant reader for [--cost-table <json>]: known keys override the
     defaults, unknown keys are ignored; [Error] when no key parses. *)
@@ -71,7 +68,9 @@ val distinct_lines : Certify.step list list -> int
     the report carries alongside the streamed-record line count. *)
 
 (** Idealized cost of serving the intent from one feasible completion
-    layout, every missing semantic priced at its registry shim cost —
+    layout, every missing semantic priced at its RX shim cost
+    ({!Softnic.Semantic.rx_cost}: a TX semantic has none, so a path
+    missing one does not serve the intent) —
     the per-path ranking behind OD027 (and ROADMAP item 2's
     specializer). *)
 type path_cost = {

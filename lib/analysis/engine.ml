@@ -827,12 +827,13 @@ let analyze_program ~registry ?intent ?(line_offset = 0) tenv =
       in_line_offset = line_offset;
     }
 
-let analyze_source ~registry ?intent ?(prelude = "") src =
-  let off = List.length (String.split_on_char '\n' prelude) - 1 in
+let analyze_source ~registry ?intent ?prelude src =
+  let decls, start = match prelude with Some (d, p) -> (d, Some p) | None -> ([], None) in
+  let off = match start with Some (p : P4.Loc.pos) -> p.line - 1 | None -> 0 in
   let od001 span what msg =
     [ D.relocate ~lines:off (D.make ~span ~code:"OD001" ~severity:D.Error "%s: %s" what msg) ]
   in
-  match P4.Typecheck.check_string (prelude ^ src) with
+  match P4.Typecheck.check (decls @ P4.Parser.parse_program ?start src) with
   | tenv -> analyze_program ~registry ?intent ~line_offset:off tenv
   | exception P4.Typecheck.Type_error (msg, sp) -> od001 sp "type error" msg
   | exception P4.Parser.Error (msg, sp) -> od001 sp "syntax error" msg

@@ -123,13 +123,15 @@ val analyze_program :
 val analyze_source :
   registry:Softnic.Semantic.t ->
   ?intent:(string * int) list ->
-  ?prelude:string ->
+  ?prelude:P4.Ast.program * P4.Loc.pos ->
   string ->
   Diagnostic.t list
-(** Parse and typecheck [prelude ^ src], then analyze. A lexical, syntax
-    or type error becomes a single OD001 diagnostic rather than an
-    exception, located in [src]'s own lines when its position is known
-    and outside the prelude. *)
+(** Parse [src] and typecheck it after a prelude, then analyze. The
+    prelude is given parsed, with the position just past its text, where
+    [src] is lexed from, so spans are those of [prelude ^ src]. A
+    lexical, syntax or type error becomes a single OD001 diagnostic
+    rather than an exception, located in [src]'s own lines when its
+    position is known and outside the prelude. *)
 
 val check_accessor_bounds :
   ?path_desc:string -> size_bytes:int -> afield list -> Diagnostic.t list

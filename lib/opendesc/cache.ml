@@ -15,7 +15,6 @@ let by_fp : (string, entry) Hashtbl.t = Hashtbl.create 8
 let canonicals : (Intent.t * string) list ref = ref []
 let hits = ref 0
 let misses = ref 0
-let enabled = ref true
 
 let memo_assoc cache key compute =
   match List.find_opt (fun (k, _) -> k == key) !cache with
@@ -62,9 +61,6 @@ let certs :
 let held : (string, Opendesc_analysis.Certify.certificate) Hashtbl.t =
   Hashtbl.create 8
 
-let set_enabled b = enabled := b
-let is_enabled () = !enabled
-
 let clear () =
   specs := [];
   canonicals := [];
@@ -87,8 +83,8 @@ let stats_line () =
     s.misses s.entries
     (if s.entries = 1 then "y" else "ies")
 
-(* Same constituents as {!Compile.signature}, minus the fingerprint
-   (fixed per entry); alpha keyed by its exact bits. *)
+(* The key within an entry (whose fingerprint is the rest of the key):
+   intent canonical form, alpha by its exact bits, TX intent. *)
 let intent_key ?alpha ?tx_intent ~intent () =
   String.concat "\x00"
     [
@@ -100,20 +96,17 @@ let intent_key ?alpha ?tx_intent ~intent () =
     ]
 
 let run ?alpha ?tx_intent ~intent (nic : Nic_spec.t) =
-  if not !enabled then Compile.run ?alpha ?tx_intent ~intent nic
-  else begin
-    let e = entry_of nic in
-    let key = intent_key ?alpha ?tx_intent ~intent () in
-    match Hashtbl.find_opt e.results key with
-    | Some r ->
-        incr hits;
-        r
-    | None ->
-        incr misses;
-        let r = Compile.run ?alpha ?tx_intent ~intent nic in
-        Hashtbl.add e.results key r;
-        r
-  end
+  let e = entry_of nic in
+  let key = intent_key ?alpha ?tx_intent ~intent () in
+  match Hashtbl.find_opt e.results key with
+  | Some r ->
+      incr hits;
+      r
+  | None ->
+      incr misses;
+      let r = Compile.run ?alpha ?tx_intent ~intent nic in
+      Hashtbl.add e.results key r;
+      r
 
 let run_exn ?alpha ?tx_intent ~intent nic =
   match run ?alpha ?tx_intent ~intent nic with
@@ -134,14 +127,12 @@ let certify ?alpha ?tx_intent ~intent (nic : Nic_spec.t) =
         | Error ds -> Error (Cert_failed ds))
   in
   let r =
-    if not !enabled then compute ()
-    else
-      match Hashtbl.find_opt certs ckey with
-      | Some r -> r
-      | None ->
-          let r = compute () in
-          Hashtbl.add certs ckey r;
-          r
+    match Hashtbl.find_opt certs ckey with
+    | Some r -> r
+    | None ->
+        let r = compute () in
+        Hashtbl.add certs ckey r;
+        r
   in
   (match r with
   | Ok cert -> Hashtbl.replace held (nic.Nic_spec.nic_name ^ "\x00" ^ ikey) cert

@@ -6,10 +6,12 @@
     compile the same (NIC, intent, alpha) repeatedly — one compilation
     per queue of a multi-queue device, the portability example walking a
     NIC catalog, the CLI, benches — hit this process-wide memo table
-    instead: a hash lookup keyed by the constituents of
-    {!Compile.signature} (layout fingerprint, intent canonical form,
-    alpha, TX intent), with physical-identity front caches so a warm
-    lookup recomputes neither fingerprint nor canonical form.
+    instead: a hash lookup keyed by the spec's {!Nic_spec.fingerprint},
+    the intent's canonical form, alpha and the TX intent's canonical
+    form, with physical-identity front caches so a warm lookup
+    recomputes neither fingerprint nor canonical form. Two {!Compile.run}
+    calls with equal keys and default registries produce interchangeable
+    results.
 
     The cache deliberately does {e not} accept the [?registry]/[?softnic]
     overrides of {!Compile.run}: a custom registry can change the chosen
@@ -75,12 +77,6 @@ val certificate_status :
 
 val contract_hash_of : Nic_spec.t -> string
 (** {!Compile.contract_hash} through the cache's memoized fingerprint. *)
-
-val set_enabled : bool -> unit
-(** [false] makes {!run} delegate straight to {!Compile.run} (the CLI's
-    [--no-cache]); the table and counters are left untouched. *)
-
-val is_enabled : unit -> bool
 
 val clear : unit -> unit
 (** Drop every entry and zero the counters. *)

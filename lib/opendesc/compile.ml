@@ -82,24 +82,6 @@ let choose_tx_format (nic : Nic_spec.t) = function
       | [] -> (None, wanted)
       | best :: _ -> (Some best, missing_of best))
 
-(* The memoization key of one compilation (see {!Cache}): NIC interface
-   identity x intent canonical form x alpha x TX intent. Everything else
-   [run] consumes (semantic registry, SoftNIC registry) must be the
-   defaults for the key to be sound — which is why {!Cache.run} exposes
-   no [?registry]/[?softnic] parameters. *)
-let signature_of_fingerprint ?alpha ?tx_intent ~intent fingerprint =
-  String.concat "\x00"
-    [
-      fingerprint;
-      Intent.canonical intent;
-      string_of_float
-        (match alpha with Some a -> a | None -> Select.default_alpha);
-      (match tx_intent with Some i -> Intent.canonical i | None -> "-");
-    ]
-
-let signature ?alpha ?tx_intent ~intent (nic : Nic_spec.t) =
-  signature_of_fingerprint ?alpha ?tx_intent ~intent (Nic_spec.fingerprint nic)
-
 let run ?alpha ?registry ?softnic ?tx_intent ~intent (nic : Nic_spec.t) =
   let registry = match registry with Some r -> r | None -> Semantic.default () in
   let softnic = match softnic with Some r -> r | None -> Softnic.Registry.builtin () in

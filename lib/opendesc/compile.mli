@@ -80,19 +80,6 @@ val tx_writer : t -> string -> (bytes -> int64 -> unit) option
     (None when the semantic is in {!field:tx_missing} or there is no TX
     format). *)
 
-val signature :
-  ?alpha:float -> ?tx_intent:Intent.t -> intent:Intent.t -> Nic_spec.t -> string
-(** The memoization key of one compilation: (NIC fingerprint, intent
-    canonical form, alpha, TX-intent canonical form). Two [run] calls
-    with equal signatures and default registries produce interchangeable
-    results — the contract {!Cache} relies on. *)
-
-val signature_of_fingerprint :
-  ?alpha:float -> ?tx_intent:Intent.t -> intent:Intent.t -> string -> string
-(** {!signature} with a precomputed {!Nic_spec.fingerprint} — the cache's
-    hot path memoizes the fingerprint per spec instance so a warm lookup
-    never re-walks the layouts. *)
-
 val run :
   ?alpha:float ->
   ?registry:Semantic.t ->

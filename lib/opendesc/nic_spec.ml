@@ -16,8 +16,51 @@ type t = {
   catalogue : Opendesc_analysis.Engine.catalogue;
   desc_parser : P4.Typecheck.parser_def option;
   tx_formats : Descparser.t list;
+  layout_fingerprint : string;
   notes : string;
 }
+
+(* [Printf "%d"] for the fingerprint, without the format machinery. *)
+let rec add_int buf n =
+  if n < 0 then Buffer.add_string buf (string_of_int n)
+  else begin
+    if n >= 10 then add_int buf (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+  end
+
+(* "|p<index>:<size>B[<name>:<semantic or ->@<bit_off>+<bits>;...]" per
+   path, then "|tx<index>:<size>B" per TX format. *)
+let layout_fingerprint_of paths tx_formats =
+  let buf = Buffer.create 256 in
+  List.iter
+    (fun (p : Path.t) ->
+      Buffer.add_string buf "|p";
+      add_int buf p.p_index;
+      Buffer.add_char buf ':';
+      add_int buf (Path.size p);
+      Buffer.add_string buf "B[";
+      List.iter
+        (fun (f : Path.lfield) ->
+          Buffer.add_string buf f.l_name;
+          Buffer.add_char buf ':';
+          Buffer.add_string buf (Option.value ~default:"-" f.l_semantic);
+          Buffer.add_char buf '@';
+          add_int buf f.l_bit_off;
+          Buffer.add_char buf '+';
+          add_int buf f.l_bits;
+          Buffer.add_char buf ';')
+        p.p_layout.fields;
+      Buffer.add_char buf ']')
+    paths;
+  List.iter
+    (fun (f : Descparser.t) ->
+      Buffer.add_string buf "|tx";
+      add_int buf f.d_fmt.t_index;
+      Buffer.add_char buf ':';
+      add_int buf (Descparser.size f);
+      Buffer.add_char buf 'B')
+    tx_formats;
+  Buffer.contents buf
 
 let find_deparser tenv ~requested =
   match requested with
@@ -65,6 +108,7 @@ let load ~name ~kind ?deparser ?(notes = "") p4_source =
                       catalogue;
                       desc_parser;
                       tx_formats;
+                      layout_fingerprint = layout_fingerprint_of paths tx_formats;
                       notes;
                     })))
 
@@ -104,15 +148,13 @@ let analyze_source ?registry ?intent src =
   in
   Opendesc_analysis.Engine.analyze_source
     ~registry
-    ?intent ~prelude:Prelude.source src
+    ?intent ~prelude:(Prelude.decls, Prelude.end_pos) src
 
 let lint ?registry t =
   analyze ?registry t
   |> List.filter (fun (d : Opendesc_analysis.Diagnostic.t) ->
          d.d_severity <> Opendesc_analysis.Diagnostic.Info)
   |> List.map Opendesc_analysis.Diagnostic.to_string
-
-let find_path t idx = List.find_opt (fun (p : Path.t) -> p.p_index = idx) t.paths
 
 let pp ppf t =
   Format.fprintf ppf "%s (%s): %d completion path(s)%s%s" t.nic_name
@@ -122,23 +164,4 @@ let pp ppf t =
     | fs -> Printf.sprintf ", %d TX format(s)" (List.length fs))
     (if t.notes = "" then "" else " — " ^ t.notes)
 
-let fingerprint t =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf t.nic_name;
-  List.iter
-    (fun (p : Path.t) ->
-      Buffer.add_string buf (Printf.sprintf "|p%d:%dB[" p.p_index (Path.size p));
-      List.iter
-        (fun (f : Path.lfield) ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s:%s@%d+%d;" f.l_name
-               (Option.value ~default:"-" f.l_semantic)
-               f.l_bit_off f.l_bits))
-        p.p_layout.fields;
-      Buffer.add_char buf ']')
-    t.paths;
-  List.iter
-    (fun (f : Descparser.t) ->
-      Buffer.add_string buf (Printf.sprintf "|tx%d:%dB" f.d_fmt.t_index (Descparser.size f)))
-    t.tx_formats;
-  Buffer.contents buf
+let fingerprint t = t.nic_name ^ t.layout_fingerprint

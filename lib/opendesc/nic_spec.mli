@@ -33,6 +33,10 @@ type t = {
   tx_formats : Descparser.t list;
       (** TX descriptor formats: the desc parser's one walk, built by
           {!load} and read by {!analyze} and the compiler *)
+  layout_fingerprint : string;
+      (** the name-free part of {!fingerprint}, built once by {!load}
+          from [paths] and [tx_formats] (a plain string, not a [Lazy.t],
+          for the same reason as [catalogue]) *)
   notes : string;
 }
 
@@ -71,14 +75,14 @@ val lint : ?registry:Semantic.t -> t -> string list
     (info-severity findings are omitted). Kept for callers that want
     flat strings; new code should use {!analyze}. *)
 
-val find_path : t -> int -> Path.t option
-
 val fingerprint : t -> string
 (** A stable textual identity of the interface: NIC name plus every
     completion path's exact field layout and every TX format's size. Two
     specs with equal fingerprints compile identically for any intent —
     the NIC half of the compile-cache key (guarding against distinct
-    descriptions that happen to share a name). *)
+    descriptions that happen to share a name). [nic_name] followed by
+    [layout_fingerprint], so a spec rebranded with
+    [{ s with nic_name }] gets the new name's fingerprint. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-paragraph summary. *)

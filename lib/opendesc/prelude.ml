@@ -17,11 +17,18 @@ extern packet_out {
 }
 |}
 
-let check nic_source = P4.Typecheck.check_string (source ^ nic_source)
-
 (* Lines the prelude prepends: subtract from spans to recover positions in
    the user's own source. *)
 let line_offset = List.length (String.split_on_char '\n' source) - 1
+
+let decls = P4.Parser.parse_program source
+
+let end_pos : P4.Loc.pos =
+  let bol = match String.rindex_opt source '\n' with Some i -> i + 1 | None -> 0 in
+  { line = line_offset + 1; col = String.length source - bol; off = String.length source }
+
+let check nic_source =
+  P4.Typecheck.check (decls @ P4.Parser.parse_program ~start:end_pos nic_source)
 
 (* Lexer and parser errors moved from the prelude-prefixed text into the
    user's own lines. *)

@@ -20,19 +20,12 @@ let error_to_string = function
 
 let default_alpha = 2.0
 
-(* w(s) of a software fallback on the RX path: a TX semantic, which the
-   host writes, has none. *)
-let rx_cost registry s =
-  match Semantic.row s with
-  | Some { dir = Tx; _ } -> infinity
-  | _ -> Semantic.cost registry s
-
 let score registry ~alpha intent (p : Path.t) =
   let missing =
     List.filter (fun s -> not (Path.provides p s)) (Intent.required intent)
   in
   let softnic_cost =
-    List.fold_left (fun acc s -> acc +. rx_cost registry s) 0.0 missing
+    List.fold_left (fun acc s -> acc +. Semantic.rx_cost registry s) 0.0 missing
   in
   let dma_cost = alpha *. float_of_int (Path.size p) in
   {
@@ -65,7 +58,7 @@ let choose ?(alpha = default_alpha) registry intent paths =
         let blocking =
           List.filter
             (fun s ->
-              rx_cost registry s = infinity
+              Semantic.rx_cost registry s = infinity
               && List.for_all (fun sc -> List.mem s sc.s_missing) scored)
             (Intent.required intent)
         in

@@ -1,11 +1,13 @@
 exception Error of string * Loc.pos
 
-(* [bol] is the offset just past the last newline consumed, so a
-   position's column is [off - bol] and only a newline touches the line
-   state. *)
-type state = { src : string; mutable off : int; mutable line : int; mutable bol : int }
+(* [off] indexes [src]; [base] is the offset of [src]'s first byte in the
+   text the positions count in (non-zero when lexing starts after a
+   prelude). [bol] is the index just past the last newline consumed
+   (negative on a first line that starts mid-line), so a position's
+   column is [off - bol] and only a newline touches the line state. *)
+type state = { src : string; base : int; mutable off : int; mutable line : int; mutable bol : int }
 
-let pos st : Loc.pos = { line = st.line; col = st.off - st.bol; off = st.off }
+let pos st : Loc.pos = { line = st.line; col = st.off - st.bol; off = st.base + st.off }
 
 (* Bounds-checked character tests: a NUL byte inside the source is an
    ordinary character, never end of input. *)
@@ -37,86 +39,101 @@ let digit_val c =
   else if c >= 'a' && c <= 'f' then Char.code c - Char.code 'a' + 10
   else Char.code c - Char.code 'A' + 10
 
-let rec skip_block_comment st =
-  if not (has st 0) then error st "unterminated comment"
-  else if at st 0 '*' && at st 1 '/' then skip st 2
-  else begin
-    advance st;
-    skip_block_comment st
-  end
-
-let rec skip_trivia st =
-  if has st 0 then
-    match get st 0 with
-    | ' ' | '\t' | '\r' ->
-        skip st 1;
-        skip_trivia st
+(* Whitespace and comments, scanned over local ints and written back to
+   the state once. *)
+let skip_trivia st =
+  let src = st.src in
+  let n = String.length src in
+  let i = ref st.off and line = ref st.line and bol = ref st.bol in
+  let trivia = ref true and unterminated = ref false in
+  while !trivia && !i < n do
+    match String.unsafe_get src !i with
+    | ' ' | '\t' | '\r' -> incr i
     | '\n' ->
-        advance st;
-        skip_trivia st
-    | '/' when at st 1 '/' ->
-        while has st 0 && not (Char.equal (get st 0) '\n') do
-          skip st 1
+        incr i;
+        incr line;
+        bol := !i
+    | '/' when !i + 1 < n && String.unsafe_get src (!i + 1) = '/' ->
+        while !i < n && String.unsafe_get src !i <> '\n' do
+          incr i
+        done
+    | '/' when !i + 1 < n && String.unsafe_get src (!i + 1) = '*' ->
+        i := !i + 2;
+        while !i < n && not (String.unsafe_get src !i = '*' && !i + 1 < n && String.unsafe_get src (!i + 1) = '/') do
+          if String.unsafe_get src !i = '\n' then begin
+            incr line;
+            bol := !i + 1
+          end;
+          incr i
         done;
-        skip_trivia st
-    | '/' when at st 1 '*' ->
-        skip st 2;
-        skip_block_comment st;
-        skip_trivia st
-    | _ -> ()
+        if !i < n then i := !i + 2 else unterminated := true
+    | _ -> trivia := false
+  done;
+  st.off <- !i;
+  st.line <- !line;
+  st.bol <- !bol;
+  if !unterminated then error st "unterminated comment"
 
 (* Numbers: 42, 0x2A, 0b1010, 0o52, and width-prefixed 8w255 / 4s7 /
    8w0xFF. We lex a digit run first; a following [w]/[s] turns it into a
    width prefix. *)
+let is_digit_in base c =
+  match base with
+  | 16 -> is_hex c
+  | 10 -> is_digit c
+  | 8 -> c >= '0' && c <= '7'
+  | _ -> c = '0' || c = '1'
+
+(* A digit run with '_' separators, wrapping modulo 2^64 as [Int64]
+   arithmetic does. The value stays in an int while it is below 2^54,
+   where [v * base + d] cannot overflow, so a literal of up to 13 hex
+   digits allocates only its result. *)
+let read_digits st base =
+  let v = ref 0 and wide = ref 0L and is_wide = ref false and any = ref false in
+  let digits = ref true in
+  while !digits do
+    if at st 0 '_' then skip st 1
+    else if has st 0 && is_digit_in base (get st 0) then begin
+      let d = digit_val (get st 0) in
+      skip st 1;
+      any := true;
+      if !is_wide then wide := Int64.add (Int64.mul !wide (Int64.of_int base)) (Int64.of_int d)
+      else if !v < 1 lsl 54 then v := (!v * base) + d
+      else begin
+        is_wide := true;
+        wide := Int64.add (Int64.mul (Int64.of_int !v) (Int64.of_int base)) (Int64.of_int d)
+      end
+    end
+    else digits := false
+  done;
+  if not !any then error st "malformed number";
+  if !is_wide then !wide else Int64.of_int !v
+
+let read_value st =
+  if at st 0 '0' && has st 1 then
+    match get st 1 with
+    | 'x' | 'X' ->
+        skip st 2;
+        read_digits st 16
+    | 'b' | 'B' ->
+        skip st 2;
+        read_digits st 2
+    | 'o' | 'O' ->
+        skip st 2;
+        read_digits st 8
+    | _ -> read_digits st 10
+  else read_digits st 10
+
 let lex_number st =
-  let read_digits base =
-    let ok c =
-      match base with
-      | 16 -> is_hex c
-      | 10 -> is_digit c
-      | 8 -> c >= '0' && c <= '7'
-      | 2 -> c = '0' || c = '1'
-      | _ -> assert false
-    in
-    let rec go v any =
-      if at st 0 '_' then begin
-        skip st 1;
-        go v any
-      end
-      else if has st 0 && ok (get st 0) then begin
-        let d = digit_val (get st 0) in
-        skip st 1;
-        go (Int64.add (Int64.mul v (Int64.of_int base)) (Int64.of_int d)) true
-      end
-      else if any then v
-      else error st "malformed number"
-    in
-    go 0L false
-  in
-  let read_value () =
-    if at st 0 '0' && has st 1 then
-      match get st 1 with
-      | 'x' | 'X' ->
-          skip st 2;
-          read_digits 16
-      | 'b' | 'B' ->
-          skip st 2;
-          read_digits 2
-      | 'o' | 'O' ->
-          skip st 2;
-          read_digits 8
-      | _ -> read_digits 10
-    else read_digits 10
-  in
-  let first = read_value () in
+  let first = read_value st in
   if at st 0 'w' then begin
     skip st 1;
-    let v = read_value () in
+    let v = read_value st in
     Token.Int { value = v; width = Some (Int64.to_int first); signed = false }
   end
   else if at st 0 's' && has st 1 && is_digit (get st 1) then begin
     skip st 1;
-    let v = read_value () in
+    let v = read_value st in
     Token.Int { value = v; width = Some (Int64.to_int first); signed = true }
   end
   else Token.Int { value = first; width = None; signed = false }
@@ -150,10 +167,24 @@ let lex_string st =
   go ();
   Token.String (Buffer.contents buf)
 
+(* [Token.keyword_table] by length. An identifier is compared in place
+   with the keywords of its length, so a keyword allocates no string and
+   no identifier is hashed. *)
 let keywords =
-  let t = Hashtbl.create 64 in
-  List.iter (fun (s, kw) -> Hashtbl.replace t s kw) Token.keyword_table;
+  let longest = List.fold_left (fun m (s, _) -> max m (String.length s)) 0 Token.keyword_table in
+  let t = Array.make (longest + 1) [] in
+  List.iter (fun ((s, _) as kw) -> t.(String.length s) <- t.(String.length s) @ [ kw ]) Token.keyword_table;
   t
+
+(* [s] equals [src]'s bytes from [start], given equal lengths. *)
+let rec same_at s src start i =
+  i = String.length s
+  || Char.equal (String.unsafe_get s i) (String.unsafe_get src (start + i))
+     && same_at s src start (i + 1)
+
+let rec keyword_or_ident src start len = function
+  | [] -> Token.Ident (String.sub src start len)
+  | (s, kw) :: rest -> if same_at s src start 0 then kw else keyword_or_ident src start len rest
 
 let lex_ident st =
   let start = st.off in
@@ -162,8 +193,8 @@ let lex_ident st =
     incr stop
   done;
   st.off <- !stop;
-  let s = String.sub st.src start (!stop - start) in
-  match Hashtbl.find keywords s with kw -> kw | exception Not_found -> Token.Ident s
+  let len = !stop - start in
+  keyword_or_ident st.src start len (if len < Array.length keywords then keywords.(len) else [])
 
 let one st k =
   skip st 1;
@@ -229,8 +260,10 @@ let next_kind st : Token.kind =
     | '|' -> op2 st '|' Token.OrOr Token.Pipe
     | c -> error st (Printf.sprintf "unexpected character %C" c)
 
-let tokenize src =
-  let st = { src; off = 0; line = 1; bol = 0 } in
+let start_of_text : Loc.pos = { line = 1; col = 0; off = 0 }
+
+let tokenize ?(start = start_of_text) src =
+  let st = { src; base = start.off; off = 0; line = start.line; bol = -start.col } in
   let rec go acc =
     skip_trivia st;
     let left = pos st in

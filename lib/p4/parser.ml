@@ -127,6 +127,43 @@ let annotations st : Ast.annotation list =
 (* ------------------------------------------------------------------ *)
 (* Types and expressions (mutually recursive through casts/widths). *)
 
+(* The binary-operator table: the operator at the cursor, and its
+   binding power, loosest first. A '>' directly followed by another is
+   a right shift, not a comparison. *)
+let binop_at st : Ast.binop option =
+  match peek_kind st with
+  | Token.OrOr -> Some Ast.LOr
+  | Token.AndAnd -> Some Ast.LAnd
+  | Token.Pipe -> Some Ast.BOr
+  | Token.Caret -> Some Ast.BXor
+  | Token.Amp -> Some Ast.BAnd
+  | Token.Eq -> Some Ast.Eq
+  | Token.Neq -> Some Ast.Neq
+  | Token.LAngle -> Some Ast.Lt
+  | Token.Le -> Some Ast.Le
+  | Token.Ge -> Some Ast.Ge
+  | Token.RAngle -> if at_shr st then Some Ast.Shr else Some Ast.Gt
+  | Token.Shl -> Some Ast.Shl
+  | Token.Plus -> Some Ast.Add
+  | Token.Minus -> Some Ast.Sub
+  | Token.PlusPlus -> Some Ast.Concat
+  | Token.Star -> Some Ast.Mul
+  | Token.Slash -> Some Ast.Div
+  | Token.Percent -> Some Ast.Mod
+  | _ -> None
+
+let precedence : Ast.binop -> int = function
+  | Ast.LOr -> 1
+  | Ast.LAnd -> 2
+  | Ast.BOr -> 3
+  | Ast.BXor -> 4
+  | Ast.BAnd -> 5
+  | Ast.Eq | Ast.Neq -> 6
+  | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge -> 7
+  | Ast.Shl | Ast.Shr -> 8
+  | Ast.Add | Ast.Sub | Ast.Concat -> 9
+  | Ast.Mul | Ast.Div | Ast.Mod -> 10
+
 (* The tokens [typ] accepts first. *)
 let starts_type : Token.kind -> bool = function
   | Token.KwBit | Token.KwInt | Token.KwVarbit | Token.KwBool | Token.KwError | Token.KwVoid
@@ -196,10 +233,10 @@ and expr st : Ast.expr = ternary st
 
 (* Width expressions inside bit<...> stop below relational/shift level so
    the closing '>' of the type is never mistaken for a comparison. *)
-and width_expr st : Ast.expr = add_expr st
+and width_expr st : Ast.expr = binary st (precedence Ast.Add)
 
 and ternary st =
-  let c = lor_expr st in
+  let c = binary st (precedence Ast.LOr) in
   if accept st Token.Question then begin
     let t = expr st in
     expect st Token.Colon "':'";
@@ -208,126 +245,19 @@ and ternary st =
   end
   else c
 
-and lor_expr st =
-  let rec go acc =
-    if accept st Token.OrOr then go (Ast.EBinop (Ast.LOr, acc, land_expr st)) else acc
-  in
-  go (land_expr st)
+(* Precedence climbing over [binop_at] and [precedence]: the operands
+   of a level-[min] expression bind at least as tightly as [min], and
+   every level associates to the left. *)
+and binary st min = climb st min (unary st)
 
-and land_expr st =
-  let rec go acc =
-    if accept st Token.AndAnd then go (Ast.EBinop (Ast.LAnd, acc, bor_expr st)) else acc
-  in
-  go (bor_expr st)
-
-and bor_expr st =
-  let rec go acc =
-    if is st Token.Pipe then begin
+and climb st min lhs =
+  match binop_at st with
+  | Some op when precedence op >= min ->
       advance st;
-      go (Ast.EBinop (Ast.BOr, acc, bxor_expr st))
-    end
-    else acc
-  in
-  go (bxor_expr st)
-
-and bxor_expr st =
-  let rec go acc =
-    if accept st Token.Caret then go (Ast.EBinop (Ast.BXor, acc, band_expr st)) else acc
-  in
-  go (band_expr st)
-
-and band_expr st =
-  let rec go acc =
-    if is st Token.Amp then begin
-      advance st;
-      go (Ast.EBinop (Ast.BAnd, acc, eq_expr st))
-    end
-    else acc
-  in
-  go (eq_expr st)
-
-and eq_expr st =
-  let rec go acc =
-    match peek_kind st with
-    | Token.Eq ->
-        advance st;
-        go (Ast.EBinop (Ast.Eq, acc, rel_expr st))
-    | Token.Neq ->
-        advance st;
-        go (Ast.EBinop (Ast.Neq, acc, rel_expr st))
-    | _ -> acc
-  in
-  go (rel_expr st)
-
-and rel_expr st =
-  let rec go acc =
-    match peek_kind st with
-    | Token.LAngle ->
-        advance st;
-        go (Ast.EBinop (Ast.Lt, acc, shift_expr st))
-    | Token.Le ->
-        advance st;
-        go (Ast.EBinop (Ast.Le, acc, shift_expr st))
-    | Token.Ge ->
-        advance st;
-        go (Ast.EBinop (Ast.Ge, acc, shift_expr st))
-    | Token.RAngle ->
-        (* '>' is relational here only when not a '>>' shift (handled in
-           shift_expr via adjacency) — single '>' is comparison. *)
-        if at_shr st then acc (* leave '>>' for shift level *)
-        else begin
-          advance st;
-          go (Ast.EBinop (Ast.Gt, acc, shift_expr st))
-        end
-    | _ -> acc
-  in
-  go (shift_expr st)
-
-and shift_expr st =
-  let rec go acc =
-    match peek_kind st with
-    | Token.Shl ->
-        advance st;
-        go (Ast.EBinop (Ast.Shl, acc, add_expr st))
-    | Token.RAngle when at_shr st ->
-        advance st;
-        advance st;
-        go (Ast.EBinop (Ast.Shr, acc, add_expr st))
-    | _ -> acc
-  in
-  go (add_expr st)
-
-and add_expr st =
-  let rec go acc =
-    match peek_kind st with
-    | Token.Plus ->
-        advance st;
-        go (Ast.EBinop (Ast.Add, acc, mul_expr st))
-    | Token.Minus ->
-        advance st;
-        go (Ast.EBinop (Ast.Sub, acc, mul_expr st))
-    | Token.PlusPlus ->
-        advance st;
-        go (Ast.EBinop (Ast.Concat, acc, mul_expr st))
-    | _ -> acc
-  in
-  go (mul_expr st)
-
-and mul_expr st =
-  let rec go acc =
-    match peek_kind st with
-    | Token.Star ->
-        advance st;
-        go (Ast.EBinop (Ast.Mul, acc, unary st))
-    | Token.Slash ->
-        advance st;
-        go (Ast.EBinop (Ast.Div, acc, unary st))
-    | Token.Percent ->
-        advance st;
-        go (Ast.EBinop (Ast.Mod, acc, unary st))
-    | _ -> acc
-  in
-  go (unary st)
+      (* a right shift is two '>' tokens *)
+      if op = Ast.Shr then advance st;
+      climb st min (Ast.EBinop (op, lhs, binary st (precedence op + 1)))
+  | _ -> lhs
 
 and unary st =
   match peek_kind st with
@@ -342,39 +272,38 @@ and unary st =
       Ast.EUnop (Ast.Neg, unary st)
   | _ -> postfix st
 
-and postfix st =
-  let rec go acc =
-    match peek_kind st with
-    | Token.Dot ->
-        advance st;
-        go (Ast.EMember (acc, member_ident st))
-    | Token.LBracket ->
-        advance st;
-        let i = expr st in
-        expect st Token.RBracket "']'";
-        go (Ast.EIndex (acc, i))
-    | Token.LParen ->
-        advance st;
-        let args = if is st Token.RParen then [] else expr_list st in
-        expect st Token.RParen "')'";
-        go (Ast.ECall (acc, [], args))
-    | Token.LAngle when starts_type (peek_kind_at st 1) -> (
-        (* Possibly explicit type arguments of a call: f<T, U>(args). *)
-        match
-          try_parse st (fun st ->
-              expect st Token.LAngle "'<'";
-              let targs = type_args st in
-              close_angle st;
-              expect st Token.LParen "'('";
-              let args = if is st Token.RParen then [] else expr_list st in
-              expect st Token.RParen "')'";
-              (targs, args))
-        with
-        | Some (targs, args) -> go (Ast.ECall (acc, targs, args))
-        | None -> acc)
-    | _ -> acc
-  in
-  go (primary st)
+and postfix st = postfix_ops st (primary st)
+
+and postfix_ops st acc =
+  match peek_kind st with
+  | Token.Dot ->
+      advance st;
+      postfix_ops st (Ast.EMember (acc, member_ident st))
+  | Token.LBracket ->
+      advance st;
+      let i = expr st in
+      expect st Token.RBracket "']'";
+      postfix_ops st (Ast.EIndex (acc, i))
+  | Token.LParen ->
+      advance st;
+      let args = if is st Token.RParen then [] else expr_list st in
+      expect st Token.RParen "')'";
+      postfix_ops st (Ast.ECall (acc, [], args))
+  | Token.LAngle when starts_type (peek_kind_at st 1) -> (
+      (* Possibly explicit type arguments of a call: f<T, U>(args). *)
+      match
+        try_parse st (fun st ->
+            expect st Token.LAngle "'<'";
+            let targs = type_args st in
+            close_angle st;
+            expect st Token.LParen "'('";
+            let args = if is st Token.RParen then [] else expr_list st in
+            expect st Token.RParen "')'";
+            (targs, args))
+      with
+      | Some (targs, args) -> postfix_ops st (Ast.ECall (acc, targs, args))
+      | None -> acc)
+  | _ -> acc
 
 and expr_list st =
   let rec go acc =
@@ -906,8 +835,8 @@ and state_annotated st =
   st.toks <- saved;
   result
 
-let parse_program src =
-  let st = make (Lexer.tokenize src) in
+let parse_program ?start src =
+  let st = make (Lexer.tokenize ?start src) in
   let rec go acc =
     if is st Token.Eof then List.rev acc else go (decl st :: acc)
   in

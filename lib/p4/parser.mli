@@ -3,8 +3,11 @@
 exception Error of string * Loc.span
 (** Syntax error with the offending span. *)
 
-val parse_program : string -> Ast.program
-(** Parse a whole translation unit.
+val parse_program : ?start:Loc.pos -> string -> Ast.program
+(** Parse a whole translation unit. [?start] is the position of its first
+    byte, as for {!Lexer.tokenize}: a NIC source parsed from the
+    prelude's end has the spans it has in [prelude ^ source], and its
+    declarations follow the prelude's.
     @raise Error on syntax errors, [Lexer.Error] on lexical errors. *)
 
 val parse_expr : string -> Ast.expr

@@ -129,5 +129,11 @@ let mem t name = Hashtbl.mem t name
 let cost t name =
   match Hashtbl.find t name with i -> i.sw_cost | exception Not_found -> infinity
 
+(* A TX semantic, which the host writes, has no RX fallback. *)
+let rx_cost t name =
+  match Hashtbl.find by_name name with
+  | { dir = Tx; _ } -> infinity
+  | _ | (exception Not_found) -> cost t name
+
 let width t name = match find t name with Some i -> Some i.width_bits | None -> None
 let names t = Hashtbl.fold (fun k _ acc -> k :: acc) t [] |> List.sort String.compare

@@ -82,6 +82,11 @@ val mem : t -> string -> bool
 val cost : t -> string -> float
 (** w(s); [infinity] for unknown semantics (nothing to synthesize from). *)
 
+val rx_cost : t -> string -> float
+(** The price of recomputing [s] for a received packet: {!cost}, but
+    [infinity] for a TX semantic, which no received packet determines.
+    Eq. 1 and the cost bound's per-path pricing both read it. *)
+
 val width : t -> string -> int option
 
 val names : t -> string list

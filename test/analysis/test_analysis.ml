@@ -1057,6 +1057,22 @@ let test_costbound_pristine_plans () =
            r.Cb.r_paths))
     [ legacy; newer; mlx5 ]
 
+(* A TX semantic has no RX shim. The per-path pricing must read it as
+   Eq. 1 does ([Softnic.Semantic.rx_cost]): a path missing [buf_addr]
+   cannot serve an intent that names it, whatever its row's w(s). *)
+let test_costbound_tx_semantic_not_served () =
+  let _, compiled = compile_for_certify "tx-priced" newer in
+  let plan = Opendesc.Compile.to_plan compiled in
+  let plan = { plan with Cert.pl_intent = plan.Cert.pl_intent @ [ ("buf_addr", 64) ] } in
+  let r = Cb.analyze (Opendesc.Compile.contract compiled) plan in
+  check ai "one entry per feasible path" 2 (List.length r.Cb.r_paths);
+  List.iter
+    (fun (pc : Cb.path_cost) ->
+      check ab (Printf.sprintf "path #%d does not serve" pc.Cb.pc_index) false pc.Cb.pc_serves;
+      check ab (Printf.sprintf "path #%d shims no TX semantic" pc.Cb.pc_index) false
+        (List.mem "buf_addr" pc.Cb.pc_shimmed))
+    r.Cb.r_paths
+
 (* Two emit sites of one header (mode 0 and modes 2-3) are one compiler
    path. Lint and the cost report must number paths as the compiler
    does: no OD013 between the two sites, and one cost entry per path. *)
@@ -1236,6 +1252,8 @@ let () =
         [
           Alcotest.test_case "pristine plans are cost-clean" `Quick
             test_costbound_pristine_plans;
+          Alcotest.test_case "a TX semantic is not served" `Quick
+            test_costbound_tx_semantic_not_served;
           Alcotest.test_case "paths numbered like the compiler" `Quick
             test_one_path_numbering;
           Alcotest.test_case "OD025 over budget" `Quick test_od025_over_budget;

@@ -84,6 +84,77 @@ let test_pinned_digests () =
       check Alcotest.string (name ^ " AST") ast (ast_digest src))
     pinned
 
+(* The expression grammar, pinned by the MD5 of [Parser.parse_expr]'s
+   result (the tree, or the error message and span) over 20,000 seeded
+   strings, as produced by the parser with one function per binary
+   precedence level. The strings mix every binary operator, [>>]
+   written adjacent and spaced, unary prefixes, ternaries, casts and
+   calls with type arguments; one in four drops or inserts a token, so
+   error messages and spans are pinned too. *)
+
+let binops =
+  [| "||"; "&&"; "|"; "^"; "&"; "=="; "!="; "<"; "<="; ">"; ">="; "<<"; ">>"; "> >"; "+"; "-";
+     "++"; "*"; "/"; "%" |]
+
+let atoms = [| "a"; "b"; "x.y"; "h.f[2]"; "8w255"; "0x1F"; "3"; "true"; "4s7"; "error.NoMatch"; "t.apply()" |]
+let cast_types = [| "bit<8>"; "bit<16>"; "int<4>"; "bool"; "bit<(4 + 4)>"; "varbit<32>" |]
+let type_args = [| "bit<8>"; "bit<16>"; "T"; "int<4>"; "bool"; "V<bit<8>>" |]
+let junk = [| "("; ")"; "?"; ":"; "<"; ">"; "&&&"; ","; "$"; "\"s\""; "."; "[" |]
+
+let gen_expr_tokens rng =
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let rec expr d =
+    if d = 0 then [ pick atoms ]
+    else
+      match Random.State.int rng 10 with
+      | 0 | 1 | 2 | 3 -> expr (d - 1) @ [ pick binops ] @ expr (d - 1)
+      | 4 -> pick [| "!"; "~"; "-" |] :: expr (d - 1)
+      | 5 -> expr (d - 1) @ [ "?" ] @ expr (d - 1) @ [ ":" ] @ expr (d - 1)
+      | 6 -> [ "("; pick cast_types; ")" ] @ expr (d - 1)
+      | 7 ->
+          let targs = List.init (1 + Random.State.int rng 2) (fun _ -> pick type_args) in
+          [ pick [| "f"; "x.g" |]; "<"; String.concat ", " targs; ">"; "(" ]
+          @ (if Random.State.bool rng then [] else expr (d - 1))
+          @ [ ")" ]
+      | 8 -> [ "(" ] @ expr (d - 1) @ [ ")" ]
+      | _ -> [ pick atoms ]
+  in
+  let toks = expr (1 + Random.State.int rng 4) in
+  let n = List.length toks in
+  match Random.State.int rng 8 with
+  | 0 ->
+      let i = Random.State.int rng n in
+      List.filteri (fun j _ -> j <> i) toks
+  | 1 ->
+      let i = Random.State.int rng (n + 1) in
+      List.concat (List.mapi (fun j t -> if j = i then [ pick junk; t ] else [ t ]) toks)
+      @ if i = n then [ pick junk ] else []
+  | _ -> toks
+
+let gen_expr_source rng =
+  let buf = Buffer.create 64 in
+  List.iteri
+    (fun i t ->
+      if i > 0 && Random.State.bool rng then Buffer.add_char buf ' ';
+      Buffer.add_string buf t)
+    (gen_expr_tokens rng);
+  Buffer.contents buf
+
+let parse_expr_result src =
+  match Parser.parse_expr src with
+  | e -> Ast.show_expr e
+  | exception Parser.Error (msg, sp) -> "syntax " ^ msg ^ " " ^ Loc.show_span sp
+  | exception Lexer.Error (msg, p) -> "lexical " ^ msg ^ " " ^ Loc.show_pos p
+
+let test_parse_expr_digest () =
+  let rng = Random.State.make [| 26 |] in
+  let digests = Buffer.create (16 * 20_000) in
+  for _ = 1 to 20_000 do
+    Buffer.add_string digests (Digest.string (parse_expr_result (gen_expr_source rng)))
+  done;
+  check Alcotest.string "parse_expr over 20,000 seeded strings" "add97b8ecd26762ab4b436e5eeb0a050"
+    (Digest.to_hex (Digest.string (Buffer.contents digests)))
+
 (* ------------------------------------------------------------------ *)
 (* Lexer invariants. The oracle computes positions from the raw text and
    judges token boundaries by re-lexing slices, so it shares no code with
@@ -212,7 +283,11 @@ let test_parse_stays_young () =
 let () =
   Alcotest.run "p4 frontend"
     [
-      ("pinned", [ Alcotest.test_case "token and AST digests" `Quick test_pinned_digests ]);
+      ( "pinned",
+        [
+          Alcotest.test_case "token and AST digests" `Quick test_pinned_digests;
+          Alcotest.test_case "parse_expr over seeded strings" `Quick test_parse_expr_digest;
+        ] );
       ("lexer", [ QCheck_alcotest.to_alcotest prop_lexer_invariants ]);
       ("gc", [ Alcotest.test_case "parse stays in the minor heap" `Quick test_parse_stays_young ]);
     ]
