@@ -758,10 +758,11 @@ let parallel_domains = [ 1; 2; 4 ]
 
    The wall gate compares {e effective} wall — the busy-time critical
    path (packet-weighted median per-packet chunk cost times packets, per
-   domain; see Parallel.robust_busy) — not spawn-to-join wall, because
-   on a host with fewer cores than domains the spawn-to-join clock
-   cannot improve no matter how good the code is. Spawn-to-join speedup
-   is still reported, informationally. *)
+   domain; see Parallel.robust_busy) — not the run's wall clock (from
+   handing the workers their jobs to the last report), because on a
+   host with fewer cores than domains that clock cannot improve no
+   matter how good the code is. Its speedup is still reported,
+   informationally, under its older name spawn_join_speedup_4v1. *)
 
 let hot_reps = 3
 let minor_words_budget = 2.0

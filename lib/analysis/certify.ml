@@ -127,7 +127,7 @@ let check (cf : contract) (plan : plan) : (certificate, D.t list) result =
   let discharge () = incr obligations in
   (* The compiler's paths: feasible layouts, numbered so "path #k" in
      messages matches the CLI's path listing. *)
-  let catalogue = Engine.feasible_groups cf.cf_catalogue in
+  let catalogue = cf.cf_catalogue.Engine.cat_feasible in
   let span = cf.cf_catalogue.Engine.cat_ctrl.P4.Typecheck.ct_span in
   (* Diagnostic text is built only when a diagnostic is raised. *)
   let config () = Format.asprintf "%a" Context.pp plan.pl_config in

@@ -80,8 +80,8 @@ type plan = {
 (** The deparser contract a plan is validated against. *)
 type contract = {
   cf_catalogue : Engine.catalogue;
-      (** the loaded spec's catalogue; its {!Engine.feasible_groups} are
-          the paths plans are numbered by *)
+      (** the loaded spec's catalogue; its feasible groups
+          ([cat_feasible]) are the paths plans are numbered by *)
   cf_registry : Softnic.Semantic.t;
   cf_line_offset : int;  (** prelude lines to subtract from spans *)
 }

@@ -280,7 +280,7 @@ let analyze ?(table = default_table) ?budget ?baseline
           ~intent:plan.Certify.pl_intent g.Engine.g_index
           (Engine.fields_of_run g.Engine.g_run)
           g.Engine.g_run.Dep_ir.r_total_bits)
-      (Engine.feasible_groups cf.Certify.cf_catalogue)
+      cf.Certify.cf_catalogue.Engine.cat_feasible
   in
   List.iter
     (fun pc ->

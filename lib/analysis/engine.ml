@@ -94,6 +94,7 @@ type catalogue = {
   cat_runs : (Context.assignment * Dep_ir.run * group) list;
   cat_sym : Symexec.result;
   cat_groups : group list;
+  cat_feasible : group list;
 }
 
 type input = {
@@ -109,6 +110,31 @@ type input = {
 
 let run_key (r : Dep_ir.run) =
   List.map (fun (x : Dep_ir.exec_emit) -> x.Dep_ir.x_emit.Dep_ir.e_id) r.Dep_ir.r_emits
+
+(* The compiler's paths. Two emit sites of one header (say, in both arms
+   of a branch) emit the same layout, so the feasible runs merge by the
+   emitted expressions, not by site. *)
+let feasible_groups runs =
+  let emitted r =
+    List.map (fun (x : Dep_ir.exec_emit) -> x.Dep_ir.x_emit.Dep_ir.e_arg) r.Dep_ir.r_emits
+  in
+  (* (emitted expressions, first group, its assignments newest first),
+     newest first *)
+  let found = ref [] in
+  List.iter
+    (fun (a, r, g) ->
+      if g.g_feasible then
+        let e = emitted r in
+        match List.find_opt (fun (e', _, _) -> e' = e) !found with
+        | Some (_, _, assigns) ->
+            (* a forked configuration may land here twice *)
+            if not (Context.equal (List.hd !assigns) a) then
+              assigns := a :: !assigns
+        | None -> found := (e, g, ref [ a ]) :: !found)
+    runs;
+  List.rev !found
+  |> List.mapi (fun i (_, g, assigns) ->
+         { g with g_index = i; g_assigns = List.rev !assigns })
 
 let catalogue tenv (ctrl : P4.Typecheck.control_def) =
   match Dep_ir.of_control tenv ctrl with
@@ -158,6 +184,9 @@ let catalogue tenv (ctrl : P4.Typecheck.control_def) =
             })
           (List.rev !found)
       in
+      let runs =
+        List.map (fun (a, k, r) -> (a, r, List.find (fun g -> g.g_key = k) groups)) runs
+      in
       Ok
         {
           cat_ctrl = ctrl;
@@ -165,38 +194,11 @@ let catalogue tenv (ctrl : P4.Typecheck.control_def) =
           cat_ctx = ctx;
           cat_ctx_error = ctx_error;
           cat_assignments = assignments;
-          cat_runs =
-            List.map
-              (fun (a, k, r) -> (a, r, List.find (fun g -> g.g_key = k) groups))
-              runs;
+          cat_runs = runs;
           cat_sym = sym;
           cat_groups = groups;
+          cat_feasible = feasible_groups runs;
         }
-
-(* Two emit sites of one header (say, in both arms of a branch) emit the
-   same layout, so the compiler's paths merge groups by the emitted
-   expressions, not by site. *)
-let feasible_groups cat =
-  let emitted r =
-    List.map (fun (x : Dep_ir.exec_emit) -> x.Dep_ir.x_emit.Dep_ir.e_arg) r.Dep_ir.r_emits
-  in
-  (* (emitted expressions, first group, its assignments newest first),
-     newest first *)
-  let found = ref [] in
-  List.iter
-    (fun (a, r, g) ->
-      if g.g_feasible then
-        let e = emitted r in
-        match List.find_opt (fun (e', _, _) -> e' = e) !found with
-        | Some (_, _, assigns) ->
-            (* a forked configuration may land here twice *)
-            if not (Context.equal (List.hd !assigns) a) then
-              assigns := a :: !assigns
-        | None -> found := (e, g, ref [ a ]) :: !found)
-    cat.cat_runs;
-  List.rev !found
-  |> List.mapi (fun i (_, g, assigns) ->
-         { g with g_index = i; g_assigns = List.rev !assigns })
 
 (* An intent description has no deparser by design; anything else
    without one is a malformed interface. *)
@@ -659,7 +661,7 @@ let contract_pass add (inp : input) cat (tx_formats : Tx_ir.fmt list) =
                   run_semantics g.g_run,
                   g.g_run.Dep_ir.r_total_bits / 8 )
             else None)
-          (feasible_groups cat)
+          cat.cat_feasible
       in
       List.iter
         (fun (ia, prov_a, sz_a) ->

@@ -49,11 +49,11 @@ val locate_deparser :
 
 (** One distinct sequence of emit sites. The analysis passes report per
     emit site, so they read these; the compiler's paths are
-    {!feasible_groups}. *)
+    [cat_feasible]. *)
 type group = {
   g_index : int;
-      (** encounter order over the assignments; renumbered by
-          {!feasible_groups} *)
+      (** encounter order over the assignments; renumbered in
+          [cat_feasible] *)
   g_key : int list;  (** emit site ids, in order *)
   g_run : Dep_ir.run;  (** the first run with this emit sequence *)
   g_assigns : Context.assignment list;
@@ -75,19 +75,19 @@ type catalogue = {
           fork *)
   cat_sym : Symexec.result;
   cat_groups : group list;  (** in encounter order *)
+  cat_feasible : group list;
+      (** The compiler's completion paths: the feasible runs of
+          [cat_runs], regrouped by emitted expression sequence, numbered
+          from 0 in first-encounter order, with assignments in
+          enumeration order. A merged group keeps its first member's
+          [g_key] and [g_run]. OD013, {!Certify} and {!Costbound} number
+          paths by this. *)
 }
 
 val catalogue :
   P4.Typecheck.t -> P4.Typecheck.control_def -> (catalogue, string) result
 (** [Error] when the deparser IR cannot be built (no [cmpt_out]
     parameter, an emit of a non-header, even in a dead branch). *)
-
-val feasible_groups : catalogue -> group list
-(** The compiler's completion paths: the feasible runs of [cat_runs],
-    regrouped by emitted expression sequence, numbered from 0 in
-    first-encounter order, with assignments in enumeration order. A
-    merged group keeps its first member's [g_key] and [g_run]. OD013,
-    {!Certify} and {!Costbound} number paths by this. *)
 
 type input = {
   in_tenv : P4.Typecheck.t;

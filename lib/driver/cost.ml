@@ -25,9 +25,6 @@ let null = Null
 let ledger t = Ledger t
 let enabled = function Null -> false | Ledger _ -> true
 
-let charge_sink sink name cycles =
-  match sink with Null -> () | Ledger t -> charge t name cycles
-
 module K = struct
   let table = Opendesc_analysis.Costbound.default_table
   let cache_line_load = table.tb_cache_line_load

@@ -47,9 +47,6 @@ val enabled : sink -> bool
 (** [false] iff the sink is {!Null}. Guard computed-cost charges with
     this so the hot path skips the arithmetic too. *)
 
-val charge_sink : sink -> string -> float -> unit
-(** {!charge} through the sink; a no-op under {!Null}. *)
-
 (** Cost constants (cycles unless noted). *)
 module K : sig
   val cache_line_load : float

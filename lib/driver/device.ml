@@ -267,7 +267,6 @@ let rx_consume_batch t (b : burst) =
   n
 
 let tx_format t = t.tx_format
-let set_tx_format t f = stage_tx t (Some f)
 
 let tx_post t desc =
   let ok = Ring.produce_host t.tx_ring desc in

@@ -142,11 +142,6 @@ val tx_format : t -> Opendesc.Descparser.t option
 (** The descriptor format the device currently parses (smallest by
     default). *)
 
-val set_tx_format : t -> Opendesc.Descparser.t -> unit
-(** Select the descriptor format and stage its [buf_addr] reader, which
-    {!tx_process} applies to every descriptor. {!create} and {!upgrade}
-    stage the smallest format the same way. *)
-
 val tx_post : t -> bytes -> bool
 (** Host posts a raw TX descriptor and rings the doorbell. False when
     the ring is full. *)

@@ -214,7 +214,7 @@ type swap_ctl = {
       (** indexed by queue id; only the owning worker writes *)
 }
 
-(* What one worker domain reports back through Domain.join. *)
+(* What one worker reports back to the engine at the end of its job. *)
 type report = {
   rp_pkts : int;
   rp_cycles : float;
@@ -278,6 +278,89 @@ let robust_busy ~chunk_s ~chunk_n ~nchunks ~extra_s =
     let m = idx.(max 0 (!k - 1)) in
     (chunk_s.(m) /. float_of_int chunk_n.(m) *. float_of_int !total) +. extra_s
   end
+
+(* The worker pool: one process-wide set of worker domains. A run hands
+   each worker's job to an idle pooled domain and a domain is spawned
+   only when none is idle, so the pool grows to the most workers in use
+   at once and is never torn down. Between runs a pooled domain blocks
+   on its condition variable. *)
+module Pool = struct
+  type member = {
+    lock : Mutex.t;
+    cond : Condition.t;
+        (** signalled when a job is handed over and when it reports; at
+            most one side waits at a time *)
+    mutable job : (unit -> unit) option;
+    mutable reported : bool;
+  }
+
+  (* A job records its own result and failure; a job that raises all
+     the same reports, and its domain goes back to the pool. *)
+  let serve m =
+    while true do
+      Mutex.lock m.lock;
+      while Option.is_none m.job do
+        Condition.wait m.cond m.lock
+      done;
+      let job = Option.get m.job in
+      m.job <- None;
+      Mutex.unlock m.lock;
+      (try job () with _ -> ());
+      Mutex.protect m.lock (fun () ->
+          m.reported <- true;
+          Condition.broadcast m.cond)
+    done
+
+  let lock = Mutex.create ()
+  let idle = ref []  (* guarded by [lock] *)
+
+  (* [n] members taken off the idle list, spawning any that are
+     missing; on a failed spawn the ones taken go back. *)
+  let acquire n =
+    Mutex.protect lock (fun () ->
+        let taken = ref [] in
+        match
+          for _ = 1 to n do
+            let m =
+              match !idle with
+              | m :: rest ->
+                  idle := rest;
+                  m
+              | [] ->
+                  let m =
+                    {
+                      lock = Mutex.create ();
+                      cond = Condition.create ();
+                      job = None;
+                      reported = false;
+                    }
+                  in
+                  ignore (Domain.spawn (fun () -> serve m));
+                  m
+            in
+            taken := m :: !taken
+          done
+        with
+        | () -> Array.of_list (List.rev !taken)
+        | exception e ->
+            idle := List.rev_append !taken !idle;
+            raise e)
+
+  let release ms = Mutex.protect lock (fun () -> idle := Array.to_list ms @ !idle)
+
+  let start m job =
+    Mutex.protect m.lock (fun () ->
+        m.job <- Some job;
+        Condition.broadcast m.cond)
+
+  (* Block until the job handed to [m] has reported. *)
+  let await m =
+    Mutex.protect m.lock (fun () ->
+        while not m.reported do
+          Condition.wait m.cond m.lock
+        done;
+        m.reported <- false)
+end
 
 (* The epoch flip's install step; the caller has made the datapath dry. *)
 let install ~config ~model ~stack ~queue_ids devices faults consumers =
@@ -627,31 +710,33 @@ let engine ~domains ~batch ~ring_capacity ~collect ~account ~pregen ~plan ~mq
      failure points into the worker. *)
   let backtraces = Printexc.backtrace_status () in
   let t0 = Unix.gettimeofday () in
-  let doms =
-    Array.init workers (fun w ->
-        let queue_ids =
-          Array.of_list
-            (List.filter (fun q -> owner q = w) (List.init nq Fun.id))
-        in
-        let wdevices = Array.map (fun q -> devices.(q)) queue_ids in
-        let local = Array.make nq (-1) in
-        Array.iteri (fun i q -> local.(q) <- i) queue_ids;
-        let wfaults =
-          Option.map (fun fqs -> Array.map (fun q -> fqs.(q)) queue_ids) fqs
-        in
-        Domain.spawn (fun () ->
-            Printexc.record_backtrace backtraces;
-            try
-              worker ~w ~queue_ids ~devices:wdevices ~local ~ring:rings.(w)
-                ~stop ~batch ~stack ~account ~pkts_hint:pkts ~per_queue
-                ~delivered ~faults:wfaults
-                ~swap:(Option.map (fun ep -> ep.ctl) epoch)
-                ()
-            with e ->
-              let bt = Printexc.get_raw_backtrace () in
-              ignore (Atomic.compare_and_set failure None (Some (e, bt)));
-              Printexc.raise_with_backtrace e bt))
-  in
+  let members = Pool.acquire workers in
+  let reports = Array.make workers None in
+  Array.iteri
+    (fun w m ->
+      let queue_ids =
+        Array.of_list (List.filter (fun q -> owner q = w) (List.init nq Fun.id))
+      in
+      let wdevices = Array.map (fun q -> devices.(q)) queue_ids in
+      let local = Array.make nq (-1) in
+      Array.iteri (fun i q -> local.(q) <- i) queue_ids;
+      let wfaults =
+        Option.map (fun fqs -> Array.map (fun q -> fqs.(q)) queue_ids) fqs
+      in
+      Pool.start m (fun () ->
+          Printexc.record_backtrace backtraces;
+          try
+            reports.(w) <-
+              Some
+                (worker ~w ~queue_ids ~devices:wdevices ~local ~ring:rings.(w)
+                   ~stop ~batch ~stack ~account ~pkts_hint:pkts ~per_queue
+                   ~delivered ~faults:wfaults
+                   ~swap:(Option.map (fun ep -> ep.ctl) epoch)
+                   ())
+          with e ->
+            let bt = Printexc.get_raw_backtrace () in
+            ignore (Atomic.compare_and_set failure None (Some (e, bt)))))
+    members;
   (* The steering/injection domain. Chunks of pushes are timed the same
      way worker chunks are (see [robust_busy]); blocking on a full ring
      ends the current chunk so the wait is not billed as work. *)
@@ -734,7 +819,7 @@ let engine ~domains ~batch ~ring_capacity ~collect ~account ~pregen ~plan ~mq
     in
     if action <> Sw_quarantined then push_range at pkts;
     (* Every worker has acknowledged, so the counters below are final;
-       the epoch-1 deliveries are filled in after the join. *)
+       the epoch-1 deliveries are filled in once every worker reported. *)
     {
       sw_action = action;
       sw_at = at;
@@ -770,9 +855,8 @@ let engine ~domains ~batch ~ring_capacity ~collect ~account ~pregen ~plan ~mq
     (fun { ctl; _ } ->
       ignore (Atomic.compare_and_set ctl.ctl_cmd None (Some Swap_quarantine)))
     epoch;
-  let reports =
-    Array.map (fun d -> try Some (Domain.join d) with _ -> None) doms
-  in
+  Array.iter Pool.await members;
+  Pool.release members;
   (match Atomic.get failure with
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ());

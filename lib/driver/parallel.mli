@@ -13,11 +13,30 @@
     via {!Stats.merge}.
 
     {!run} and {!hot_swap} are one engine: the same setup, worker
-    spawn, producer push loop, join and result assembly, with
-    {!hot_swap} adding one epoch boundary. A worker that raises ends the
-    run instead of hanging it: the producer abandons its waits, stops
-    every worker, joins every domain and re-raises the first failure
-    with its backtrace. *)
+    hand-off, producer push loop, wait for the workers' reports and
+    result assembly, with {!hot_swap} adding one epoch boundary. A
+    worker that raises ends the run instead of hanging it: the producer
+    abandons its waits, stops every worker, waits until every worker has
+    reported and re-raises the first failure with its backtrace.
+
+    Worker domains come from one process-wide pool. A run hands each
+    worker's job to an idle pooled domain and blocks on a mutex and
+    condition until the job reports; a domain is spawned only when none
+    is idle, under [Mutex.protect] on the pool, so runs from several
+    domains at once share it safely. The pool spawns on first use,
+    parks its domains on a condition variable between runs (they never
+    spin) and is never torn down. It grows to the most workers in use at
+    once and is bounded by the runtime's domain limit, as spawning a
+    domain per worker would be. A pooled domain keeps nothing from one
+    run to the next: the rings are made before the clock starts, and
+    each job makes its own bursts, chunk timings, feature environment,
+    cost ledger and counters, as a freshly spawned worker did. The pool
+    pays off only in a process that runs the engine more than once (the
+    benchmarks, the tests, an embedding that drains repeatedly); a
+    process's first run still spawns its workers inside its clock. A
+    parked domain still takes part in every stop-the-world section of
+    the runtime, such as each minor collection, so those cost the rest
+    of the process more once the pool exists. *)
 
 module Pktring : sig
   (** The zero-allocation handoff ring: a Lamport SPSC ring over
@@ -83,7 +102,8 @@ type result = {
   stats : Stats.t;  (** merged view of all domain shards *)
   domain_stats : Stats.t array;  (** one shard per worker domain *)
   domain_cycles : float array;  (** modelled cycle total per worker *)
-  wall_s : float;  (** wall-clock seconds, spawn to join *)
+  wall_s : float;
+      (** wall-clock seconds, hand-off to the last worker's report *)
   busy_s : float array;
       (** preemption-robust busy seconds per worker domain: the
           packet-weighted median per-packet chunk cost times packets
@@ -95,8 +115,8 @@ type result = {
       (** the busy-time critical path: [max producer_busy_s (max
           busy_s)] — what the wall clock would show with one core per
           domain. The honest basis for parallel-speedup claims on
-          machines with fewer cores than domains, where spawn-to-join
-          [wall_s] cannot improve no matter how good the code is. *)
+          machines with fewer cores than domains, where [wall_s] cannot
+          improve no matter how good the code is. *)
   minor_words_per_pkt : float;
       (** minor-heap words allocated per delivered packet across the
           producer's push loop and every worker's drain loop
@@ -173,8 +193,9 @@ val run :
     @raise Invalid_argument on [domains < 1], [batch < 1] or [pkts < 0]
     ({!check_sizes}).
     @raise e the first exception a worker raised (a consumer, a device
-    model, the fault layer), once every domain is joined. Workers record
-    backtraces when the caller does, so [e] carries the worker's. *)
+    model, the fault layer), once every worker has reported. Workers
+    record backtraces when the caller does, so [e] carries the worker's.
+    The worker's pooled domain goes back to the pool. *)
 
 val check_sizes : string -> domains:int -> batch:int -> pkts:int -> unit
 (** [check_sizes fn ~domains ~batch ~pkts] is the run-size check of
@@ -271,8 +292,8 @@ val hot_swap :
 
     @raise Invalid_argument as {!run} does.
     @raise e the first exception a worker (including its {!install}
-    step) or [swap] raised, with its backtrace, once every domain is
-    joined. A failure before the verdict is published releases the
+    step) or [swap] raised, with its backtrace, once every worker has
+    reported. A failure before the verdict is published releases the
     waiting workers with [Swap_quarantine]. *)
 
 val install :

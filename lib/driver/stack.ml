@@ -66,27 +66,6 @@ type burst_t = {
   bt_consume : Cost.sink -> Softnic.Feature.env -> Device.burst -> int64;
 }
 
-let of_per_packet (stack : t) =
-  (* Per-packet stacks predate the sink and charge a [Cost.t]
-     unconditionally, so the lift keeps a private scratch ledger to
-     absorb (and discard) their charges when the caller passes [Null].
-     Burst-native stacks skip the bookkeeping entirely instead. *)
-  let scratch = Cost.create () in
-  {
-    bt_name = stack.st_name;
-    bt_consume =
-      (fun sink env (b : Device.burst) ->
-        let ledger =
-          match sink with Cost.Ledger l -> l | Cost.Null -> scratch
-        in
-        let acc = ref 0L in
-        for i = 0 to b.bs_count - 1 do
-          let rx = { pkt = b.bs_pkts.(i); len = b.bs_lens.(i); cmpt = b.bs_cmpts.(i) } in
-          acc := Int64.add !acc (stack.st_consume ledger env rx)
-        done;
-        !acc);
-  }
-
 (* Echo a harvested burst back out: build one TX descriptor per packet
    (buf_addr = in-burst index), post them with a single doorbell, and let
    the device drain. Models a forwarding application's TX side. *)

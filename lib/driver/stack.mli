@@ -47,14 +47,6 @@ type burst_t = {
     path always did; under [Null] it skips all cost bookkeeping so the
     wall-clock hot path pays only for the bytes. *)
 
-val of_per_packet : t -> burst_t
-(** Lift a per-packet stack: consume each burst entry with the original
-    routine. Same values, same per-packet charges — the harvest itself is
-    batched but nothing amortises. Per-packet stacks charge a concrete
-    ledger, so under [Null] the lift routes their charges into a private
-    scratch ledger and discards them (correct values, no observable
-    accounting). *)
-
 val run_batched :
   ?pkts:int ->
   ?batch:int ->

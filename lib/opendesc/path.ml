@@ -88,7 +88,7 @@ let of_catalogue (cat : Engine.catalogue) =
           p_assignments = g.g_assigns;
         }
       in
-      match List.map path (Engine.feasible_groups cat) with
+      match List.map path cat.Engine.cat_feasible with
       | paths -> Ok paths
       | exception Exec_error msg -> Error msg)
 

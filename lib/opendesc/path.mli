@@ -5,7 +5,7 @@
     are not walked here. They are a view of the spec's one
     {!Opendesc_analysis.Engine.catalogue}, which runs the deparser under
     {e every} assignment of the context fields: its
-    {!Opendesc_analysis.Engine.feasible_groups}, one per distinct emitted
+    feasible groups ([cat_feasible]), one per distinct emitted
     sequence, each with the exact set of configurations that select it
     (which is what the driver later programs over the control channel).
 

@@ -105,7 +105,6 @@ let make ?(seed = 42L) ?(flows = 64) profile =
     dst6 = v6_scratch profile;
   }
 
-let flow_of t i = t.flow_table.(i mod Array.length t.flow_table)
 let flows t = Array.length t.flow_table
 let max_len t = t.max_len
 

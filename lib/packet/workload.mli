@@ -45,9 +45,6 @@ val next : t -> Pkt.t
 val batch : t -> int -> Pkt.t array
 (** Draw [n] packets. *)
 
-val flow_of : t -> int -> Fivetuple.t
-(** The [i]-th flow in the generator's flow table (for assertions). *)
-
 val flows : t -> int
 
 val profile_name : profile -> string

@@ -341,7 +341,7 @@ let test_engine_paths_match_compiler () =
       let spec = m.spec in
       let name = spec.nic_name in
       let paths = spec.paths in
-      let groups = Engine.feasible_groups spec.catalogue in
+      let groups = spec.catalogue.Engine.cat_feasible in
       check ai (name ^ ": feasible groups = paths") (List.length paths)
         (List.length groups);
       List.iter2

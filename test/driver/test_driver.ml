@@ -1286,11 +1286,11 @@ let test_parallel_sizes_validated () =
 exception Injected of string
 
 (* A regression back to the hang must fail the test, not stall the
-   suite: [f] runs on its own domain and must raise [expect] within
-   [watchdog_s]. *)
+   suite: [f] runs on its own domain and must end within [watchdog_s];
+   the result is the exception it raised, if any. *)
 let watchdog_s = 30.0
 
-let raises_within name expect f =
+let within name f =
   let outcome = Atomic.make None in
   let d =
     Domain.spawn (fun () ->
@@ -1309,10 +1309,18 @@ let raises_within name expect f =
         Unix.sleepf 0.01;
         await ()
   in
-  match await () with
+  await ()
+
+let raises_within name expect f =
+  match within name f with
   | Some e when e = expect -> ()
   | Some e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e)
   | None -> Alcotest.failf "%s: returned without raising" name
+
+let returns_within name f =
+  match within name f with
+  | Some e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e)
+  | None -> ()
 
 (* The batched consumer, except that queue 1's raises on its fifth
    burst. *)
@@ -1434,6 +1442,121 @@ let test_failure_device_model_run () =
         (Parallel.run ~domains ~ring_capacity ~mq
            ~stack:(fun _ -> Hoststacks.opendesc_batched ~compiled)
            ~pkts:4096 ~workload:(workload ()) ()))
+
+(* ------------------------------------------------------------------ *)
+(* The worker pool: runs hand their workers' jobs to parked domains *)
+
+(* [stack], with each queue's consumer recording the domain that built
+   it (its worker) in [ids]. *)
+let recording ids stack q =
+  ids.(q) <- (Domain.self () :> int);
+  stack q
+
+let worker_ids ids = List.sort_uniq compare (Array.to_list ids)
+
+let test_pool_reuses_domains () =
+  let compiled, mq, workload = parallel_fixture () in
+  let stack _ = Hoststacks.opendesc_batched ~compiled in
+  returns_within "two runs at 2 domains" (fun () ->
+      let run () =
+        let ids = Array.make 4 (-1) in
+        let r =
+          Parallel.run ~domains:2 ~mq:(mq ()) ~stack:(recording ids stack)
+            ~pkts:512 ~workload:(workload ()) ()
+        in
+        check ai "all delivered" 512 r.Parallel.pkts;
+        worker_ids ids
+      in
+      let first = run () in
+      check ai "two workers" 2 (List.length first);
+      check (Alcotest.list ai) "the second run's workers are the first's" first
+        (run ()))
+
+let test_pool_serves_after_failure () =
+  let compiled, mq, workload = parallel_fixture () in
+  let pkts = 512 in
+  let stack _ = Hoststacks.opendesc_batched ~compiled in
+  let _, _, seq_sink =
+    sequential_reference ~stack:(stack 0) ~mq:(mq ()) ~pkts ~workload:(workload ())
+  in
+  let failed = Array.make 4 (-1) in
+  raises_within "raising run at 2 domains" (Injected "consumer") (fun () ->
+      ignore
+        (Parallel.run ~domains:2 ~ring_capacity:64 ~mq:(mq ())
+           ~stack:(recording failed (consumer_failing_on_q1 ~compiled))
+           ~pkts:4096 ~workload:(workload ()) ()));
+  returns_within "clean run at 2 domains" (fun () ->
+      let ids = Array.make 4 (-1) in
+      let r =
+        Parallel.run ~domains:2 ~mq:(mq ()) ~stack:(recording ids stack) ~pkts
+          ~workload:(workload ()) ()
+      in
+      check ai64 "digest matches sequential" seq_sink r.Parallel.sink;
+      check ai "nothing stranded" 0 r.Parallel.stranded;
+      check (Alcotest.list ai) "no new worker domain" (worker_ids failed)
+        (worker_ids ids));
+  (* A run refused for its ring capacity is refused before it takes a
+     worker: it asks for 6, more than the pool holds here, and no domain
+     is spawned (ids count up by one per spawn) nor any job started. *)
+  let jobs = Atomic.make 0 in
+  let counting q =
+    Atomic.incr jobs;
+    stack q
+  in
+  let mq6 =
+    Mq.create_exn ~queue_depth:1024
+      ~configs:(Array.make 6 compiled.config)
+      (fun () -> Nic_models.Mlx5.model ())
+  in
+  returns_within "zero ring capacity at 6 domains" (fun () ->
+      let probe () = Domain.join (Domain.spawn (fun () -> (Domain.self () :> int))) in
+      let before = probe () in
+      Alcotest.check_raises "refused"
+        (Invalid_argument "Pktring.create: capacity must be >= 1") (fun () ->
+          ignore
+            (Parallel.run ~domains:6 ~ring_capacity:0 ~mq:mq6 ~stack:counting ~pkts
+               ~workload:(workload ()) ()));
+      check ai "no domain spawned" (before + 1) (probe ());
+      check ai "no job started" 0 (Atomic.get jobs))
+
+let test_pool_concurrent_runs () =
+  let compiled, mq, _ = parallel_fixture () in
+  let pkts = 2048 in
+  let stack _ = Hoststacks.opendesc_batched ~compiled in
+  let workload seed = Packet.Workload.make ~seed ~flows:32 Packet.Workload.Min_size in
+  let seeds = [| 91L; 92L |] in
+  let seq_sinks =
+    Array.map
+      (fun seed ->
+        let _, _, sink =
+          sequential_reference ~stack:(stack 0) ~mq:(mq ()) ~pkts
+            ~workload:(workload seed)
+        in
+        sink)
+      seeds
+  in
+  returns_within "two runs at once" (fun () ->
+      let ready = Atomic.make 0 in
+      let runs =
+        Array.map
+          (fun seed ->
+            let mq = mq () in
+            Domain.spawn (fun () ->
+                Atomic.incr ready;
+                while Atomic.get ready < 2 do
+                  Domain.cpu_relax ()
+                done;
+                Parallel.run ~domains:2 ~mq ~stack ~pkts ~workload:(workload seed) ()))
+          seeds
+      in
+      Array.iteri
+        (fun i d ->
+          let r = Domain.join d in
+          let tag = Printf.sprintf "run %d: %s" i in
+          check ai64 (tag "digest matches sequential") seq_sinks.(i) r.Parallel.sink;
+          check ai (tag "all delivered") pkts r.Parallel.pkts;
+          check ai (tag "nothing stranded") 0 r.Parallel.stranded)
+        runs)
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection: the chaos layer and its recovery path *)
@@ -2665,6 +2788,11 @@ let () =
             test_failure_verdict_hot_swap;
           Alcotest.test_case "raising device model: run" `Quick
             test_failure_device_model_run;
+          Alcotest.test_case "runs reuse their worker domains" `Quick
+            test_pool_reuses_domains;
+          Alcotest.test_case "a failed run leaves the pool serving" `Quick
+            test_pool_serves_after_failure;
+          Alcotest.test_case "concurrent runs" `Quick test_pool_concurrent_runs;
           Alcotest.test_case "decoder paths agree on every shape" `Quick
             test_decoder_paths_agree_on_every_shape;
         ]
