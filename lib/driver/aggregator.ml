@@ -12,7 +12,7 @@ let build ~cmpt_size rxs =
   let off = ref header_bytes in
   List.iter
     (fun ((pkt, len, cmpt) : bytes * int * bytes) ->
-      assert (Bytes.length cmpt = cmpt_size);
+      assert (Bytes.length cmpt >= cmpt_size);
       Bytes.set_uint16_le frame !off len;
       Bytes.blit cmpt 0 frame (!off + 2) cmpt_size;
       Bytes.blit pkt 0 frame (!off + 2 + cmpt_size) len;

@@ -1,10 +1,22 @@
 type t = (string, float) Hashtbl.t
 
-let create () : t = Hashtbl.create 16
+(* The accounting sink: cost-model bookkeeping as an optional observer.
+   Every charge goes through a sink and does nothing under [Null]; the
+   hot datapath also matches on the sink once per burst to skip the
+   float computations feeding its charges. The bench and the
+   model-throughput experiments pass [Ledger]. *)
+type sink = Null | Ledger of t
 
-let charge t name cycles =
-  let cur = match Hashtbl.find_opt t name with Some c -> c | None -> 0.0 in
-  Hashtbl.replace t name (cur +. cycles)
+let create () : t = Hashtbl.create 16
+let null = Null
+let ledger t = Ledger t
+
+let charge sink name cycles =
+  match sink with
+  | Null -> ()
+  | Ledger t ->
+      let cur = match Hashtbl.find_opt t name with Some c -> c | None -> 0.0 in
+      Hashtbl.replace t name (cur +. cycles)
 
 let total t = Hashtbl.fold (fun _ c acc -> acc +. c) t 0.0
 
@@ -13,17 +25,6 @@ let breakdown t =
   |> List.sort (fun (_, a) (_, b) -> compare b a)
 
 let reset = Hashtbl.reset
-
-(* The accounting sink: cost-model bookkeeping as an optional observer.
-   The hot datapath matches on the sink once per burst and skips every
-   charge (including the float computations feeding them) under [Null];
-   the bench and the model-throughput experiments pass [Ledger] and get
-   exactly the charges the inline path used to make. *)
-type sink = Null | Ledger of t
-
-let null = Null
-let ledger t = Ledger t
-let enabled = function Null -> false | Ledger _ -> true
 
 module K = struct
   let table = Opendesc_analysis.Costbound.default_table

@@ -1,53 +1,30 @@
-(** Host-stack abstraction and the measurement harness.
+(** The host-stack interface and the measurement harness.
 
-    A stack is a per-packet receive routine: given the raw packet bytes
-    and completion record the device delivered, consume the application's
-    requested metadata, charging its coordination costs to the ledger.
-    Different stacks embody the coordination models the paper surveys
-    (sk_buff extraction, DPDK mbuf + dynamic fields, XDP accessors,
-    ENSO-style streaming, generated OpenDesc accessors).
+    A host stack is a burst-at-a-time receive routine: given a harvested
+    {!Device.burst} (the raw packet bytes and the completion record the
+    device delivered for each packet), it consumes the application's
+    requested metadata and charges its coordination costs to a
+    {!Cost.sink}. Every coordination model the paper surveys (sk_buff
+    extraction, DPDK mbuf + dynamic fields, XDP accessors, ENSO-style
+    streaming, ASNI aggregation, generated OpenDesc accessors) is one
+    ({!Hoststacks}), and so is the benchmark's decoder; {!Parallel} and
+    {!Upgrade} drive the same type.
 
     Stacks return a fold of the values they consumed; the harness checks
     it against nothing but keeps it live so the work cannot be optimised
     away and tests can compare stacks' answers. *)
 
-type rx = { pkt : bytes; len : int; cmpt : bytes }
-
-type t = {
-  st_name : string;
-  st_consume : Cost.t -> Softnic.Feature.env -> rx -> int64;
-}
-
-val run :
-  ?pkts:int ->
-  ?batch:int ->
-  ?touch_payload:bool ->
-  device:Device.t ->
-  workload:Packet.Workload.t ->
-  t ->
-  Stats.t
-(** Drive [pkts] packets (default 4096) through the device in batches
-    (default 32), consuming each with the stack. [touch_payload] charges
-    (and performs) a read of every payload byte — the application-side
-    work of forwarding/processing workloads. Ring housekeeping and buffer
-    refill are charged by each stack (streaming interfaces amortise
-    them; descriptor stacks pay per packet) via {!charge_ring}. *)
-
-(** {1 Batched datapath} *)
-
 type burst_t = {
   bt_name : string;
   bt_consume : Cost.sink -> Softnic.Feature.env -> Device.burst -> int64;
 }
-(** A burst-at-a-time receive routine: consume every packet of a
-    harvested {!Device.burst}, amortising per-burst machinery (ring
-    housekeeping, doorbell, contiguous descriptor loads) over its
-    [bs_count] packets. The {!Cost.sink} makes accounting an optional
-    observer: under [Ledger] the routine charges exactly what the inline
-    path always did; under [Null] it skips all cost bookkeeping so the
-    wall-clock hot path pays only for the bytes. *)
+(** Consume every packet of a harvested burst, [bs_count] of them.
+    Per-burst machinery (ring housekeeping, doorbell, contiguous
+    descriptor loads) may amortise over the burst. Under [Ledger] the
+    routine charges its model's cycles; under [Null] it charges nothing
+    and decodes the same fold. *)
 
-val run_batched :
+val run :
   ?pkts:int ->
   ?batch:int ->
   ?touch_payload:bool ->
@@ -56,26 +33,13 @@ val run_batched :
   workload:Packet.Workload.t ->
   burst_t ->
   Stats.t
-(** The batched counterpart of {!run}: inject in batches (default 32),
-    harvest with {!Device.rx_consume_batch} into one reusable burst
-    buffer, and consume burst-at-a-time. Records the burst-size histogram
-    in the returned stats. [tx_echo] additionally reposts every harvested
-    burst as TX descriptors via {!Device.tx_post_batch} — one doorbell
-    charge per burst — and drains the device, modelling a forwarder. *)
-
-val charge_ring : ?amortize:int -> Cost.t -> unit
-(** Per-packet ring advance + buffer refill, divided by the
-    amortisation factor (batched descriptor processing, multi-packet
-    notifications). *)
-
-val parse_view : Cost.t -> bytes -> int -> Packet.Pkt.t * Packet.Pkt.view
-(** Parse the packet, charging the standard software-parse cost. Helper
-    for stacks whose shims need a view. *)
-
-val charge_shim :
-  Cost.t -> Softnic.Feature.env -> Packet.Pkt.t -> Packet.Pkt.view ->
-  Softnic.Feature.t -> int64
-(** Run a software feature and charge its nominal cost. *)
-
-val parse_cost : float
-(** Cycles for one software packet parse (header walk). *)
+(** Offer [pkts] frames (default 4096) to the device in batches (default
+    32), draining it after each batch with {!Device.rx_consume_batch}
+    into one reusable burst buffer of [batch] slots, and consume each
+    burst with the stack under a fresh ledger. The stats count the
+    packets consumed, the device's drops (a dropped frame is not offered
+    again) and the burst-size histogram. [touch_payload] charges (and
+    performs) a read of every payload byte — the application-side work
+    of forwarding/processing workloads. [tx_echo] reposts every burst as
+    TX descriptors via {!Device.tx_post_batch} — one doorbell charge per
+    burst — and drains the device, modelling a forwarder. *)
