@@ -9,33 +9,9 @@
     path structure changed.
 
     Comparison is semantic-level, not textual: paths are matched by their
-    Prov sets, fields by their semantic names. *)
-
-type change =
-  | Semantic_added of string  (** new offload available somewhere *)
-  | Semantic_removed of string
-      (** offload gone from every path: hardware users fall back to
-          software on recompile *)
-  | Field_moved of { semantic : string; from_bits : int; to_bits : int }
-      (** same semantic, new offset in the matched path — transparent
-          after recompilation *)
-  | Field_resized of { semantic : string; from_width : int; to_width : int }
-  | Path_added of Path.t
-  | Path_removed of Path.t
-  | Tx_format_changed of { from_sizes : int list; to_sizes : int list }
-
-val compare : Nic_spec.t -> Nic_spec.t -> change list
-(** [compare old_rev new_rev]. *)
-
-val breaking : change -> bool
-(** Whether a change can degrade an application (semantic removed, field
-    resized to fewer bits, path removed). Moves and additions are
-    non-breaking: the compiler absorbs them. *)
-
-val pp_change : Format.formatter -> change -> unit
-
-val pp : Format.formatter -> change list -> unit
-(** Grouped report: breaking changes first. *)
+    Prov sets, fields by their semantic names. The classification itself
+    is {!Opendesc_analysis.Evolution}'s; this module summarises a loaded
+    NIC description for it and adds certificate enforcement. *)
 
 val to_iface : Nic_spec.t -> Opendesc_analysis.Evolution.iface
 (** The pure interface summary the symbolic evolution checker consumes. *)
@@ -48,10 +24,9 @@ val check :
   Opendesc_analysis.Evolution.report
 (** [check old_rev new_rev]: the evolution classification — every change
     tagged [Transparent]/[Recompile]/[Breaking], Breaking entries with a
-    concrete configuration witness. Supersedes {!compare} for tooling;
-    the flat {!change} list remains for programmatic consumers.
-    [?recompile_certificate] and [?cost] (the per-revision worst-case
-    decode bounds from [Opendesc_analysis.Costbound]) are threaded to
+    concrete configuration witness. [?recompile_certificate] and [?cost]
+    (the per-revision worst-case decode bounds from
+    [Opendesc_analysis.Costbound]) are threaded to
     {!Opendesc_analysis.Evolution.check}. *)
 
 val check_certified :

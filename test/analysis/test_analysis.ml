@@ -647,17 +647,6 @@ module Ev = Opendesc_analysis.Evolution
 let load_spec name src =
   Opendesc.Nic_spec.load_exn ~name ~kind:Opendesc.Nic_spec.Fixed_function src
 
-let test_resize_direction () =
-  (* Satellite contract: only narrowing is breaking, in both views. *)
-  check ab "Nic_diff: narrowing breaks" true
-    (Opendesc.Nic_diff.breaking
-       (Opendesc.Nic_diff.Field_resized
-          { semantic = "pkt_len"; from_width = 32; to_width = 16 }));
-  check ab "Nic_diff: widening does not" false
-    (Opendesc.Nic_diff.breaking
-       (Opendesc.Nic_diff.Field_resized
-          { semantic = "pkt_len"; from_width = 16; to_width = 32 }))
-
 let test_evolution_narrowing_breaks_with_witness () =
   let old_spec = load_spec "rev-a" newer in
   let narrowed =
@@ -1220,7 +1209,6 @@ let () =
         ] );
       ( "evolution",
         [
-          Alcotest.test_case "resize direction" `Quick test_resize_direction;
           Alcotest.test_case "narrowing breaks with witness" `Quick
             test_evolution_narrowing_breaks_with_witness;
           Alcotest.test_case "transparent and removed" `Quick

@@ -4,6 +4,7 @@
    custom semantics) the paper motivates. *)
 
 open Opendesc
+module Ev = Opendesc_analysis.Evolution
 
 let check = Alcotest.check
 let ai = Alcotest.int
@@ -193,33 +194,32 @@ let test_firmware_upgrade_keeps_app_working () =
 let test_nic_diff_firmware_revisions () =
   let load name src = Nic_spec.load_exn ~name ~kind:Nic_spec.Fixed_function src in
   let v1 = load "fw-a" firmware_v1 and v2 = load "fw-b" firmware_v2 in
-  let changes = Nic_diff.compare v1 v2 in
-  (* v1 -> v2: vlan added, rss moved, pkt_len moved; nothing breaking. *)
-  check ab "vlan added" true
-    (List.mem (Nic_diff.Semantic_added "vlan") changes);
-  check ab "rss moved" true
-    (List.exists
-       (function Nic_diff.Field_moved { semantic = "rss"; _ } -> true | _ -> false)
-       changes);
-  check ab "upgrade is non-breaking" true
-    (not (List.exists Nic_diff.breaking changes));
+  let has kind sem (r : Ev.report) =
+    List.exists
+      (fun (e : Ev.entry) -> e.e_kind = kind && e.e_semantic = Some sem)
+      r.r_entries
+  in
+  (* v1 -> v2: vlan added, rss moved; nothing breaking. *)
+  let upgrade = Nic_diff.check v1 v2 in
+  check ab "vlan added" true (has "semantic_added" "vlan" upgrade);
+  check ab "rss moved" true (has "field_moved" "rss" upgrade);
+  check ab "upgrade is non-breaking" false (Ev.breaking upgrade);
   (* The reverse direction removes vlan: breaking. *)
-  let downgrade = Nic_diff.compare v2 v1 in
-  check ab "downgrade removes vlan" true
-    (List.mem (Nic_diff.Semantic_removed "vlan") downgrade);
-  check ab "downgrade is breaking" true (List.exists Nic_diff.breaking downgrade)
+  let downgrade = Nic_diff.check v2 v1 in
+  check ab "downgrade removes vlan" true (has "semantic_removed" "vlan" downgrade);
+  check ab "downgrade is breaking" true (Ev.breaking downgrade)
 
 let test_nic_diff_identity () =
   let m = Nic_models.Mlx5.model () in
-  check ab "self-diff is empty" true (Nic_diff.compare m.spec m.spec = [])
+  check ab "self-diff is empty" true ((Nic_diff.check m.spec m.spec).r_entries = [])
 
 let test_nic_diff_report_renders () =
   let load name src = Nic_spec.load_exn ~name ~kind:Nic_spec.Fixed_function src in
   let s =
-    Format.asprintf "%a" Nic_diff.pp
-      (Nic_diff.compare (load "a" firmware_v1) (load "b" firmware_v2))
+    Format.asprintf "%a" Ev.pp
+      (Nic_diff.check (load "a" firmware_v1) (load "b" firmware_v2))
   in
-  check ab "mentions recompilation" true (contains s "recompilation")
+  check ab "mentions recompilation" true (contains s "recompile")
 
 (* ------------------------------------------------------------------ *)
 (* The feasibility census of `opendesc_cc paths`, read off the spec's
