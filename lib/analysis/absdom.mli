@@ -34,10 +34,6 @@ val const : ?width:int -> int64 -> t
 val of_width : int -> t
 (** Any value of [bit<w>]: [[0, 2^w-1]], upper bits known zero. *)
 
-val full_range : int option -> t
-(** {!of_width} when the width is known, the full unsigned [int64]
-    range otherwise. *)
-
 val of_values : ?width:int -> int64 list -> t
 (** Tightest abstraction of a finite value set (a context field's
     [@values] domain): interval hull plus all bits the values agree
@@ -53,9 +49,6 @@ val of_bool : bool -> t
 val singleton : t -> int64 option
 val range : t -> (int64 * int64) option
 (** Unsigned [lo, hi] of a numeric abstraction. *)
-
-val mem_int : int64 -> t -> bool
-val mem_bool : bool -> t -> bool
 
 val mem_value : P4.Eval.value -> t -> bool
 (** The soundness relation: is this concrete value contained?
@@ -86,9 +79,6 @@ val unop : P4.Ast.unop -> t -> t
 
 val cast_bit : int -> t -> t
 (** Cast to [bit<w>]. *)
-
-val not_abool : abool -> abool
-val join_abool : abool -> abool -> abool
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -42,11 +42,6 @@ val footprint : step list -> (int * int) option
     discards the trailing [k] bits and [SAnd m] keeps the sub-window
     selected by [m]'s set bits. *)
 
-val sym_value : step list -> Absdom.t
-(** Abstract value of the chain over an arbitrary completion record,
-    computed with {!Absdom.binop} — the same transfer functions the
-    engine trusts everywhere else. *)
-
 type accessor_plan = {
   ap_name : string;  (** field name *)
   ap_header : string;

@@ -20,9 +20,6 @@ type t = {
 
 val severity_to_string : severity -> string
 
-val severity_rank : severity -> int
-(** [Error] = 0 < [Warning] < [Info]. *)
-
 val note : ?span:P4.Loc.span -> string -> note
 (** Dummy spans are dropped. *)
 

@@ -111,15 +111,6 @@ val analyze : input -> Diagnostic.t list
 (** Run all passes. The result is deduplicated, relocated by
     [in_line_offset] and sorted by source position. *)
 
-val analyze_program :
-  registry:Softnic.Semantic.t ->
-  ?intent:(string * int) list ->
-  ?line_offset:int ->
-  P4.Typecheck.t ->
-  Diagnostic.t list
-(** [analyze] with the deparser and TX descriptor parser located and
-    walked. *)
-
 val analyze_source :
   registry:Softnic.Semantic.t ->
   ?intent:(string * int) list ->
@@ -143,6 +134,3 @@ val check_accessor_bounds :
 val failing : werror:bool -> Diagnostic.t list -> bool
 (** [true] if the list contains an error, or — with [~werror:true] — a
     warning. Info diagnostics never fail. *)
-
-val is_intent_header : P4.Typecheck.header_def -> bool
-(** A header tagged [@intent] or whose name contains ["intent"]. *)

@@ -71,12 +71,6 @@ type report = {
          both — lets diff flag a Transparent-but-slower bump (OD026). *)
 }
 
-let cert_status_to_string = function
-  | Cert_not_required -> "not_required"
-  | Cert_fresh _ -> "fresh"
-  | Cert_stale _ -> "stale"
-  | Cert_missing _ -> "missing"
-
 let worst r =
   List.fold_left
     (fun acc e -> if class_rank e.e_class > class_rank acc then e.e_class else acc)

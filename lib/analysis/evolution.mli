@@ -78,9 +78,6 @@ type report = {
           (and gated as OD026 by [opendesc_cc diff]). *)
 }
 
-val cert_status_to_string : cert_status -> string
-(** Stable slug: ["not_required" | "fresh" | "stale" | "missing"]. *)
-
 val check :
   ?recompile_certificate:string option * string ->
   ?cost:float * float ->
@@ -107,6 +104,4 @@ val breaking : report -> bool
 val report_to_json : report -> string
 (** One-line JSON document, schema ["opendesc-diff-1"]. *)
 
-val entry_to_json : entry -> string
-val config_to_string : config -> string
 val pp : Format.formatter -> report -> unit

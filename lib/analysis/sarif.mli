@@ -6,10 +6,6 @@
     Output is deterministic — same diagnostics, same bytes — so it can
     be golden-tested and diffed across CI runs. *)
 
-val level_of_severity : Diagnostic.severity -> string
-(** SARIF [level]: [Error] → ["error"], [Warning] → ["warning"],
-    [Info] → ["note"]. *)
-
 val of_results : tool_name:string -> (string * Diagnostic.t list) list -> string
 (** [of_results ~tool_name artifacts] renders one SARIF 2.1.0 log (as a
     pretty-printed JSON document, trailing newline included). Each

@@ -239,8 +239,6 @@ type result = {
   sx_pruned : int;  (** leaves proved infeasible *)
 }
 
-let feasible_mask r = List.map (fun l -> l.lf_feasible) r.sx_leaves
-
 type state = {
   st_env : env;
   st_emits : int list;  (* reversed *)

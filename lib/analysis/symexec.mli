@@ -32,8 +32,6 @@ val eval : env -> P4.Ast.expr -> Absdom.t
     unsigned comparisons and short-circuit rules; over-approximates
     whenever precision is lost. *)
 
-val eval_pred : env -> P4.Ast.expr -> Absdom.abool
-
 val assume : env -> P4.Ast.expr -> bool -> env option
 (** [assume env cond polarity] narrows the environment under the
     assumption that [cond] evaluates to [polarity]. [None] means the
@@ -53,8 +51,5 @@ type result = {
           occurrence reached along a feasible prefix *)
   sx_pruned : int;  (** leaves proved infeasible *)
 }
-
-val feasible_mask : result -> bool list
-(** One flag per syntactic leaf, in tree order. *)
 
 val exec : base:(string list -> Absdom.t) -> Dep_ir.t -> result

@@ -125,8 +125,6 @@ val burst_create : ?capacity:int -> t -> burst
     (default capacity 64). Only valid for the device it was created
     for. *)
 
-val burst_capacity : burst -> int
-
 val rx_consume_batch : t -> burst -> int
 (** Harvest up to [burst_capacity] ready completions into the burst in
     one poll, overwriting its previous contents. Returns the number

@@ -20,7 +20,6 @@ let is_full t = space t = 0
 
 let off_of t idx = (idx land (t.slots - 1)) * t.slot_size
 let prod_index t = t.prod
-let cons_index t = t.cons
 let slot_offset t idx = off_of t idx
 
 let check_scratch ~who t dst =

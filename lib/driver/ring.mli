@@ -38,9 +38,6 @@ val prod_index : t -> int
     [slot_offset t (prod_index t - 1)]. Exposed for the fault-injection
     layer, which mutates freshly-produced slots in place. *)
 
-val cons_index : t -> int
-(** Free-running consumer index. *)
-
 val slot_offset : t -> int -> int
 (** Byte offset of a free-running index's slot in [dma t]'s memory. *)
 

@@ -53,11 +53,6 @@ val merge : name:string -> t list -> t
     its own ledger race-free, and this recovers the aggregate on
     demand. *)
 
-val avg_burst : t -> float
-(** Mean packets per harvest burst; 0 when unbatched. *)
-
-val pp_row : Format.formatter -> t -> unit
-
 val pp_table : Format.formatter -> t list -> unit
 (** Header + one row per entry. *)
 

@@ -12,11 +12,6 @@ module Certify = Opendesc_analysis.Certify
 
 type drill = Drill_stale | Drill_missing | Drill_inject of Certify.mutation
 
-let drill_name = function
-  | Drill_stale -> "stale"
-  | Drill_missing -> "missing"
-  | Drill_inject m -> "inject:" ^ Certify.mutation_name m
-
 let drill_of_string s =
   match s with
   | "stale" -> Some Drill_stale

@@ -59,8 +59,6 @@ type drill =
 val drill_of_string : string -> drill option
 (** ["stale" | "missing" | "inject:<mutation>"]. *)
 
-val drill_name : drill -> string
-
 (** What the certificate gate concluded. Hashes are hex contract
     digests ({!Opendesc.Cache.contract_hash_of} — stable across runs). *)
 type cert_verdict =
@@ -91,7 +89,9 @@ type outcome = {
   o_full_class : Opendesc_analysis.Evolution.klass;
       (** the global classification over the whole interface *)
   o_class : Opendesc_analysis.Evolution.klass;
-      (** the deployment-effective class ({!effective_entries}) *)
+      (** the deployment-effective class: the max over the entries whose
+          old path is absent or the active one and whose semantic is
+          absent or served ([Transparent] when none are) *)
   o_entries : int;  (** total report entries *)
   o_effective : int;  (** entries surviving the deployment filter *)
   o_active_path : int;  (** rev A completion path index in service *)
@@ -135,16 +135,6 @@ type outcome = {
       (** rev B's compilation when one was produced (tests re-decode
           [o_post_pairs] against it) *)
 }
-
-val effective_entries :
-  served:string list ->
-  active:int ->
-  Opendesc_analysis.Evolution.report ->
-  Opendesc_analysis.Evolution.entry list
-(** The deployment filter: keep an entry iff its old-path attribution
-    is absent or equals [active], {e and} its semantic is absent or a
-    member of [served]. The effective class is the max over the
-    survivors ([Transparent] when none survive). *)
 
 val run :
   ?queues:int ->

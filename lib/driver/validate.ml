@@ -84,8 +84,6 @@ let checker_of_device device =
     (Device.active_path device)
 
 let checker_fields ck = Array.to_list (Array.map (fun c -> c.c_field) ck.ck_checks)
-let checker_semantics ck =
-  List.map (fun (f : Opendesc.Path.lfield) -> Option.get f.l_semantic) (checker_fields ck)
 
 (* Does one field hold its reference value? Up to 62 bits the value and
    the read are ints, so nothing is boxed; a 63- or 64-bit field is

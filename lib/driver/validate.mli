@@ -91,8 +91,6 @@ val checker_fields : checker -> Opendesc.Path.lfield list
 (** The layout fields the checker covers (the targeted-corruption
     candidates of the fault injector). *)
 
-val checker_semantics : checker -> string list
-
 val check_desc : checker -> bytes -> len:int -> cmpt:bytes -> string option
 (** [check_desc ck buf ~len ~cmpt]: [Some semantic] names the first
     field whose completion value differs from the reference

@@ -42,9 +42,6 @@ type stats = {
 
 type failure = { fl_stage : string; fl_message : string }
 
-val stage_names : string list
-(** In pipeline order. *)
-
 val intent_of : Opendesc.Nic_spec.t -> Opendesc.Intent.t
 (** The compile stage's intent: up to three of the spec's own
     software-implementable semantics (sorted, so deterministic), or

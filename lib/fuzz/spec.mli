@@ -47,9 +47,6 @@ type t = {
   sp_slot : int option;  (** [@cmpt_slot] bytes; None omits the pragma *)
 }
 
-val header_bits : header -> int
-(** Declared bits, without the render-time pad. *)
-
 val header_bytes : header -> int
 (** Rendered size: declared bits padded up to the next byte. *)
 

@@ -5,16 +5,13 @@
     currently installed on the NIC — per the paper, "a field for specific
     metadata computed through a series of Match-Action tables, recently
     programmable in P4". Installing a different pipeline regenerates the
-    interface description: {!source_with_slot} is that regeneration.
+    interface description: {!model}[ ~slot] is that regeneration.
 
     The default instance installs a key-value-store pipeline
     (slot = [kvs_key]), matching the Figure-1 scenario. *)
 
-val source_with_slot : semantic:string -> width:int -> string
-(** Description with the programmable slot bound to one semantic. *)
-
 val source : string
-(** [source_with_slot ~semantic:"kvs_key" ~width:64]. *)
+(** The description with the slot bound to [kvs_key], 64 bits. *)
 
 val model : ?slot:string * int -> unit -> Model.t
 (** [model ~slot:(semantic, width) ()]; default slot ["kvs_key", 64]. *)

@@ -7,14 +7,8 @@
     semantics, and the context configuration words to program over the
     control channel. *)
 
-val ctype_for : int -> string
-(** Smallest of uint8/16/32/64_t holding the given bit width. *)
-
 val sanitize : string -> string
 (** Replace non-identifier characters with underscores. *)
-
-val accessor_name : nic:string -> string -> string
-(** [opendesc_<nic>_rx_<field>], sanitised to a C identifier. *)
 
 val generate :
   nic:string ->

@@ -10,11 +10,6 @@
     bounds check, one inline accessor per provided field, and a sample
     program body that loads every requested field. *)
 
-val metadata_struct : nic:string -> Path.t -> string
-(** Just the packed struct declaration mirroring the completion layout
-    (byte-aligned fields become named members; packed bitfields are
-    exposed through accessors only). *)
-
 val generate : nic:string -> path:Path.t -> requested:string list -> string
 (** The full program. [requested] lists the intent semantics; provided
     ones are loaded in the sample body, missing ones are marked for

@@ -28,10 +28,6 @@ val make : ?name:string -> ?budget:float -> (string * int) list -> t
 (** [make [(semantic, width); ...]] builds an intent programmatically;
     field names are the semantic names. *)
 
-val of_header : P4.Typecheck.header_def -> t
-(** Interpret a checked header as an intent: fields without a [@semantic]
-    annotation are ignored (they are application-private scratch space). *)
-
 val of_program : ?header:string -> P4.Typecheck.t -> (t, string) result
 (** Find the intent header in a checked program: [header] if given,
     otherwise the unique header carrying an [@intent] annotation,

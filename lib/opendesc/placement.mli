@@ -64,9 +64,3 @@ val crossover_pps :
     exactly at the low-rate winner's saturation rate — returned together
     with (low-rate winner, high-rate winner). [None] when a single path
     dominates both regimes. *)
-
-val datapath_overhead_cycles : float
-(** Fixed per-packet driver cost charged on every path: ring advance
-    plus refill from [Opendesc_analysis.Costbound.default_table], the
-    table the driver simulator's constants come from. {!evaluate} adds
-    the per-path descriptor loads and accessor reads. *)

@@ -9,12 +9,6 @@ let equal_value a b =
   | VUnknown, VUnknown -> true
   | _ -> false
 
-let pp_value ppf = function
-  | VInt { v; width = Some w } -> Format.fprintf ppf "%dw%Ld" w v
-  | VInt { v; width = None } -> Format.fprintf ppf "%Ld" v
-  | VBool b -> Format.fprintf ppf "%b" b
-  | VUnknown -> Format.fprintf ppf "?"
-
 type env = string list -> value option
 
 let empty_env _ = None
@@ -24,26 +18,6 @@ let rec path_of_expr = function
   | Ast.EMember (e, f) -> (
       match path_of_expr e with Some p -> Some (p @ [ f.name ]) | None -> None)
   | _ -> None
-
-(* Every access path an expression reads, in syntactic order. An
-   lvalue-shaped expression contributes its own path; anything else
-   contributes the paths of its operands. Shared by the static-analysis
-   passes (taint closure, data-dependence) and the symbolic evaluator. *)
-let paths_in e =
-  let rec go e acc =
-    match path_of_expr e with
-    | Some p -> p :: acc
-    | None -> (
-        match e with
-        | Ast.EUnop (_, a) | Ast.ECast (_, a) -> go a acc
-        | Ast.EBinop (_, a, b) | Ast.EIndex (a, b) -> go a (go b acc)
-        | Ast.ETernary (a, b, c) -> go a (go b (go c acc))
-        | Ast.ECall (f, _, args) ->
-            List.fold_left (fun acc a -> go a acc) (go f acc) args
-        | Ast.EMember (b, _) -> go b acc
-        | _ -> acc)
-  in
-  go e []
 
 let truncate ~width v =
   if width >= 64 then v

@@ -18,8 +18,6 @@ val equal_value : value -> value -> bool
 (** Structural; [VUnknown] only equals [VUnknown]. Integer equality
     ignores width. *)
 
-val pp_value : Format.formatter -> value -> unit
-
 type env = string list -> value option
 (** Lookup by access path: [["ctx"; "use_rss"]] for [ctx.use_rss].
     [None] means unknown. *)
@@ -29,10 +27,6 @@ val empty_env : env
 val path_of_expr : Ast.expr -> string list option
 (** The access path of an lvalue-shaped expression ([a.b.c]), if it is
     one. *)
-
-val paths_in : Ast.expr -> string list list
-(** Every access path the expression reads (an lvalue-shaped
-    subexpression stops the descent and contributes its own path). *)
 
 val arith_value : Ast.binop -> value -> value -> value
 (** The evaluator's own binary arithmetic on already-evaluated operands

@@ -42,6 +42,3 @@ val run_control : store -> Typecheck.control_def -> Ast.expr list
     evaluate concretely. Returns the argument of every one-argument
     [emit] call executed, in order; other calls are ignored.
     @raise Runtime_error when a condition cannot be decided. *)
-
-val max_parser_steps : int
-(** Cycle guard for parser execution (256). *)

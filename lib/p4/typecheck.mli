@@ -51,8 +51,6 @@ val rtyp_name : rtyp -> string
 val header_bytes : header_def -> int
 (** Size in bytes. @raise Type_error if [h_bits] is not a byte multiple. *)
 
-val find_field : header_def -> string -> field option
-
 type cparam = {
   c_name : string;
   c_dir : Ast.direction;

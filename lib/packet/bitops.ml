@@ -6,15 +6,11 @@ let get_u16_be = Bytes.get_uint16_be
 let set_u16_le = Bytes.set_uint16_le
 let set_u16_be = Bytes.set_uint16_be
 
-let get_u32_le = Bytes.get_int32_le
 let get_u32_be = Bytes.get_int32_be
-let set_u32_le = Bytes.set_int32_le
 let set_u32_be = Bytes.set_int32_be
 
 let get_u64_le = Bytes.get_int64_le
-let get_u64_be = Bytes.get_int64_be
 let set_u64_le = Bytes.set_int64_le
-let set_u64_be = Bytes.set_int64_be
 
 let mask w =
   assert (w >= 0 && w <= 64);

@@ -15,15 +15,11 @@ val get_u16_be : bytes -> int -> int
 val set_u16_le : bytes -> int -> int -> unit
 val set_u16_be : bytes -> int -> int -> unit
 
-val get_u32_le : bytes -> int -> int32
 val get_u32_be : bytes -> int -> int32
-val set_u32_le : bytes -> int -> int32 -> unit
 val set_u32_be : bytes -> int -> int32 -> unit
 
 val get_u64_le : bytes -> int -> int64
-val get_u64_be : bytes -> int -> int64
 val set_u64_le : bytes -> int -> int64 -> unit
-val set_u64_be : bytes -> int -> int64 -> unit
 
 (** {1 Arbitrary bit fields}
 

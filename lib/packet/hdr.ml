@@ -2,7 +2,6 @@ module Ethertype = struct
   let ipv4 = 0x0800
   let ipv6 = 0x86dd
   let vlan = 0x8100
-  let arp = 0x0806
 end
 
 module Proto = struct

@@ -8,8 +8,6 @@ module Ethertype : sig
 
   (** 802.1Q *)
   val vlan : int
-
-  val arp : int
 end
 
 (** IP protocol numbers. *)

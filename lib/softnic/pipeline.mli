@@ -19,9 +19,6 @@ val of_semantics : ?env:Feature.env -> Registry.t -> string list -> (t, string) 
 val run : t -> Packet.Pkt.t -> (string * int64) list
 (** Compute every feature for one packet. *)
 
-val run_view : t -> Packet.Pkt.t -> Packet.Pkt.view -> (string * int64) list
-(** Same, with a pre-parsed view (batch paths parse once). *)
-
 val cost_cycles : t -> float
 (** Sum of member feature costs: the per-packet software bill. *)
 
