@@ -14,7 +14,7 @@ module D = Diagnostic
 
 (* ------------------------------------------------------------------ *)
 (* The cost table. [default_table] is the one copy of these constants:
-   the driver's [Cost.K] and [Stack.parse_cost] and the compiler's
+   the driver's [Cost.K] and host stacks' parse cost and the compiler's
    [Placement] read them from here, so the bound is in the units the
    runtime ledger charges. *)
 
@@ -101,10 +101,11 @@ let table_of_json src =
    64) cache lines; per packet it runs one accessor chain per
    hardware-bound semantic and, iff any shim is scheduled, one software
    parse plus the scheduled shim cycles. Amortized per packet this is an
-   upper bound on what [Driver.Hoststacks.opendesc]/[opendesc_batched]
-   can charge to the ledger for any descriptor contents: the per-packet
-   stack never pays the doorbell and the batched stack pays exactly the
-   amortized shares, so bound(1) dominates both. *)
+   upper bound on what the generated runtime can charge to the ledger
+   for any descriptor contents: [Driver.Hoststacks.opendesc], one packet
+   at a time, never pays the doorbell, and [opendesc_batched] pays
+   exactly the amortized shares once per burst, so bound(1) dominates
+   both. *)
 
 let lines_of_bytes bytes = (bytes + 63) / 64
 
