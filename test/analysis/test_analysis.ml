@@ -72,6 +72,85 @@ let test_od001_lex_error () =
   check Alcotest.(option (pair int int)) "at end of input" (Some (2, 7)) (line_col d);
   check Alcotest.string "message" "syntax error: unterminated comment" d.d_msg
 
+(* A lexical error anywhere wins over a syntax error before it, as when
+   the whole input was lexed before parsing: the ';' missing on line 2
+   goes unreported, and the '$' or the unterminated comment after it is
+   reported by the parser, by the prelude check and as OD001. *)
+let test_od001_lex_error_wins () =
+  let missing_semi = "header h_t {\n  bit<8> a\n}\n" in
+  List.iter
+    (fun (rest, msg, (line, col), rendered) ->
+      let src = missing_semi ^ rest in
+      (match P4.Parser.parse_program src with
+      | _ -> Alcotest.failf "%S parsed" src
+      | exception P4.Lexer.Error (m, p) ->
+          check Alcotest.string "lexical error" msg m;
+          check Alcotest.(pair int int) "at the lexical error" (line, col) (p.line, p.col));
+      (match Opendesc.Prelude.check_result src with
+      | Ok _ -> Alcotest.failf "%S checked" src
+      | Error e -> check Alcotest.string "rendered" rendered e);
+      let d = find_exn "OD001" (analyze src) in
+      check Alcotest.(option (pair int int)) "OD001 location" (Some (line, col)) (line_col d);
+      check Alcotest.string "OD001 message" ("syntax error: " ^ msg) d.d_msg)
+    [
+      ( "const bit<8> K = $;\n",
+        "unexpected character '$'",
+        (4, 17),
+        "line 4, column 17: unexpected character '$'\n  const bit<8> K = $;\n                   ^" );
+      ( "/* never closed\n",
+        "unterminated comment",
+        (5, 0),
+        "line 5, column 0: unterminated comment\n  \n  ^" );
+    ]
+
+(* A width prefix outside 1..8192 is refused at the literal, with the
+   message [bit<N>] gets from the type checker. [0w1] used to load as
+   [0]: e1000-newer's RSS test then read as [use_rss == 0]. *)
+let test_od001_invalid_width () =
+  let find src sub =
+    let n = String.length sub in
+    let rec go i =
+      if i + n > String.length src then None
+      else if String.sub src i n = sub then Some i
+      else go (i + 1)
+    in
+    go 0
+  in
+  let line_col_at src off =
+    let line = ref 1 and bol = ref 0 in
+    String.iteri
+      (fun i ch ->
+        if i < off && ch = '\n' then begin
+          incr line;
+          bol := i + 1
+        end)
+      src;
+    (!line, off - !bol)
+  in
+  let rss lit = replace ~sub:"ctx.use_rss == 1" ~by:("ctx.use_rss == " ^ lit) newer in
+  List.iter
+    (fun (src, lit, msg) ->
+      (match Opendesc.Nic_spec.load ~name:"w" ~kind:Opendesc.Nic_spec.Fixed_function src with
+      | Ok _ -> Alcotest.failf "%s loaded" lit
+      | Error e ->
+          check ab (Printf.sprintf "%s: load error %S names %S" lit e msg) true (find e msg <> None));
+      let d = find_exn "OD001" (analyze src) in
+      check Alcotest.string (lit ^ ": OD001 message") ("syntax error: " ^ msg) d.d_msg;
+      check
+        Alcotest.(option (pair int int))
+        (lit ^ ": at the literal")
+        (Option.map (line_col_at src) (find src lit))
+        (line_col d))
+    [
+      (rss "0w1", "0w1", "invalid width 0");
+      (rss "18446744073709551615w1", "18446744073709551615w1", "invalid width -1");
+      ( rss "4611686018427387904w1",
+        "4611686018427387904w1",
+        "invalid width 4611686018427387904" );
+      (rss "8193w1", "8193w1", "invalid width 8193");
+      (newer ^ "\nconst bit<1> K = 0w1;\n", "0w1", "invalid width 0");
+    ]
+
 let test_od001_type_error () =
   let ds = analyze (replace ~sub:"ctx.use_rss == 1" ~by:"ctx.no_such == 1" newer) in
   let d = find_exn "OD001" ds in
@@ -1135,6 +1214,8 @@ let () =
         [
           Alcotest.test_case "OD001 parse error" `Quick test_od001_parse_error;
           Alcotest.test_case "OD001 lexer error" `Quick test_od001_lex_error;
+          Alcotest.test_case "OD001 lexer error wins" `Quick test_od001_lex_error_wins;
+          Alcotest.test_case "OD001 invalid width" `Quick test_od001_invalid_width;
           Alcotest.test_case "OD001 type error" `Quick test_od001_type_error;
           Alcotest.test_case "OD002 no deparser" `Quick test_od002_no_deparser;
           Alcotest.test_case "OD002 unbounded context" `Quick
