@@ -1,4 +1,4 @@
-(** Source positions for error reporting and adjacency checks. *)
+(** Source positions for error reporting. *)
 
 type pos = { line : int; col : int; off : int } [@@deriving show, eq]
 
@@ -10,8 +10,3 @@ let dummy = { left = dummy_pos; right = dummy_pos }
 let merge a b = { left = a.left; right = b.right }
 
 let pp_short ppf s = Format.fprintf ppf "%d:%d" s.left.line s.left.col
-
-(** True when [b] starts exactly where [a] ends (no whitespace between) —
-    used to distinguish the [>>] shift operator from two closing angle
-    brackets of nested type arguments. *)
-let adjacent a b = a.right.off = b.left.off
