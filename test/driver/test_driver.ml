@@ -2744,6 +2744,63 @@ let test_upgrade_breaking_quarantines () =
           check ab "reconciled" true o.Upgrade.o_reconciled)
     [ 1; 2 ]
 
+(* One-domain outcomes, pinned: [Upgrade.to_json] with [pause_s]
+   filtered, as MD5 digests, for an applied, a refused and a quarantined
+   swap at four swap points: both ends of the stream, a batch boundary
+   and 2,050, off it. The seed, plan and sizes are the CLI's, so
+   "applied at 2050" is the line [upgrade_e1000.expected] pins. At one
+   domain the stream interleaves injection and harvest on the calling
+   domain, so each outcome is a pure function of (seed, plan, at). *)
+let upgrade_pins =
+  [
+    ("applied at 0", "59c1f71aebef32e2800d647b01d56ddf");
+    ("applied at 32", "6fa13c20a00f28f4ee33a9d064997f30");
+    ("applied at 2050", "8b4dbaf4bf0b5d9e936abba5666482f0");
+    ("applied at 4096", "da0761645a2d312b026787a052af7e88");
+    ("refused at 0", "a7e4a23bc71cca873020d82075e5d6ab");
+    ("refused at 32", "a89196513030a5bebc5699e7041eab4b");
+    ("refused at 2050", "64e1a6fa524004447bb61a71db5d3117");
+    ("refused at 4096", "27d98933ef9a664b019347bca8218945");
+    ("quarantined at 0", "acdd25312756d7b8b412339dc0f34796");
+    ("quarantined at 32", "51bfebc803f8e026013198f622642834");
+    ("quarantined at 2050", "4c5641dc12b3ce5626de432a1f62a606");
+    ("quarantined at 4096", "f8c26f3df733a9f4803993600944b3b5");
+  ]
+
+let pause_filtered json =
+  let cut = String.rindex json ':' + 1 in
+  check Alcotest.string "pause_s is the last field" "\"pause_s\":"
+    (String.sub json (cut - 10) 10);
+  String.sub json 0 cut ^ "FILTERED}"
+
+let test_upgrade_outcome_pins () =
+  let old_spec = rev_a () in
+  let outcomes =
+    List.concat_map
+      (fun (label, new_spec, drill) ->
+        List.map
+          (fun at ->
+            match
+              Upgrade.run ~queues:4 ~domains:1 ~pkts:4096 ~at ~seed:42L
+                ~plan:(Fault.default_plan 42L) ?drill ~intent:upgrade_intent
+                ~old_spec ~new_spec ()
+            with
+            | Error e -> Alcotest.fail e
+            | Ok o ->
+                (Printf.sprintf "%s at %d" label at, pause_filtered (Upgrade.to_json o)))
+          [ 0; 32; 2050; 4096 ])
+      [
+        ("applied", rev_b (), None);
+        ("refused", rev_b (), Some Upgrade.Drill_stale);
+        ("quarantined", rev_broken (), None);
+      ]
+  in
+  List.iter2
+    (fun (name, json) (pinned, digest) ->
+      check Alcotest.string "case" pinned name;
+      check Alcotest.string (name ^ ": " ^ json) digest (Digest.to_hex (Digest.string json)))
+    outcomes upgrade_pins
+
 let test_upgrade_sizes_validated () =
   let old_spec = rev_a () and new_spec = rev_b () in
   let run ?batch ?domains () =
@@ -3029,6 +3086,8 @@ let () =
             test_upgrade_breaking_quarantines;
           Alcotest.test_case "effective class scoping" `Quick
             test_upgrade_effective_class_scoping;
+          Alcotest.test_case "outcomes pinned at 1 domain" `Quick
+            test_upgrade_outcome_pins;
           Alcotest.test_case "sizes validated" `Quick
             test_upgrade_sizes_validated;
           Alcotest.test_case "allocation budget" `Quick test_upgrade_alloc_budget;
