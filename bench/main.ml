@@ -1062,7 +1062,7 @@ let live_upgrade () =
             (fun () -> Nic_models.Model.make old_spec)
         in
         let r =
-          Driver.Parallel.run ~domains ~batch:32 ~plan ~mq
+          Driver.Parallel.run ~domains ~batch:32 ~account:false ~plan ~mq
             ~stack:(fun _ ->
               Driver.Hoststacks.opendesc_batched ~compiled:compiled_old)
             ~pkts
@@ -1097,9 +1097,9 @@ let live_upgrade () =
           done;
           (!l, !p)
         in
-        (* the 1-domain point runs the sequential engine, which has no
-           producer-domain baseline to compare against — dip is only
-           meaningful where both runs use the parallel runtime *)
+        (* the 1-domain swap runs on the calling domain, with no worker
+           domain, while Parallel.run always hands off to one: the dip
+           is only meaningful where both runs use worker domains *)
         let dip =
           if domains < 2 then None
           else

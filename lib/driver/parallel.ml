@@ -362,31 +362,167 @@ module Pool = struct
         m.reported <- false)
 end
 
-(* The epoch flip's install step; the caller has made the datapath dry. *)
-let install ~config ~model ~stack ~queue_ids devices faults consumers =
-  let refused = ref 0 in
-  Array.iteri
-    (fun i q ->
-      (match Device.upgrade devices.(i) ~config (model ()) with
-      | Ok () -> ()
-      | Error _ -> incr refused);
-      Option.iter (fun fqs -> Fault.rebind fqs.(i)) faults;
-      consumers.(i) <- stack q)
-    queue_ids;
-  !refused
+(* One queue group's datapath: the devices one domain owns (injected and
+   harvested through their fault wrappers when the run has a plan),
+   their bursts and consumers, and what the group has delivered. A
+   worker domain drives a group from its handoff ring; a one-domain hot
+   swap drives the only group from the calling domain. Nothing below
+   allocates per burst. *)
+type group = {
+  queue_ids : int array;
+  devices : Device.t array;
+  faults : Fault.t array option;
+  bursts : Device.burst array;
+  consumers : Stack.burst_t array;
+  env : Softnic.Feature.env;
+  ledger : Cost.t;
+  acct : Cost.sink;
+  hist : int array;  (** bursts by size: a harvest returns at most [batch] *)
+  per_queue : int array;  (** the run's, indexed by queue id *)
+  delivered : bytes list array option;  (** the run's, indexed by queue id *)
+  post_pairs : (bytes * bytes) list array option;  (** the swap's, likewise *)
+  sink : bytes;
+      (** the consumers' digests, summed as one int64 in place: a boxed
+          ref would allocate one per burst *)
+  mutable nbursts : int;
+  mutable consumed : int;
+  mutable epoch : int;
+}
 
-let worker ~w ~queue_ids ~devices ~local ~ring ~stop ~batch ~stack ~account
-    ~pkts_hint ~per_queue ~delivered ~faults ~swap () =
-  let env = Softnic.Feature.make_env () in
-  let ledger = Cost.create () in
-  let sink_acct = if account then Cost.ledger ledger else Cost.null in
-  let bursts = Array.map (fun d -> Device.burst_create ~capacity:batch d) devices in
-  let consumers = Array.map stack queue_ids in
-  (* Bursts by size: a harvest returns at most [batch] packets. *)
-  let hist = Array.make (batch + 1) 0 in
-  let nbursts = ref 0 in
-  let consumed = ref 0 in
-  let sink = ref 0L in
+let inject g i buf len =
+  match g.faults with
+  | None -> ignore (Device.rx_inject_raw g.devices.(i) buf ~len)
+  | Some fqs -> ignore (Fault.rx_inject_raw fqs.(i) buf ~len)
+
+(* One harvest sweep over the group's queues; returns packets taken. A
+   [for] loop, not [Array.iteri]: a closure per sweep would allocate. *)
+let sweep g =
+  let total = ref 0 in
+  for i = 0 to Array.length g.devices - 1 do
+    let b = g.bursts.(i) in
+    let n =
+      match g.faults with
+      | None -> Device.rx_consume_batch g.devices.(i) b
+      | Some fqs -> Fault.harvest fqs.(i) b
+    in
+    if n > 0 then begin
+      g.nbursts <- g.nbursts + 1;
+      g.hist.(n) <- g.hist.(n) + 1;
+      let digest = g.consumers.(i).Stack.bt_consume g.acct g.env b in
+      Bytes.set_int64_ne g.sink 0 (Int64.add (Bytes.get_int64_ne g.sink 0) digest);
+      let q = g.queue_ids.(i) in
+      g.per_queue.(q) <- g.per_queue.(q) + n;
+      (match g.delivered with
+      | Some arr ->
+          for j = 0 to n - 1 do
+            arr.(q) <- Bytes.sub b.Device.bs_pkts.(j) 0 b.Device.bs_lens.(j) :: arr.(q)
+          done
+      | None -> ());
+      (match g.post_pairs with
+      | Some arr when g.epoch = 1 ->
+          for j = 0 to n - 1 do
+            arr.(q) <-
+              ( Bytes.sub b.Device.bs_pkts.(j) 0 b.Device.bs_lens.(j),
+                Bytes.sub b.Device.bs_cmpts.(j) 0 b.Device.bs_cmpt_lens.(j) )
+              :: arr.(q)
+          done
+      | _ -> ());
+      g.consumed <- g.consumed + n;
+      total := !total + n
+    end
+  done;
+  !total
+
+let in_flight g = Array.fold_left (fun a d -> a + Device.rx_available d) 0 g.devices
+
+let harvest_all g =
+  while sweep g > 0 do () done;
+  (* Under fault injection a sweep can deliver nothing while the rings
+     still hold work (stuck queues burn bounded kicks per call;
+     fully-quarantined bursts count 0) — keep sweeping until dry. *)
+  if Option.is_some g.faults then
+    while in_flight g > 0 do
+      ignore (sweep g)
+    done
+
+(* Emit each deferred (reordered) completion: nothing is left to swap
+   it with on this side of a swap or the end of the stream. *)
+let flush_faults g = Option.iter (Array.iter Fault.flush) g.faults
+
+(* The quiescent point: emit deferred completions, count what is in
+   flight, then harvest the group dry. *)
+let quiesce g ctl =
+  flush_faults g;
+  ignore (Atomic.fetch_and_add ctl.ctl_inflight (in_flight g));
+  harvest_all g;
+  ignore (Atomic.fetch_and_add ctl.ctl_pre_pkts g.consumed);
+  Atomic.incr ctl.ctl_quiesced
+
+(* Apply the published verdict at the group's quiescent point, then
+   acknowledge it. [backlog ()] injects what reached the group after it
+   quiesced (a worker's handoff ring) and tells whether there was any. *)
+let apply g ctl ~backlog cmd =
+  (match cmd with
+  | Swap_apply { sc_config; sc_model; sc_stack } ->
+      (* Torn-plan oracle: the epoch flip is only legal at a dry point —
+         a completion serialised under the old contract must never be
+         read with the new accessors. *)
+      if backlog () || in_flight g > 0 then begin
+        Atomic.incr ctl.ctl_torn;
+        harvest_all g
+      end;
+      (* Install: each device upgrades in place, its fault wrapper
+         rebinds to the new contract and its queue gets the epoch-1
+         consumer. *)
+      Array.iteri
+        (fun i q ->
+          (match Device.upgrade g.devices.(i) ~config:sc_config (sc_model ()) with
+          | Ok () -> ()
+          | Error _ -> Atomic.incr ctl.ctl_upgrade_errors);
+          Option.iter (fun fqs -> Fault.rebind fqs.(i)) g.faults;
+          g.consumers.(i) <- sc_stack q)
+        g.queue_ids;
+      g.epoch <- 1
+  | Swap_refuse | Swap_quarantine -> ());
+  Atomic.incr ctl.ctl_acks
+
+let report g ~w ~busy_s ~minor_words ~spins ~parks ~wakes =
+  let dma = Array.fold_left (fun a d -> a + Device.dma_bytes d) 0 g.devices in
+  let drops = Array.fold_left (fun a d -> a + Device.drops d) 0 g.devices in
+  let stats =
+    Stats.make
+      ~name:(Printf.sprintf "domain%d" w)
+      ~pkts:g.consumed ~ledger:g.ledger ~dma_bytes:dma ~drops
+    |> Stats.with_bursts ~bursts:g.nbursts
+         ~burst_hist:
+           (List.filter
+              (fun (_, c) -> c > 0)
+              (List.init (Array.length g.hist) (fun n -> (n, g.hist.(n)))))
+    |> Stats.with_idle ~spins ~parks ~wakes
+  in
+  let stats =
+    match g.faults with
+    | None -> stats
+    | Some fqs ->
+        let c =
+          Fault.counters_sum (Array.to_list (Array.map Fault.counters fqs))
+        in
+        Stats.with_faults ~injected:c.Fault.injected ~detected:c.Fault.detected
+          ~quarantined:c.Fault.quarantined ~retries:c.Fault.retries stats
+  in
+  {
+    rp_pkts = g.consumed;
+    rp_cycles = Cost.total g.ledger;
+    rp_stats = stats;
+    rp_sink = Bytes.get_int64_ne g.sink 0;
+    rp_busy_s = busy_s;
+    rp_minor_words = minor_words;
+  }
+
+(* A worker domain's job: drive its group from its handoff ring. *)
+let worker g ~w ~batch ~ring ~stop ~pkts_hint ~swap =
+  let local = Array.make (Array.length g.per_queue) (-1) in
+  Array.iteri (fun i q -> local.(q) <- i) g.queue_ids;
   let spins = ref 0 and parks = ref 0 and wakes = ref 0 in
   (* Chunk timing buffers, preallocated so the loop never grows them. *)
   let cap = pkts_hint + 2 in
@@ -402,82 +538,32 @@ let worker ~w ~queue_ids ~devices ~local ~ring ~stop ~batch ~stack ~account
     end
     else if n = 0 then tail_s := !tail_s +. s
   in
-  let inject i buf len =
-    match faults with
-    | None -> ignore (Device.rx_inject_raw devices.(i) buf ~len)
-    | Some fqs -> ignore (Fault.rx_inject_raw fqs.(i) buf ~len)
-  in
-  let take i b =
-    match faults with
-    | None -> Device.rx_consume_batch devices.(i) b
-    | Some fqs -> Fault.harvest fqs.(i) b
-  in
-  let epoch = ref 0 in
-  let swapped = ref false in
-  (* One harvest sweep over the owned queues; returns packets taken. A
-     [for] loop, not [Array.iteri]: a closure per sweep would allocate. *)
-  let sweep () =
-    let total = ref 0 in
-    for i = 0 to Array.length devices - 1 do
-      let b = bursts.(i) in
-      let n = take i b in
-      if n > 0 then begin
-        incr nbursts;
-        hist.(n) <- hist.(n) + 1;
-        sink := Int64.add !sink (consumers.(i).Stack.bt_consume sink_acct env b);
-        let q = queue_ids.(i) in
-        per_queue.(q) <- per_queue.(q) + n;
-        (match delivered with
-        | Some arr ->
-            for j = 0 to n - 1 do
-              arr.(q) <-
-                Bytes.sub b.Device.bs_pkts.(j) 0 b.Device.bs_lens.(j) :: arr.(q)
-            done
-        | None -> ());
-        (match swap with
-        | Some ctl when !epoch = 1 -> (
-            match ctl.ctl_post_pairs with
-            | Some arr ->
-                for j = 0 to n - 1 do
-                  arr.(q) <-
-                    ( Bytes.sub b.Device.bs_pkts.(j) 0 b.Device.bs_lens.(j),
-                      Bytes.sub b.Device.bs_cmpts.(j) 0 b.Device.bs_cmpt_lens.(j)
-                    )
-                    :: arr.(q)
-                done
-            | None -> ())
-        | _ -> ());
-        consumed := !consumed + n;
-        total := !total + n
-      end
+  (* Inject up to [limit] packets off the ring; returns how many. *)
+  let pop limit =
+    let pops = ref 0 in
+    let slot = ref (Pktring.peek ring) in
+    while !slot >= 0 do
+      inject g local.(Pktring.qid ring !slot) (Pktring.buf ring !slot)
+        (Pktring.len ring !slot);
+      Pktring.advance ring;
+      incr pops;
+      slot := if !pops < limit then Pktring.peek ring else -1
     done;
-    !total
-  in
-  let harvest_all () =
-    while sweep () > 0 do () done;
-    (* Under fault injection a sweep can deliver nothing while the rings
-       still hold work (stuck queues burn bounded kicks per call;
-       fully-quarantined bursts count 0) — keep sweeping until dry. *)
-    match faults with
-    | None -> ()
-    | Some fqs ->
-        while Array.exists (fun fq -> Fault.rx_available fq > 0) fqs do
-          ignore (sweep ())
-        done
+    !pops
   in
   (* Pop/inject in runs of up to a full batch per owned queue, then
      harvest — keeps bursts near capacity, so the amortised per-burst
      charges match the sequential batched path. Each run+harvest is one
      timed chunk. *)
-  let threshold = batch * Array.length devices in
+  let threshold = batch * Array.length g.devices in
   let mw0 = Gc.minor_words () in
   let running = ref true in
+  let swapped = ref false in
   let idle = ref 0 in
   let park_s = ref park_min_s in
   let parked = ref false in
   while !running do
-    let first = Pktring.peek ring in
-    if first >= 0 then begin
+    if Pktring.peek ring >= 0 then begin
       let t0 = Unix.gettimeofday () in
       if !parked then begin
         incr wakes;
@@ -485,17 +571,9 @@ let worker ~w ~queue_ids ~devices ~local ~ring ~stop ~batch ~stack ~account
       end;
       idle := 0;
       park_s := park_min_s;
-      let pops = ref 0 in
-      let slot = ref first in
-      while !slot >= 0 do
-        let q = Pktring.qid ring !slot in
-        inject local.(q) (Pktring.buf ring !slot) (Pktring.len ring !slot);
-        Pktring.advance ring;
-        incr pops;
-        slot := if !pops < threshold then Pktring.peek ring else -1
-      done;
-      harvest_all ();
-      record_chunk (Unix.gettimeofday () -. t0) !pops
+      let pops = pop threshold in
+      harvest_all g;
+      record_chunk (Unix.gettimeofday () -. t0) pops
     end
     else if
       match swap with
@@ -504,74 +582,28 @@ let worker ~w ~queue_ids ~devices ~local ~ring ~stop ~batch ~stack ~account
     then begin
       let ctl = Option.get swap in
       let t0 = Unix.gettimeofday () in
-      (* Reach the quiescent point. The quiesce flag was raised after the
-         producer's final pre-swap flush, so the empty peek above may
-         predate that flush: drain the handoff ring dry first, emit any
-         deferred reordered completion (it has no successor on this side
-         of the swap), then sweep the owned devices empty. *)
-      let pops = ref 0 in
-      let rec drain_ring () =
-        let s = Pktring.peek ring in
-        if s >= 0 then begin
-          let q = Pktring.qid ring s in
-          inject local.(q) (Pktring.buf ring s) (Pktring.len ring s);
-          Pktring.advance ring;
-          incr pops;
-          drain_ring ()
-        end
-      in
-      drain_ring ();
-      (match faults with
-      | Some fqs -> Array.iter Fault.flush fqs
-      | None -> ());
-      let inflight =
-        match faults with
-        | Some fqs ->
-            Array.fold_left (fun a fq -> a + Fault.rx_available fq) 0 fqs
-        | None ->
-            Array.fold_left (fun a d -> a + Device.rx_available d) 0 devices
-      in
-      ignore (Atomic.fetch_and_add ctl.ctl_inflight inflight);
-      harvest_all ();
-      ignore (Atomic.fetch_and_add ctl.ctl_pre_pkts !consumed);
-      ignore (Atomic.fetch_and_add ctl.ctl_quiesced 1);
+      (* The quiesce flag was raised after the producer's final pre-swap
+         flush, so the empty peek above may predate that flush: drain the
+         handoff ring dry before the quiescent point. *)
+      let pops = pop max_int in
+      quiesce g ctl;
       (* Wait for the verdict — classification, recompile and
          certification run concurrently on the producer domain. *)
       wait_until (fun () -> Option.is_some (Atomic.get ctl.ctl_cmd));
-      (match Option.get (Atomic.get ctl.ctl_cmd) with
-      | Swap_apply { sc_config; sc_model; sc_stack } ->
-          (* Torn-plan oracle: the epoch flip is only legal at a dry
-             point — a completion serialised under the old contract must
-             never be read with the new accessors. *)
-          if
-            Pktring.peek ring >= 0
-            || Array.exists (fun d -> Device.rx_available d > 0) devices
-          then begin
-            ignore (Atomic.fetch_and_add ctl.ctl_torn 1);
-            drain_ring ();
-            harvest_all ()
-          end;
-          ignore
-            (Atomic.fetch_and_add ctl.ctl_upgrade_errors
-               (install ~config:sc_config ~model:sc_model ~stack:sc_stack
-                  ~queue_ids devices faults consumers));
-          epoch := 1
-      | Swap_refuse -> ()
-      | Swap_quarantine -> running := false);
+      let cmd = Option.get (Atomic.get ctl.ctl_cmd) in
+      apply g ctl cmd ~backlog:(fun () -> pop max_int > 0);
+      (match cmd with
+      | Swap_quarantine -> running := false
+      | Swap_apply _ | Swap_refuse -> ());
       swapped := true;
-      ignore (Atomic.fetch_and_add ctl.ctl_acks 1);
-      record_chunk (Unix.gettimeofday () -. t0) !pops
+      record_chunk (Unix.gettimeofday () -. t0) pops
     end
     else if Atomic.get stop && Pktring.peek ring < 0 then begin
       (* End of stream (the re-peek runs after the stop read, so the
-         producer's final flush is visible): a deferred (reordered)
-         completion has no successor left to swap with — emit it before
-         the final drain. *)
+         producer's final flush is visible). *)
       let t0 = Unix.gettimeofday () in
-      (match faults with
-      | Some fqs -> Array.iter Fault.flush fqs
-      | None -> ());
-      harvest_all ();
+      flush_faults g;
+      harvest_all g;
       record_chunk (Unix.gettimeofday () -. t0) 0;
       running := false
     end
@@ -590,40 +622,9 @@ let worker ~w ~queue_ids ~devices ~local ~ring ~stop ~batch ~stack ~account
     end
   done;
   let minor_words = Gc.minor_words () -. mw0 in
-  let busy =
-    robust_busy ~chunk_s ~chunk_n ~nchunks:!nchunks ~extra_s:!tail_s
-  in
-  let dma = Array.fold_left (fun a d -> a + Device.dma_bytes d) 0 devices in
-  let drops = Array.fold_left (fun a d -> a + Device.drops d) 0 devices in
-  let stats =
-    Stats.make
-      ~name:(Printf.sprintf "domain%d" w)
-      ~pkts:!consumed ~ledger ~dma_bytes:dma ~drops
-    |> Stats.with_bursts ~bursts:!nbursts
-         ~burst_hist:
-           (List.filter
-              (fun (_, c) -> c > 0)
-              (List.init (batch + 1) (fun n -> (n, hist.(n)))))
-    |> Stats.with_idle ~spins:!spins ~parks:!parks ~wakes:!wakes
-  in
-  let stats =
-    match faults with
-    | None -> stats
-    | Some fqs ->
-        let c =
-          Fault.counters_sum (Array.to_list (Array.map Fault.counters fqs))
-        in
-        Stats.with_faults ~injected:c.Fault.injected ~detected:c.Fault.detected
-          ~quarantined:c.Fault.quarantined ~retries:c.Fault.retries stats
-  in
-  {
-    rp_pkts = !consumed;
-    rp_cycles = Cost.total ledger;
-    rp_stats = stats;
-    rp_sink = !sink;
-    rp_busy_s = busy;
-    rp_minor_words = minor_words;
-  }
+  report g ~w
+    ~busy_s:(robust_busy ~chunk_s ~chunk_n ~nchunks:!nchunks ~extra_s:!tail_s)
+    ~minor_words ~spins:!spins ~parks:!parks ~wakes:!wakes
 
 let check_sizes fn ~domains ~batch ~pkts =
   if domains < 1 then invalid_arg (fn ^ ": domains must be >= 1");
@@ -638,16 +639,54 @@ let check_failed failure =
   match Atomic.get failure with Some _ -> raise Worker_failed | None -> ()
 
 (* The optional epoch boundary: the swap point, the verdict callback and
-   the control cell the workers watch. *)
+   the control cell the queue groups report to. *)
 type epoch = { at : int; verdict : unit -> swap_cmd; ctl : swap_ctl }
+
+(* Turn the epoch: [quiesce ()] brings every queue group to its
+   quiescent point, the verdict is computed, [apply cmd] has every group
+   apply it and acknowledge it, and [resume ()] offers the rest of the
+   stream unless the verdict quarantined it. *)
+let turn { verdict; ctl; _ } ~at ~pkts ~quiesce ~apply ~resume =
+  let t_swap = Unix.gettimeofday () in
+  quiesce ();
+  let cmd = verdict () in
+  apply cmd;
+  let latency_s = Unix.gettimeofday () -. t_swap in
+  (* The producer pause ends the instant injection restarts;
+     quarantine never resumes, so its pause ends at the verdict. *)
+  let pause_s = Unix.gettimeofday () -. t_swap in
+  let action =
+    match cmd with
+    | Swap_apply _ -> Sw_applied
+    | Swap_refuse -> Sw_refused
+    | Swap_quarantine -> Sw_quarantined
+  in
+  if action <> Sw_quarantined then resume ();
+  (* Every group has acknowledged, so the counters below are final; the
+     epoch-1 deliveries are filled in once every group has reported. *)
+  {
+    sw_action = action;
+    sw_at = at;
+    sw_inflight = Atomic.get ctl.ctl_inflight;
+    sw_pre_pkts = Atomic.get ctl.ctl_pre_pkts;
+    sw_post_pkts = 0;
+    sw_withheld = (if action = Sw_quarantined then pkts - at else 0);
+    sw_torn = Atomic.get ctl.ctl_torn;
+    sw_upgrade_errors = Atomic.get ctl.ctl_upgrade_errors;
+    sw_latency_s = latency_s;
+    sw_pause_s = pause_s;
+    sw_post_pairs = None;
+  }
 
 (* The one engine behind {!run} and {!hot_swap}. Without an epoch the
    producer offers the whole stream. With one it offers [at] packets
-   under the old contract, raises the quiesce flag, computes the verdict
-   (typically classification + recompile + certification) while the
-   workers drain themselves dry, publishes it once every worker stands
-   at a quiescent point, and resumes the stream only after every worker
-   has acknowledged the new epoch. *)
+   under the old contract and turns the epoch: it raises the quiesce
+   flag, computes the verdict (typically classification + recompile +
+   certification) while the workers drain themselves dry, publishes it
+   once every worker stands at a quiescent point, and resumes the stream
+   only after every worker has acknowledged the new epoch. A hot swap at
+   one domain takes no worker and builds no ring: the calling domain
+   drives the one queue group and turns the epoch itself. *)
 let engine ~domains ~batch ~ring_capacity ~collect ~account ~pregen ~plan ~mq
     ~stack ~pkts ~workload epoch =
   let fn, name =
@@ -657,13 +696,14 @@ let engine ~domains ~batch ~ring_capacity ~collect ~account ~pregen ~plan ~mq
   in
   check_sizes fn ~domains ~batch ~pkts;
   let nq = Mq.queues mq in
+  let inline = domains = 1 && Option.is_some epoch in
   let workers = min domains nq in
   let owner q = q mod workers in
   let at = match epoch with Some ep -> max 0 (min ep.at pkts) | None -> pkts in
   let devices = Array.init nq (Mq.queue mq) in
   Array.iter Device.reset_counters devices;
   (* One fault wrapper per queue, created up front and handed to the
-     owning worker: faults are a per-queue function of (seed, qid,
+     owning group: faults are a per-queue function of (seed, qid,
      injection order), so the same plan replays identically however the
      queues are grouped onto domains. *)
   let fqs =
@@ -673,16 +713,40 @@ let engine ~domains ~batch ~ring_capacity ~collect ~account ~pregen ~plan ~mq
   in
   let per_queue = Array.make nq 0 in
   let delivered = if collect then Some (Array.make nq []) else None in
-  let slot_size =
-    Array.fold_left (fun a d -> max a (Device.buf_size d)) 64 devices
+  (* Worker [w]'s queue group, made on the domain that drives it. *)
+  let group_of w =
+    let queue_ids =
+      Array.of_list (List.filter (fun q -> owner q = w) (List.init nq Fun.id))
+    in
+    let devices = Array.map (fun q -> devices.(q)) queue_ids in
+    let ledger = Cost.create () in
+    {
+      queue_ids;
+      devices;
+      faults = Option.map (fun fqs -> Array.map (fun q -> fqs.(q)) queue_ids) fqs;
+      bursts = Array.map (fun d -> Device.burst_create ~capacity:batch d) devices;
+      consumers = Array.map stack queue_ids;
+      env = Softnic.Feature.make_env ();
+      ledger;
+      acct = (if account then Cost.ledger ledger else Cost.null);
+      hist = Array.make (batch + 1) 0;
+      per_queue;
+      delivered;
+      post_pairs = Option.bind epoch (fun ep -> ep.ctl.ctl_post_pairs);
+      sink = Bytes.make 8 '\000';
+      nbursts = 0;
+      consumed = 0;
+      epoch = 0;
+    }
   in
   let rings =
-    Array.init workers (fun _ ->
-        Pktring.create ~capacity:ring_capacity ~slot_size)
+    if inline then [||]
+    else
+      let slot_size =
+        Array.fold_left (fun a d -> max a (Device.buf_size d)) 64 devices
+      in
+      Array.init workers (fun _ -> Pktring.create ~capacity:ring_capacity ~slot_size)
   in
-  let stop = Atomic.make false in
-  (* The first failure of any domain, with its backtrace. *)
-  let failure = Atomic.make None in
   (* With [~pregen] the workload generation and steering run before the
      clock starts, so the measured region is the drain machinery itself:
      handoff, injection, harvest, consume. The pregenerated frames are
@@ -706,166 +770,173 @@ let engine ~domains ~batch ~ring_capacity ~collect ~account ~pregen ~plan ~mq
       Some (bufs, lens, qs)
     end
   in
-  (* Workers record backtraces when the caller does, so a re-raised
-     failure points into the worker. *)
-  let backtraces = Printexc.backtrace_status () in
-  let t0 = Unix.gettimeofday () in
-  let members = Pool.acquire workers in
-  let reports = Array.make workers None in
-  Array.iteri
-    (fun w m ->
-      let queue_ids =
-        Array.of_list (List.filter (fun q -> owner q = w) (List.init nq Fun.id))
-      in
-      let wdevices = Array.map (fun q -> devices.(q)) queue_ids in
-      let local = Array.make nq (-1) in
-      Array.iteri (fun i q -> local.(q) <- i) queue_ids;
-      let wfaults =
-        Option.map (fun fqs -> Array.map (fun q -> fqs.(q)) queue_ids) fqs
-      in
-      Pool.start m (fun () ->
-          Printexc.record_backtrace backtraces;
-          try
-            reports.(w) <-
-              Some
-                (worker ~w ~queue_ids ~devices:wdevices ~local ~ring:rings.(w)
-                   ~stop ~batch ~stack ~account ~pkts_hint:pkts ~per_queue
-                   ~delivered ~faults:wfaults
-                   ~swap:(Option.map (fun ep -> ep.ctl) epoch)
-                   ())
-          with e ->
-            let bt = Printexc.get_raw_backtrace () in
-            ignore (Atomic.compare_and_set failure None (Some (e, bt)))))
-    members;
-  (* The steering/injection domain. Chunks of pushes are timed the same
-     way worker chunks are (see [robust_busy]); blocking on a full ring
-     ends the current chunk so the wait is not billed as work. *)
-  let p_cap = pkts + 4 in
-  let p_chunk_s = Array.make p_cap 0.0 in
-  let p_chunk_n = Array.make p_cap 0 in
-  let p_nchunks = ref 0 in
-  let p_record s n =
-    if n > 0 && !p_nchunks < p_cap then begin
-      p_chunk_s.(!p_nchunks) <- s;
-      p_chunk_n.(!p_nchunks) <- n;
-      incr p_nchunks
-    end
-  in
-  let pushed_in_chunk = ref 0 in
-  let chunk_t0 = ref (Unix.gettimeofday ()) in
-  let end_chunk () =
-    p_record (Unix.gettimeofday () -. !chunk_t0) !pushed_in_chunk;
-    pushed_in_chunk := 0;
-    chunk_t0 := Unix.gettimeofday ()
-  in
-  let p_mw0 = Gc.minor_words () in
-  let push_one buf len q =
-    let ring = rings.(owner q) in
-    if not (Pktring.try_push ring buf ~len ~qid:q) then begin
-      end_chunk ();
-      let idle = ref 0 in
-      let park = ref park_min_s in
-      while not (Pktring.try_push ring buf ~len ~qid:q) do
-        check_failed failure;
-        if !idle < spin_limit then Domain.cpu_relax ()
-        else begin
-          Unix.sleepf !park;
-          park := Float.min park_max_s (!park *. 2.0)
-        end;
-        incr idle
-      done;
-      chunk_t0 := Unix.gettimeofday ()
-    end;
-    incr pushed_in_chunk;
-    if !pushed_in_chunk >= 256 then end_chunk ()
-  in
-  (* Offer packets [lo, hi) of the stream, then publish them. *)
-  let push_range lo hi =
-    (match pre with
+  (* Offer packets [lo, hi) of the stream, packet [k] as
+     [offer k buf len queue]. *)
+  let stream lo hi offer =
+    match pre with
     | Some (bufs, lens, qs) ->
         for k = lo to hi - 1 do
-          push_one bufs.(k) lens.(k) qs.(k)
+          offer k bufs.(k) lens.(k) qs.(k)
         done
     | None ->
-        for _ = lo to hi - 1 do
+        for k = lo to hi - 1 do
           let len = Packet.Workload.next_into workload frame in
-          push_one frame len (Mq.steer_raw mq frame ~len)
-        done);
-    Array.iter Pktring.flush rings;
-    end_chunk ()
+          offer k frame len (Mq.steer_raw mq frame ~len)
+        done
   in
-  let all_workers cell () =
-    check_failed failure;
-    Atomic.get cell >= workers
+  let t0 = Unix.gettimeofday () in
+  let reports, producer_busy_s, p_minor_words, turned =
+    match epoch with
+    | Some ep when inline ->
+        (* One sweep after every [batch]-th injection, counted from the
+           start of the stream: where harvests fall relative to the
+           swap, and with them the whole outcome, are a pure function of
+           (seed, plan, at). The one group owns every queue, in order. *)
+        let g = group_of 0 in
+        let offer k buf len q =
+          inject g q buf len;
+          if (k + 1) mod batch = 0 then ignore (sweep g)
+        in
+        let mw0 = Gc.minor_words () in
+        stream 0 at offer;
+        let sw =
+          turn ep ~at ~pkts
+            ~quiesce:(fun () -> quiesce g ep.ctl)
+            ~apply:(apply g ep.ctl ~backlog:(fun () -> false))
+            ~resume:(fun () -> stream at pkts offer)
+        in
+        flush_faults g;
+        harvest_all g;
+        let busy_s = Unix.gettimeofday () -. t0 in
+        ( [|
+            report g ~w:0 ~busy_s ~minor_words:(Gc.minor_words () -. mw0)
+              ~spins:0 ~parks:0 ~wakes:0;
+          |],
+          0.0,
+          0.0,
+          Some sw )
+    | _ ->
+        (* Worker domains drive the groups; this domain feeds them. *)
+        let stop = Atomic.make false in
+        (* The first failure of any domain, with its backtrace. *)
+        let failure = Atomic.make None in
+        (* Workers record backtraces when the caller does, so a re-raised
+           failure points into the worker. *)
+        let backtraces = Printexc.backtrace_status () in
+        let members = Pool.acquire workers in
+        let reports = Array.make workers None in
+        Array.iteri
+          (fun w m ->
+            Pool.start m (fun () ->
+                Printexc.record_backtrace backtraces;
+                try
+                  reports.(w) <-
+                    Some
+                      (worker (group_of w) ~w ~batch ~ring:rings.(w) ~stop
+                         ~pkts_hint:pkts
+                         ~swap:(Option.map (fun ep -> ep.ctl) epoch))
+                with e ->
+                  let bt = Printexc.get_raw_backtrace () in
+                  ignore (Atomic.compare_and_set failure None (Some (e, bt)))))
+          members;
+        (* The steering/injection domain. Chunks of pushes are timed the
+           same way worker chunks are (see [robust_busy]); blocking on a
+           full ring ends the current chunk so the wait is not billed as
+           work. *)
+        let p_cap = pkts + 4 in
+        let p_chunk_s = Array.make p_cap 0.0 in
+        let p_chunk_n = Array.make p_cap 0 in
+        let p_nchunks = ref 0 in
+        let p_record s n =
+          if n > 0 && !p_nchunks < p_cap then begin
+            p_chunk_s.(!p_nchunks) <- s;
+            p_chunk_n.(!p_nchunks) <- n;
+            incr p_nchunks
+          end
+        in
+        let pushed_in_chunk = ref 0 in
+        let chunk_t0 = ref (Unix.gettimeofday ()) in
+        let end_chunk () =
+          p_record (Unix.gettimeofday () -. !chunk_t0) !pushed_in_chunk;
+          pushed_in_chunk := 0;
+          chunk_t0 := Unix.gettimeofday ()
+        in
+        let p_mw0 = Gc.minor_words () in
+        let push_one _ buf len q =
+          let ring = rings.(owner q) in
+          if not (Pktring.try_push ring buf ~len ~qid:q) then begin
+            end_chunk ();
+            let idle = ref 0 in
+            let park = ref park_min_s in
+            while not (Pktring.try_push ring buf ~len ~qid:q) do
+              check_failed failure;
+              if !idle < spin_limit then Domain.cpu_relax ()
+              else begin
+                Unix.sleepf !park;
+                park := Float.min park_max_s (!park *. 2.0)
+              end;
+              incr idle
+            done;
+            chunk_t0 := Unix.gettimeofday ()
+          end;
+          incr pushed_in_chunk;
+          if !pushed_in_chunk >= 256 then end_chunk ()
+        in
+        (* Offer packets [lo, hi), then publish them. *)
+        let push_range lo hi =
+          stream lo hi push_one;
+          Array.iter Pktring.flush rings;
+          end_chunk ()
+        in
+        let all_workers cell () =
+          check_failed failure;
+          Atomic.get cell >= workers
+        in
+        let turned =
+          match
+            push_range 0 at;
+            Option.map
+              (fun ep ->
+                let ctl = ep.ctl in
+                (* The verdict computes on this domain, concurrently with
+                   the workers draining to their quiescent points. *)
+                turn ep ~at ~pkts
+                  ~quiesce:(fun () -> Atomic.set ctl.ctl_quiesce true)
+                  ~apply:(fun cmd ->
+                    wait_until (all_workers ctl.ctl_quiesced);
+                    Atomic.set ctl.ctl_cmd (Some cmd);
+                    wait_until (all_workers ctl.ctl_acks))
+                  ~resume:(fun () -> push_range at pkts))
+              epoch
+          with
+          | turned -> turned
+          | exception Worker_failed -> None
+          | exception e ->
+              (* A raising verdict fails the run like a raising worker. *)
+              let bt = Printexc.get_raw_backtrace () in
+              ignore (Atomic.compare_and_set failure None (Some (e, bt)));
+              None
+        in
+        let p_minor_words = Gc.minor_words () -. p_mw0 in
+        Atomic.set stop true;
+        (* After a failure, release any worker parked on an unpublished
+           verdict; [stop] retires the rest. *)
+        Option.iter
+          (fun { ctl; _ } ->
+            ignore (Atomic.compare_and_set ctl.ctl_cmd None (Some Swap_quarantine)))
+          epoch;
+        Array.iter Pool.await members;
+        Pool.release members;
+        (match Atomic.get failure with
+        | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+        | None -> ());
+        ( Array.map Option.get reports,
+          robust_busy ~chunk_s:p_chunk_s ~chunk_n:p_chunk_n ~nchunks:!p_nchunks
+            ~extra_s:0.0,
+          p_minor_words,
+          turned )
   in
-  let turn { verdict; ctl; _ } =
-    let t_swap = Unix.gettimeofday () in
-    Atomic.set ctl.ctl_quiesce true;
-    (* The verdict computes here — on the producer domain, concurrently
-       with the workers draining to their quiescent points. *)
-    let cmd = verdict () in
-    wait_until (all_workers ctl.ctl_quiesced);
-    Atomic.set ctl.ctl_cmd (Some cmd);
-    wait_until (all_workers ctl.ctl_acks);
-    let latency_s = Unix.gettimeofday () -. t_swap in
-    (* The producer pause ends the instant injection restarts;
-       quarantine never resumes, so its pause ends at the verdict. *)
-    let pause_s = Unix.gettimeofday () -. t_swap in
-    let action =
-      match cmd with
-      | Swap_apply _ -> Sw_applied
-      | Swap_refuse -> Sw_refused
-      | Swap_quarantine -> Sw_quarantined
-    in
-    if action <> Sw_quarantined then push_range at pkts;
-    (* Every worker has acknowledged, so the counters below are final;
-       the epoch-1 deliveries are filled in once every worker reported. *)
-    {
-      sw_action = action;
-      sw_at = at;
-      sw_inflight = Atomic.get ctl.ctl_inflight;
-      sw_pre_pkts = Atomic.get ctl.ctl_pre_pkts;
-      sw_post_pkts = 0;
-      sw_withheld = (if action = Sw_quarantined then pkts - at else 0);
-      sw_torn = Atomic.get ctl.ctl_torn;
-      sw_upgrade_errors = Atomic.get ctl.ctl_upgrade_errors;
-      sw_latency_s = latency_s;
-      sw_pause_s = pause_s;
-      sw_post_pairs = None;
-    }
-  in
-  let turned =
-    match
-      push_range 0 at;
-      Option.map turn epoch
-    with
-    | turned -> turned
-    | exception Worker_failed -> None
-    | exception e ->
-        (* A raising verdict fails the run like a raising worker. *)
-        let bt = Printexc.get_raw_backtrace () in
-        ignore (Atomic.compare_and_set failure None (Some (e, bt)));
-        None
-  in
-  let p_minor_words = Gc.minor_words () -. p_mw0 in
-  Atomic.set stop true;
-  (* After a failure, release any worker parked on an unpublished
-     verdict; [stop] retires the rest. *)
-  Option.iter
-    (fun { ctl; _ } ->
-      ignore (Atomic.compare_and_set ctl.ctl_cmd None (Some Swap_quarantine)))
-    epoch;
-  Array.iter Pool.await members;
-  Pool.release members;
-  (match Atomic.get failure with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ());
-  let reports = Array.map Option.get reports in
   let wall_s = Unix.gettimeofday () -. t0 in
-  let producer_busy_s =
-    robust_busy ~chunk_s:p_chunk_s ~chunk_n:p_chunk_n ~nchunks:!p_nchunks
-      ~extra_s:0.0
-  in
   let busy_s = Array.map (fun r -> r.rp_busy_s) reports in
   let eff_wall_s =
     Array.fold_left (fun a b -> Float.max a b) producer_busy_s busy_s
@@ -916,8 +987,7 @@ let run ?(domains = 1) ?(batch = 32) ?(ring_capacity = 1024) ?(collect = false)
        ~stack ~pkts ~workload None)
 
 let hot_swap ?(domains = 1) ?(batch = 32) ?(ring_capacity = 1024)
-    ?(collect = false) ?(account = true) ?(collect_post = false) ?plan ~mq
-    ~stack ~pkts ~at ~swap ~workload () =
+    ?(collect_post = false) ?plan ~mq ~stack ~pkts ~at ~swap ~workload () =
   let ctl =
     {
       ctl_quiesce = Atomic.make false;
@@ -933,8 +1003,8 @@ let hot_swap ?(domains = 1) ?(batch = 32) ?(ring_capacity = 1024)
     }
   in
   let result, outcome =
-    engine ~domains ~batch ~ring_capacity ~collect ~account ~pregen:false
-      ~plan ~mq ~stack ~pkts ~workload
+    engine ~domains ~batch ~ring_capacity ~collect:false ~account:false
+      ~pregen:false ~plan ~mq ~stack ~pkts ~workload
       (Some { at; verdict = swap; ctl })
   in
   (result, Option.get outcome)

@@ -15,6 +15,8 @@
     {!run} and {!hot_swap} are one engine: the same setup, worker
     hand-off, producer push loop, wait for the workers' reports and
     result assembly, with {!hot_swap} adding one epoch boundary. A
+    worker domain and a one-domain {!hot_swap}, which runs on the
+    calling domain, drive their queues with the same code. A
     worker that raises ends the run instead of hanging it: the producer
     abandons its waits, stops every worker, waits until every worker has
     reported and re-raises the first failure with its backtrace.
@@ -263,8 +265,6 @@ val hot_swap :
   ?domains:int ->
   ?batch:int ->
   ?ring_capacity:int ->
-  ?collect:bool ->
-  ?account:bool ->
   ?collect_post:bool ->
   ?plan:Fault.plan ->
   mq:Mq.t ->
@@ -275,39 +275,41 @@ val hot_swap :
   workload:Packet.Workload.t ->
   unit ->
   result * swap_outcome
-(** Like {!run}, with one epoch boundary: after [min at pkts] packets
-    the producer raises the quiesce flag and evaluates [swap ()] (on its
-    own domain, concurrently with the workers draining dry — this is
-    where a background recompile + certification runs). Once every
-    worker has reached its quiescent point the verdict is published
-    through one atomic cell; each worker applies it — [Swap_apply]
-    runs {!install} over its queues; [Swap_refuse] continues unchanged;
-    [Swap_quarantine] retires the worker — and acknowledges the new
-    epoch. Only after every acknowledgement does the producer resume
-    the stream (or, under [Swap_quarantine], withhold it). Counters
-    reconcile exactly across the transition: [sw_pre_pkts +
+(** Like {!run}, with one epoch boundary after [min at pkts] packets.
+    Every consumer is charged to {!Cost.Null}, so [domain_cycles] are 0.
+
+    With [domains >= 2] the producer raises the quiesce flag and
+    evaluates [swap ()] on its own domain, concurrently with the workers
+    draining dry (this is where a background recompile + certification
+    runs). Once every worker has reached its quiescent point the verdict
+    is published through one atomic cell, and each worker applies it
+    and acknowledges the new epoch. [Swap_apply] upgrades each of its
+    devices in place ({!Device.upgrade}) to a fresh [sc_model ()] under
+    [sc_config], rebinds the device's fault wrapper ({!Fault.rebind})
+    and gives queue [q] the consumer [sc_stack q]; [Swap_refuse]
+    continues unchanged; [Swap_quarantine] retires the worker. Only
+    after every acknowledgement does the producer resume the stream
+    (or, under [Swap_quarantine], withhold it).
+
+    With [domains = 1] no worker domain is taken and no ring is built:
+    the calling domain injects every packet itself and sweeps every
+    queue once after each [batch]-th injection, counted from the start
+    of the stream. At the swap point it reaches the quiescent point,
+    evaluates [swap ()] and applies the verdict the same way. Where the
+    harvests fall relative to the swap, and with it [sw_inflight],
+    [sw_pre_pkts] and the whole outcome, is then a pure function of the
+    workload, the plan and [at]. [ring_capacity] is unused,
+    [producer_busy_s] is 0 and [busy_s] holds the calling domain's wall
+    time.
+
+    Counters reconcile exactly across the transition: [sw_pre_pkts +
     sw_post_pkts = pkts - drops - quarantined - withheld] for a
     fault-free plan, and with faults the per-queue {!Fault.counters}
     invariants hold as in {!run}.
 
     @raise Invalid_argument as {!run} does.
-    @raise e the first exception a worker (including its {!install}
-    step) or [swap] raised, with its backtrace, once every worker has
+    @raise e the first exception a worker (including its install step)
+    or [swap] raised, with its backtrace, once every worker has
     reported. A failure before the verdict is published releases the
-    waiting workers with [Swap_quarantine]. *)
-
-val install :
-  config:Opendesc_analysis.Context.assignment ->
-  model:(unit -> Nic_models.Model.t) ->
-  stack:(int -> Stack.burst_t) ->
-  queue_ids:int array ->
-  Device.t array ->
-  Fault.t array option ->
-  Stack.burst_t array ->
-  int
-(** The epoch flip's install step for a [Swap_apply] verdict, shared by
-    {!hot_swap}'s workers and {!Upgrade}'s inline engine: for each
-    index [i], upgrade device [i] in place to [model ()] under [config]
-    ({!Device.upgrade}), rebind its fault wrapper ({!Fault.rebind}) and
-    set consumer [i] to [stack queue_ids.(i)]. The caller guarantees the
-    datapath is dry. Returns the number of {!Device.upgrade} refusals. *)
+    waiting workers with [Swap_quarantine]. At one domain the exception
+    propagates as raised. *)

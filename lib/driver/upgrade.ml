@@ -1,8 +1,8 @@
 (* Hitless contract evolution: the control plane over the epoch-based
    hot-swap. Classification and the certificate gate run here; the
    datapath mechanics (quiescent points, in-place device upgrade, fault
-   rebinding) live in Parallel.hot_swap, Parallel.install and the
-   sequential interleaved engine below. See docs/UPGRADE.md. *)
+   rebinding) live in Parallel.hot_swap at every domain count. See
+   docs/UPGRADE.md. *)
 
 module Ev = Opendesc_analysis.Evolution
 module Certify = Opendesc_analysis.Certify
@@ -218,116 +218,6 @@ let cmd_of_decision d =
   | `Quarantine -> Parallel.Swap_quarantine
 
 (* ------------------------------------------------------------------ *)
-(* Engines                                                            *)
-
-(* The deterministic engine: one thread of control interleaves
-   injection and harvest (a sweep every [batch] injections), so the
-   whole run — including how many completions are in flight when the
-   swap lands — is a pure function of (seed, plan, at). This is the
-   engine the CLI golden pins byte-for-byte. It reports like
-   {!Parallel.hot_swap}, plus the per-queue fault counters. *)
-let run_seq ~mq ~plan ~batch ~pkts ~at ~workload ~collect_post ~stack0
-    ~decide_cmd () =
-  let nq = Mq.queues mq in
-  let fqs = Mq.wrap_chaos ~plan mq in
-  let bursts = Mq.bursts ~capacity:batch mq in
-  let env = Softnic.Feature.make_env () in
-  let consumers = Array.init nq stack0 in
-  let epoch = ref 0 in
-  let post_pairs = if collect_post then Some (Array.make nq []) else None in
-  let delivered = ref 0 in
-  let handle q (b : Device.burst) =
-    ignore (consumers.(q).Stack.bt_consume Cost.Null env b);
-    delivered := !delivered + b.Device.bs_count;
-    match post_pairs with
-    | Some arr when !epoch = 1 ->
-        for j = 0 to b.Device.bs_count - 1 do
-          arr.(q) <-
-            ( Bytes.sub b.Device.bs_pkts.(j) 0 b.Device.bs_lens.(j),
-              Bytes.sub b.Device.bs_cmpts.(j) 0 b.Device.bs_cmpt_lens.(j) )
-            :: arr.(q)
-        done
-    | _ -> ()
-  in
-  let injected = ref 0 in
-  (* Every packet is generated into one frame, which steering and the
-     fault layer read in place (a deferred frame is copied into the
-     fault wrapper's stash). *)
-  let frame = Bytes.create (Packet.Workload.max_len workload) in
-  let inject_n n =
-    for _ = 1 to n do
-      let len = Packet.Workload.next_into workload frame in
-      let q = Mq.steer_raw mq frame ~len in
-      ignore (Fault.rx_inject_raw fqs.(q) frame ~len);
-      incr injected;
-      if !injected mod batch = 0 then
-        ignore (Mq.drain_chaos mq fqs bursts ~f:handle)
-    done
-  in
-  inject_n at;
-  (* Quiesce: flush deferred reorders, measure what is in flight, then
-     drain every queue dry — the quiescent point the epoch flip
-     requires (same measurement point as the parallel workers'). *)
-  let t_swap = Unix.gettimeofday () in
-  Array.iter Fault.flush fqs;
-  let inflight =
-    Array.fold_left (fun a fq -> a + Fault.rx_available fq) 0 fqs
-  in
-  ignore (Mq.drain_chaos_all mq fqs bursts ~f:handle);
-  let pre = !delivered in
-  let cmd = decide_cmd () in
-  let torn = ref 0 in
-  let upgrade_errors = ref 0 in
-  let action =
-    match cmd with
-    | Parallel.Swap_apply { sc_config; sc_model; sc_stack } ->
-        (* Torn-plan oracle: the flip must land on a dry datapath. *)
-        Array.iter
-          (fun fq -> if Fault.rx_available fq > 0 then incr torn)
-          fqs;
-        if !torn > 0 then
-          ignore (Mq.drain_chaos_all mq fqs bursts ~f:handle);
-        upgrade_errors :=
-          Parallel.install ~config:sc_config ~model:sc_model ~stack:sc_stack
-            ~queue_ids:(Array.init nq Fun.id)
-            (Array.map Fault.device fqs)
-            (Some fqs) consumers;
-        epoch := 1;
-        Parallel.Sw_applied
-    | Parallel.Swap_refuse -> Parallel.Sw_refused
-    | Parallel.Swap_quarantine -> Parallel.Sw_quarantined
-  in
-  let latency = Unix.gettimeofday () -. t_swap in
-  (* The producer quiesce pause: injection halted from the quiesce
-     request until the post-swap stream resumes (for a quarantine,
-     until the verdict withheld the remainder) — the bound ROADMAP
-     item 4 asks the live_upgrade bench to keep under 100 ms. *)
-  let withheld, pause_s =
-    match cmd with
-    | Parallel.Swap_quarantine -> (pkts - at, latency)
-    | _ ->
-        let pause_s = Unix.gettimeofday () -. t_swap in
-        inject_n (pkts - at);
-        (0, pause_s)
-  in
-  Array.iter Fault.flush fqs;
-  ignore (Mq.drain_chaos_all mq fqs bursts ~f:handle);
-  ( {
-      Parallel.sw_action = action;
-      sw_at = at;
-      sw_inflight = inflight;
-      sw_pre_pkts = pre;
-      sw_post_pkts = !delivered - pre;
-      sw_withheld = withheld;
-      sw_torn = !torn;
-      sw_upgrade_errors = !upgrade_errors;
-      sw_latency_s = latency;
-      sw_pause_s = pause_s;
-      sw_post_pairs = Option.map (Array.map List.rev) post_pairs;
-    },
-    Array.map Fault.counters fqs )
-
-(* ------------------------------------------------------------------ *)
 (* Outcome assembly                                                   *)
 
 (* A dry run turns no epoch: every datapath figure is zero. *)
@@ -431,26 +321,15 @@ let run ?(queues = 4) ?(domains = 1) ?(batch = 32) ?(pkts = 4096) ?at
           let stack0 _ = Hoststacks.opendesc_batched ~compiled:compiled_old in
           let workload = Packet.Workload.make ~seed Packet.Workload.Imix in
           let t0 = Unix.gettimeofday () in
-          let sw, counters =
-            if domains = 1 then
-              run_seq ~mq ~plan:fplan ~batch ~pkts ~at ~workload
-                ~collect_post ~stack0 ~decide_cmd ()
-            else
-              let r, sw =
-                Parallel.hot_swap ~domains ~batch ~collect_post ~plan:fplan
-                  ~mq ~stack:stack0 ~pkts ~at ~swap:decide_cmd ~workload ()
-              in
-              (sw, Option.get r.faults)
+          let r, sw =
+            Parallel.hot_swap ~domains ~batch ~collect_post ~plan:fplan ~mq
+              ~stack:stack0 ~pkts ~at ~swap:decide_cmd ~workload ()
           in
           let wall_s = Unix.gettimeofday () -. t0 in
-          let devices = Array.init queues (Mq.queue mq) in
-          let drops =
-            Array.fold_left (fun a d -> a + Device.drops d) 0 devices
-          in
           Ok
             (mk_outcome ~old_spec ~new_spec ~intent ~active ~queues ~domains
-               ~pkts ~dry:false ~drops ~wall_s (Option.get !decision)
-               (Fault.counters_sum (Array.to_list counters))
+               ~pkts ~dry:false ~drops:r.drops ~wall_s (Option.get !decision)
+               (Fault.counters_sum (Array.to_list (Option.get r.faults)))
                sw))
 
 let dry_run ?alpha ?drill ~intent ~(old_spec : Opendesc.Nic_spec.t)

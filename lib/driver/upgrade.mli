@@ -32,16 +32,14 @@
     query, so the certificate held for the deployment (proved against
     rev A's contract) is correctly judged stale for rev B's hash.
 
-    Two engines produce the same {!outcome}: a single-threaded
-    interleaved engine ([domains = 1]) and the domain-parallel epoch
-    engine ({!Parallel.hot_swap}) for [domains > 1]. Both report a
-    {!Parallel.swap_outcome} and flip the epoch with the same
-    {!Parallel.install} step. The inline engine stays for two reasons.
-    The CLI golden pins [inflight] and [pre_delivered], which depend on
-    where harvests fall relative to the swap: fixed in the inline loop,
-    a matter of scheduling across domains in {!Parallel.hot_swap} even
-    at one worker. And the [upgrade_chaos] benchmark times
-    [run ~domains:1] on the calling domain. *)
+    One engine, {!Parallel.hot_swap}, runs the datapath at every
+    domain count. At [domains = 1] it runs on the calling domain and
+    sweeps after every [batch]-th injection, so [inflight] and
+    [pre_delivered] (which the CLI golden pins) and the whole outcome
+    are a pure function of (seed, plan, at); the [upgrade_chaos]
+    benchmark times that run. At [domains > 1] worker domains drain
+    while the verdict computes, and where their harvests fall depends
+    on scheduling. *)
 
 (** Certificate-gate failure drills (the [certify --inject] lineage):
     force the Recompile protocol into each refusal mode without needing
@@ -156,15 +154,15 @@ val run :
     stream a seeded Imix workload through the fault layer ([plan]
     defaults to {!Fault.zero_plan}[ seed] — wrapped either way, so the
     counters always reconcile), raise the swap at packet [at] (default
-    [pkts / 2]) and drive the protocol above. [domains = 1] (default)
-    runs the deterministic interleaved engine; [domains > 1] delegates
-    to {!Parallel.hot_swap}. Defaults: [queues = 4], [batch = 32],
+    [pkts / 2]) and drive the protocol above through
+    {!Parallel.hot_swap} at [domains]; [domains = 1] (default) is
+    reproducible from the seed. Defaults: [queues = 4], [batch = 32],
     [pkts = 4096], [seed = 42]. Errors are pre-flight only (rev A
     fails to compile, device creation fails); every post-flight
     condition is an {!outcome}.
 
     @raise Invalid_argument on [domains < 1], [batch < 1] or [pkts < 0]
-    ({!Parallel.check_sizes}), before either engine starts.
+    ({!Parallel.check_sizes}), before the engine starts.
     @raise e what {!Parallel.hot_swap} raises when a worker or the
     verdict fails. *)
 

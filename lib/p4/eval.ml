@@ -40,6 +40,10 @@ let arith op a b =
       | Ast.Mul -> VInt { v = wrap (Int64.mul x y); width = w }
       | Ast.Div -> if y = 0L then VUnknown else VInt { v = Int64.div x y; width = w }
       | Ast.Mod -> if y = 0L then VUnknown else VInt { v = Int64.rem x y; width = w }
+      (* A count of 64 or more, read as unsigned, shifts every bit out;
+         [Int64]'s shifts leave such a count unspecified. *)
+      | (Ast.Shl | Ast.Shr) when Int64.unsigned_compare y 64L >= 0 ->
+          VInt { v = 0L; width = wa }
       | Ast.Shl -> VInt { v = wrap (Int64.shift_left x (Int64.to_int y)); width = wa }
       | Ast.Shr ->
           VInt { v = Int64.shift_right_logical x (Int64.to_int y); width = wa }

@@ -609,6 +609,23 @@ let test_eval_arith () =
   check ab "shift" true (Eval.equal_value (ev "1 << 4") (Eval.vint 16L));
   check ab "mod" true (Eval.equal_value (ev "10 % 3") (Eval.vint 1L))
 
+(* A shift count of 64 or more, read as unsigned, gives 0 both ways. *)
+let test_eval_wide_shifts () =
+  List.iter
+    (fun src -> check ab src true (Eval.equal_value (ev src) (Eval.vint 0L)))
+    [
+      "1 << 64";
+      "64w1 << 64";
+      "3 >> 64";
+      "1 << 65";
+      "8w1 << 8";
+      "1 << 18446744073709551615";
+      "64w0xFFFFFFFFFFFFFFFF >> 18446744073709551615";
+    ];
+  check ab "1 << 63" true (Eval.equal_value (ev "1 << 63") (Eval.vint Int64.min_int));
+  check ab "64w0xFFFFFFFFFFFFFFFF >> 63" true
+    (Eval.equal_value (ev "64w0xFFFFFFFFFFFFFFFF >> 63") (Eval.vint 1L))
+
 let test_eval_width_wrapping () =
   check ab "8-bit wrap" true (Eval.equal_value (ev "8w255 + 8w1") (Eval.vint 0L));
   check ab "cast wrap" true (Eval.equal_value (ev "(bit<4>)(8w0xFF)") (Eval.vint 0xFL))
@@ -844,6 +861,7 @@ let () =
       ( "eval",
         [
           Alcotest.test_case "arithmetic" `Quick test_eval_arith;
+          Alcotest.test_case "shifts by 64 or more" `Quick test_eval_wide_shifts;
           Alcotest.test_case "width wrapping" `Quick test_eval_width_wrapping;
           Alcotest.test_case "comparisons" `Quick test_eval_comparisons;
           Alcotest.test_case "short circuit unknowns" `Quick
