@@ -367,7 +367,7 @@ end
    their bursts and consumers, and what the group has delivered. A
    worker domain drives a group from its handoff ring; a one-domain hot
    swap drives the only group from the calling domain. Nothing below
-   allocates per burst. *)
+   allocates per burst unless the run collects what it delivers. *)
 type group = {
   queue_ids : int array;
   devices : Device.t array;
